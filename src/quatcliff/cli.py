@@ -22,16 +22,16 @@ identical bytes apart from the timing block.
 
 import argparse
 import json
-import os
 import sys
 import time
 from math import comb
 
 from . import fischer, relations
+from .env import env_int
 from .poly import SpinorPolynomial, poly_dim
 from .witt import cell_dim, cell_labels, pq_scalars
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 CHECK_NAMES = ("relations", "cells", "thm5", "prop8", "prop9", "thm10",
                "euclidean", "hermitian", "example13")
@@ -39,22 +39,14 @@ CHECK_NAMES = ("relations", "cells", "thm5", "prop8", "prop9", "thm10",
 DEFAULT_DIM_CAP = 10 ** 5
 
 
-def _env_int(name, default):
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
-
-
 class RunConfig:
     """What to run: quaternionic rank p, degree range, selected checks.
 
     `dim_cap` bounds the spinor-valued polynomial spaces a check may
     touch; labels over the cap are reported as skipped, never attempted.
-    `workers` defaults to the QUATCLIFF_WORKERS environment variable.
+    `workers` and `dim_cap` default to the QUATCLIFF_WORKERS and
+    QUATCLIFF_DIM_CAP environment variables; a value there that is not a
+    positive integer raises ValueError.
     `label_filter` narrows the degree grid to one (a, b[, r]) label; the
     `fischer` subcommand uses it, programmatic callers may too.
     """
@@ -68,9 +60,9 @@ class RunConfig:
         self.max_total_degree = max_total_degree
         self.checks = tuple(checks)
         self.output = output
-        self.workers = (_env_int("QUATCLIFF_WORKERS", 1)
+        self.workers = (env_int("QUATCLIFF_WORKERS", 1)
                         if workers is None else workers)
-        self.dim_cap = (_env_int("QUATCLIFF_DIM_CAP", DEFAULT_DIM_CAP)
+        self.dim_cap = (env_int("QUATCLIFF_DIM_CAP", DEFAULT_DIM_CAP)
                         if dim_cap is None else dim_cap)
         self.label_filter = label_filter
 
@@ -549,6 +541,12 @@ def main(argv=None):
             with open(args.input) as fh:
                 data = json.load(fh)
             F = parse_polynomial(data, n=2 * args.p)
+            cap = env_int("QUATCLIFF_DIM_CAP", DEFAULT_DIM_CAP)
+            for A, B in F.bidegrees():
+                needed = poly_dim(args.p, A, B) * 4 ** args.p
+                if needed > cap:
+                    raise ValueError(f"bidegree ({A},{B}) needs dimension "
+                                     f"{needed}, over the cap {cap}")
             report = fischer.decompose_polynomial(F, args.p)
             payload = report.to_json()
             payload["schema_version"] = SCHEMA_VERSION

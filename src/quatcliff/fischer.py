@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import comb
 
 from . import linalg
-from .operators import apply, apply_word
+from .operators import apply, apply_word, joint_kernel
 from .poly import (SpinorPolynomial, poly_dim, space_basis, term_sort_key,
                    value_basis)
 from .scalars import xs
@@ -86,26 +86,9 @@ def _canonical_polys(n, dicts):
 
 def kernel_space(ops, p, a, b, value_space=("full",)):
     """Joint kernel of `ops` on P_{a,b} tensor the value space."""
-    ops = tuple(ops)
-    ambient = (p, a, b, tuple(value_space))
-    basis = space_basis(p, a, b, value_space)
-    if not basis:
-        return SubspaceBasis(ambient, [])
-    images = []
-    for F in basis:
-        stacked = {}
-        for i, name in enumerate(ops):
-            for k, c in apply(name, F).terms.items():
-                stacked[(i, k)] = c
-        images.append(stacked)
-    combos = linalg.nullspace(images)
-    vecs = []
-    for combo in combos:
-        acc = {}
-        for j, c in combo.items():
-            linalg.axpy(acc, basis[j].terms, c)
-        vecs.append(acc)
-    return SubspaceBasis(ambient, _canonical_polys(2 * p, vecs))
+    kernel = joint_kernel(ops, space_basis(p, a, b, value_space))
+    return SubspaceBasis((p, a, b, tuple(value_space)),
+                         _canonical_polys(2 * p, [v.terms for v in kernel]))
 
 
 _SPACE_CACHE = {}
@@ -411,189 +394,83 @@ def _composite_projection_swapped(T, params, order=2):
 
 # ------------------------------------------------------ embedding factors
 
-def _c(num, den=1):
-    return Fraction(num, den)
-
-
-# alpha -> (source shift (dr, da, db), [(coefficient(p,a,b,r), word), ...]);
-# words apply rightmost factor first, coefficients use the target labels.
-_EMBEDDINGS = {
-    0: ((0, 0, 0), [
-        (lambda p, a, b, r: _c(1), ()),
-    ]),
-    1: ((1, -1, 0), [
-        (lambda p, a, b, r: _c(1), ("mul_z",)),
-    ]),
-    2: ((1, 0, -1), [
-        (lambda p, a, b, r: _c(1), ("mul_z_dagJ",)),
-        (lambda p, a, b, r: _c(-1, a - b + 2), ("curlyE_dag", "mul_z")),
-    ]),
-    3: ((-1, 0, -1), [
-        (lambda p, a, b, r: _c(1), ("mul_z_dag",)),
-        (lambda p, a, b, r: _c(1, a - b + 2), ("curlyE_dag", "mul_zJ")),
-        (lambda p, a, b, r: _c(1, p - r + 2), ("Q", "mul_z_dagJ")),
-        (lambda p, a, b, r: _c(-1, (p - r + 2) * (a - b + 2)),
-         ("Q", "curlyE_dag", "mul_z")),
-    ]),
-    4: ((-1, -1, 0), [
-        (lambda p, a, b, r: _c(1), ("mul_zJ",)),
-        (lambda p, a, b, r: _c(-1, p - r + 2), ("Q", "mul_z")),
-    ]),
-    5: ((0, -1, -1), [
-        (lambda p, a, b, r: _c(1), ("mul_z", "mul_z_dag")),
-        (lambda p, a, b, r: _c(1, a - b + 2), ("curlyE_dag", "mul_z", "mul_zJ")),
-        (lambda p, a, b, r: _c(1, p - r + 2), ("Q", "mul_z", "mul_z_dagJ")),
-        (lambda p, a, b, r: _c(-(2 * p + b - r - 1), 2 * p + a + b - 2),
-         ("mul_r2",)),
-    ]),
-    6: ((0, -1, -1), [
-        (lambda p, a, b, r: _c(1), ("mul_zJ", "mul_z_dagJ")),
-        (lambda p, a, b, r: _c(-1, a - b + 2), ("curlyE_dag", "mul_zJ", "mul_z")),
-        (lambda p, a, b, r: _c(-1, p - r + 2), ("Q", "mul_z", "mul_z_dagJ")),
-        (lambda p, a, b, r: _c(-(b + r - 1), 2 * p + a + b - 2), ("mul_r2",)),
-    ]),
-    7: ((2, -1, -1), [
-        (lambda p, a, b, r: _c(1), ("mul_z", "mul_z_dagJ")),
-    ]),
-    8: ((-2, -1, -1), [
-        (lambda p, a, b, r: _c(1), ("mul_zJ", "mul_z_dag")),
-        (lambda p, a, b, r: _c(-1, p - r + 2), ("Q", "mul_z", "mul_z_dag")),
-        (lambda p, a, b, r: _c(1, p - r + 2), ("Q", "mul_zJ", "mul_z_dagJ")),
-        (lambda p, a, b, r: _c(-1, (p - r + 3) * (p - r + 2)),
-         ("Q", "Q", "mul_z", "mul_z_dagJ")),
-        (lambda p, a, b, r: _c(1, (p - r + 3) * (p - r + 2) * (a - b + 2)),
-         ("curlyE_dag", "Q", "Q", "mul_zJ", "mul_z")),
-    ]),
-    9: ((0, -2, 0), [
-        (lambda p, a, b, r: _c(1), ("mul_z", "mul_zJ")),
-    ]),
-    10: ((0, 0, -2), [
-        (lambda p, a, b, r: _c(1), ("mul_z_dag", "mul_z_dagJ")),
-        (lambda p, a, b, r: _c(-1, a - b + 2), ("curlyE_dag", "mul_z_dag", "mul_z")),
-        (lambda p, a, b, r: _c(1, a - b + 2), ("curlyE_dag", "mul_zJ", "mul_z_dagJ")),
-        (lambda p, a, b, r: _c(-1, (a - b + 3) * (a - b + 2)),
-         ("curlyE_dag", "curlyE_dag", "mul_zJ", "mul_z")),
-    ]),
-    11: ((-1, -2, -1), [
-        (lambda p, a, b, r: _c(1), ("mul_z", "mul_z_dag", "mul_zJ")),
-        (lambda p, a, b, r: _c(-(2 * p + b + 1 - r), 2 * p + a + b - 2),
-         ("mul_r2", "mul_zJ")),
-        (lambda p, a, b, r: _c(-1, p + 2 - r),
-         ("Q", "mul_z", "mul_zJ", "mul_z_dagJ")),
-        (lambda p, a, b, r: _c(2 * p + b + 1 - r, (p + 2 - r) * (2 * p + a + b - 2)),
-         ("Q", "mul_r2", "mul_z")),
-    ]),
-    12: ((1, -1, -2), [
-        (lambda p, a, b, r: _c(1), ("mul_z", "mul_z_dag", "mul_z_dagJ")),
-        (lambda p, a, b, r: _c(-(2 * p + b - 2 - r), 2 * p + a + b - 2),
-         ("mul_r2", "mul_z_dagJ")),
-        (lambda p, a, b, r: _c(-1, a - b + 2),
-         ("curlyE_dag", "mul_z", "mul_z_dagJ", "mul_zJ")),
-        (lambda p, a, b, r: _c(2 * p + b - 2 - r, (a - b + 2) * (2 * p + a + b - 2)),
-         ("curlyE_dag", "mul_r2", "mul_z")),
-    ]),
-    13: ((1, -2, -1), [
-        (lambda p, a, b, r: _c(1), ("mul_z", "mul_zJ", "mul_z_dagJ")),
-        (lambda p, a, b, r: _c(-(b + r - 1), 2 * p + a + b - 2),
-         ("mul_r2", "mul_z")),
-    ]),
-    14: ((-1, -1, -2), [
-        (lambda p, a, b, r: _c(1), ("mul_z_dag", "mul_zJ", "mul_z_dagJ")),
-        (lambda p, a, b, r: _c(-(b + r - 4), 2 * p + a + b - 2),
-         ("mul_r2", "mul_z_dag")),
-        (lambda p, a, b, r: _c(-1, a - b + 2),
-         ("curlyE_dag", "mul_z_dag", "mul_zJ", "mul_z")),
-        (lambda p, a, b, r: _c(1, p - r + 2),
-         ("Q", "mul_z", "mul_z_dag", "mul_z_dagJ")),
-        (lambda p, a, b, r: _c(-(b + r - 4), (2 * p + a + b - 2) * (a - b + 2)),
-         ("curlyE_dag", "mul_r2", "mul_zJ")),
-        (lambda p, a, b, r: _c(-(b + r - 4), (2 * p + a + b - 2) * (p - r + 2)),
-         ("Q", "mul_r2", "mul_z_dagJ")),
-        (lambda p, a, b, r: _c(-1, (p - r + 2) * (a - b + 2)),
-         ("curlyE_dag", "Q", "mul_z", "mul_z_dagJ", "mul_zJ")),
-        (lambda p, a, b, r: _c(b + r - 4,
-                               (2 * p + a + b - 2) * (p - r + 2) * (a - b + 2)),
-         ("curlyE_dag", "Q", "mul_r2", "mul_z")),
-    ]),
-    15: ((0, -2, -2), [
-        (lambda p, a, b, r: _c(1), ("mul_z", "mul_z_dag", "mul_zJ", "mul_z_dagJ")),
-        (lambda p, a, b, r: _c(-(b + r - 4), 2 * p + a + b - 2),
-         ("mul_r2", "mul_z", "mul_z_dag")),
-        (lambda p, a, b, r: _c(-(2 * p + b - r), 2 * p + a + b - 2),
-         ("mul_r2", "mul_zJ", "mul_z_dagJ")),
-        (lambda p, a, b, r: _c(1, 2 * p + a + b - 2),
-         ("mul_r2", "curlyE_dag", "mul_z", "mul_zJ")),
-        (lambda p, a, b, r: _c(2, 2 * p + a + b - 2),
-         ("mul_r2", "Q", "mul_z", "mul_z_dagJ")),
-        (lambda p, a, b, r: _c(
-            2 * p * b + b * b - 5 * b - a + 2 * p * r - 2 * r - r * r - 8 * p + 6,
-            (2 * p + a + b - 2) * (2 * p + a + b - 3)),
-         ("mul_r2", "mul_r2")),
-    ]),
-}
+# alpha -> (source shift (dr, da, db), head word); words apply rightmost
+# factor first.  Factor alpha is its head word followed by the projection
+# onto Ker laplace, Ker P and Ker curlyE at the target labels.
+_EMBEDDINGS = (
+    ((0, 0, 0), ()),
+    ((1, -1, 0), ("mul_z",)),
+    ((1, 0, -1), ("mul_z_dagJ",)),
+    ((-1, 0, -1), ("mul_z_dag",)),
+    ((-1, -1, 0), ("mul_zJ",)),
+    ((0, -1, -1), ("mul_z", "mul_z_dag")),
+    ((0, -1, -1), ("mul_zJ", "mul_z_dagJ")),
+    ((2, -1, -1), ("mul_z", "mul_z_dagJ")),
+    ((-2, -1, -1), ("mul_zJ", "mul_z_dag")),
+    ((0, -2, 0), ("mul_z", "mul_zJ")),
+    ((0, 0, -2), ("mul_z_dag", "mul_z_dagJ")),
+    ((-1, -2, -1), ("mul_z", "mul_z_dag", "mul_zJ")),
+    ((1, -1, -2), ("mul_z", "mul_z_dag", "mul_z_dagJ")),
+    ((1, -2, -1), ("mul_z", "mul_zJ", "mul_z_dagJ")),
+    ((-1, -1, -2), ("mul_z_dag", "mul_zJ", "mul_z_dagJ")),
+    ((0, -2, -2), ("mul_z", "mul_z_dag", "mul_zJ", "mul_z_dagJ")),
+)
 
 
 class EmbeddingFactor:
     """One of the sixteen maps that embed a source S-space into the
-    symplectic harmonics with cell values at the target labels."""
+    symplectic harmonics with cell values at the target labels: the head
+    word followed by `composite_projection` at the target labels."""
 
-    __slots__ = ("alpha", "target", "source", "terms")
+    __slots__ = ("alpha", "target", "source", "word")
 
-    def __init__(self, alpha, target, source, terms):
+    def __init__(self, alpha, target, source, word):
         self.alpha = alpha
         self.target = target          # (p, a, b, r)
         self.source = source          # (r', a', b')
-        self.terms = tuple(terms)     # ((Fraction, word), ...)
+        self.word = word              # name tuple, None without a source
 
     @property
     def is_empty(self):
-        return not self.terms
+        return self.word is None
 
     def apply(self, F):
-        out = SpinorPolynomial.zero(F.n)
-        for coeff, word in self.terms:
-            out = out + apply_word(word, F).scale(xs(coeff))
-        return out
+        if self.word is None:
+            return SpinorPolynomial.zero(F.n)
+        return composite_projection(apply_word(self.word, F), self.target)
 
     def head_word(self):
-        """The coefficient-one leading word (the raw variable product)."""
-        return self.terms[0][1]
+        """The raw variable product the projection starts from."""
+        return self.word
 
     def rendered(self):
-        parts = []
-        for coeff, word in self.terms:
-            w = " ".join(word) if word else "1"
-            parts.append(f"({coeff}) {w}")
-        return " + ".join(parts) if parts else "0"
+        if self.word is None:
+            return "0"
+        return "proj " + (" ".join(self.word) or "1")
 
     def __repr__(self):
         return (f"EmbeddingFactor(alpha={self.alpha}, source={self.source}, "
-                f"{len(self.terms)} terms)")
+                f"word={self.word})")
 
 
 def embedding_factor(alpha, p, a, b, r):
     """Build embedding factor `alpha` for target labels (p, a, b, r).
 
     Sources with negative degrees or a column outside 0..p give the
-    empty factor.  Zero coefficients are dropped term by term.
+    empty factor.
     """
-    if alpha not in _EMBEDDINGS:
+    if alpha not in range(16):
         raise ValueError(f"alpha must be in 0..15, got {alpha}")
     if a < b:
         raise ValueError("target labels need a >= b")
     if not 0 <= r <= p:
         raise ValueError(f"target column must satisfy 0 <= r <= p, got {r}")
-    (dr, da, db), raw = _EMBEDDINGS[alpha]
+    (dr, da, db), word = _EMBEDDINGS[alpha]
     source = (r + dr, a + da, b + db)
     sr, sa, sb = source
     if not (0 <= sr <= p and sa >= sb >= 0):
-        return EmbeddingFactor(alpha, (p, a, b, r), source, ())
-    terms = []
-    for coeff_fn, word in raw:
-        coeff = coeff_fn(p, a, b, r)
-        if coeff:
-            terms.append((coeff, word))
-    return EmbeddingFactor(alpha, (p, a, b, r), source, terms)
+        word = None
+    return EmbeddingFactor(alpha, (p, a, b, r), source, word)
 
 
 def _tensor_scalar_value(h, v):
@@ -617,9 +494,9 @@ def piece_activity(p, a, b, r):
     image vectors, the image rank, and whether the piece counts toward
     the tiling.  Two effects exclude a piece:
 
-    * the factor annihilates its whole source (rank 0); observed for
-      instance at (a,b,r) source shifts where a coefficient degenerates,
-      and everywhere at p = 1 for alphas 5 and 6 beyond degree (0,0);
+    * the factor annihilates its whole source (rank 0): the projection
+      kills every image of the head word, for instance everywhere at
+      p = 1 for alphas 5 and 6 beyond degree (0,0);
     * alphas 5 and 6, which share the source label (r, a-1, b-1), can
       land on the same subspace.  Each image is then full rank but their
       union adds nothing, so only alpha 5 is counted and alpha 6 carries
@@ -670,7 +547,7 @@ def piece_activity(p, a, b, r):
     return entries
 
 
-def symplectic_harmonics_16_decomposition(p, a, b, r, audit=True):
+def symplectic_harmonics_16_decomposition(p, a, b, r):
     """Tile the symplectic harmonics with values in the bottom cell of
     column r by the sixteen embedded S-spaces.
 
@@ -681,13 +558,10 @@ def symplectic_harmonics_16_decomposition(p, a, b, r, audit=True):
     image as a subspace, are excluded from the count; each exclusion is
     reported per alpha with a witness, and the details record whether
     the naive sum over all sixteen source dimensions would have matched
-    (it overshoots exactly when a coincidence witness is present, which
-    makes this check an empirical audit of the stored coefficients).
+    (it overshoots whenever an exclusion witness is present).
 
-    With `audit`, every factor is recomputed as the triple kernel
-    projection of its leading variable word and any disagreement is
-    reported per alpha without touching the stored formulas; the two
-    orders of the last two projection factors are compared as well.
+    Every image is also projected with the last two kernel projections
+    in the opposite order (curlyE before P); the two orders must agree.
     """
     if a < b:
         raise ValueError("expects a >= b")
@@ -702,7 +576,6 @@ def symplectic_harmonics_16_decomposition(p, a, b, r, audit=True):
     piece_vecs = []
     params = (p, a, b, r)
     orders_agree = True
-    factors_match = True
     exclusions = []
     for entry in piece_activity(p, a, b, r):
         alpha = entry["alpha"]
@@ -735,23 +608,10 @@ def symplectic_harmonics_16_decomposition(p, a, b, r, audit=True):
             exclusions.append({"alpha": alpha, "reason": "coincides",
                                "source": list(entry["source"]),
                                **entry["coincides_with"]})
-        if audit:
-            mismatch = None
-            for v, image in zip(entry["src_vectors"], vecs):
-                head = apply_word(fac.head_word(), v)
-                projected = composite_projection(head, params)
-                if (projected - image).terms:
-                    mismatch = {"source_vector": str(v),
-                                "projected": str(projected),
-                                "factor_image": str(image)}
-                    break
-                if (_composite_projection_swapped(head, params)
-                        - projected).terms:
-                    orders_agree = False
-            comp["matches_projection"] = mismatch is None
-            if mismatch is not None:
-                comp["projection_mismatch"] = mismatch
-                factors_match = False
+        for v, image in zip(entry["src_vectors"], vecs):
+            head = apply_word(fac.head_word(), v)
+            if (_composite_projection_swapped(head, params) - image).terms:
+                orders_agree = False
         components.append(comp)
         if entry["counted"]:
             piece_vecs.append(vecs)
@@ -762,16 +622,14 @@ def symplectic_harmonics_16_decomposition(p, a, b, r, audit=True):
     naive_sum = sum(c["source_dim"] for c in components)
     pieces_ok = all(c["source_dim"] == c["rank"] and c["in_kernels"]
                     and c["in_ambient"] for c in counted)
-    passed = (total == ambient_dim == union_rank) and pieces_ok
+    passed = ((total == ambient_dim == union_rank) and pieces_ok
+              and orders_agree)
     details = {"ambient_dim": ambient_dim, "sum_of_pieces": total,
                "union_rank": union_rank, "naive_16_sum": naive_sum,
                "naive_16_sum_matches": naive_sum == ambient_dim,
                "exclusions": exclusions,
-               "cell_dim": cell_dim(p, r, r), "top_dim": HS.dim}
-    if audit:
-        details["projection_orders_agree"] = orders_agree
-        details["factors_match_projection"] = factors_match
-        passed = passed and orders_agree and factors_match
+               "cell_dim": cell_dim(p, r, r), "top_dim": HS.dim,
+               "projection_orders_agree": orders_agree}
     return DecompositionReport(
         f"symplectic harmonics p={p} (a,b)=({a},{b}) r={r}",
         components, None, passed, details=details)
@@ -900,8 +758,9 @@ def example_decomposition():
 
     The rewrite uses the commutation of Q past z-multiplication (one of
     the verified bracket rules): mul_zJ - c Q mul_z with c = 1/(p-r+2)
-    equals (1-c) (mul_zJ + A mul_z Q) for A = -c/(1-c) = -1/(p-r+1), so
-    A comes out of the stored factor and S0 absorbs the overall scale.
+    equals (1-c) (mul_zJ + A mul_z Q) for A = -c/(1-c) = -1/(p-r+1).
+    Here mul_zJ - c Q mul_z is what the alpha 4 factor, the projection of
+    mul_zJ, reduces to on S-spaces, and S0 absorbs the overall scale.
     The rebuilt pair is checked against the component exactly.
     """
     p, n = 2, 4
@@ -958,16 +817,8 @@ def _monogenic_basis(p, d):
     got = _MONOGENIC_CACHE.get(key)
     if got is not None:
         return got
-    basis = _degree_basis(p, d)
-    images = [apply("dirac", F).terms for F in basis]
-    combos = linalg.nullspace(images)
-    vecs = []
-    for combo in combos:
-        acc = {}
-        for j, c in combo.items():
-            linalg.axpy(acc, basis[j].terms, c)
-        vecs.append(acc)
-    polys = _canonical_polys(2 * p, vecs)
+    kernel = joint_kernel(("dirac",), _degree_basis(p, d))
+    polys = _canonical_polys(2 * p, [v.terms for v in kernel])
     _MONOGENIC_CACHE[key] = polys
     return polys
 

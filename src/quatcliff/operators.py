@@ -299,34 +299,31 @@ def apply_cached(op, F, cache):
     return SpinorPolynomial(F.n, out)
 
 
-# ------------------------------------------------------------ matrix builds
+# ------------------------------------------------------------ joint kernels
 
-class OperatorMatrix:
-    """Images of an ordered basis under one operator, kept as sparse columns
-    over the raw term keys.  Two constructions of the same operator agree
-    exactly when their columns agree."""
+def joint_kernel(ops, basis):
+    """Basis of the joint kernel of the operators `ops` on the span of the
+    linearly independent polynomials `basis`.
 
-    __slots__ = ("name", "ambient", "columns")
-
-    def __init__(self, name, ambient, columns):
-        self.name = name
-        self.ambient = ambient
-        self.columns = columns
-
-    def __eq__(self, other):
-        if not isinstance(other, OperatorMatrix):
-            return NotImplemented
-        return self.ambient == other.ambient and self.columns == other.columns
-
-    def __repr__(self):
-        return f"OperatorMatrix({self.name!r}, {self.ambient!r}, {len(self.columns)} cols)"
-
-
-def operator_matrix(op, a, b, p, value_space=("full",)):
-    spec = resolve(op)
-    basis = space_basis(p, a, b, value_space)
-    columns = [spec(v).terms for v in basis]
-    return OperatorMatrix(spec.name, (p, a, b, tuple(value_space)), columns)
+    The images under all operators are stacked into one linear map and
+    each canonical nullspace vector is recombined into a polynomial, so
+    the result depends only on the operators and the ordered basis.
+    """
+    ops = tuple(ops)
+    images = []
+    for F in basis:
+        stacked = {}
+        for i, name in enumerate(ops):
+            for k, c in apply(name, F).terms.items():
+                stacked[(i, k)] = c
+        images.append(stacked)
+    vecs = []
+    for combo in linalg.nullspace(images):
+        acc = {}
+        for j, c in combo.items():
+            linalg.axpy(acc, basis[j].terms, c)
+        vecs.append(SpinorPolynomial(basis[0].n, acc))
+    return vecs
 
 
 # ------------------------------------- real-coordinate Dirac reconstruction

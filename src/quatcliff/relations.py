@@ -25,12 +25,13 @@ verifier asserts the one that gives the odd generators weight +-1 and only
 reports the weights of the other.
 """
 
-import os
 from fractions import Fraction
 
 from . import linalg
-from .operators import REGISTRY, apply, apply_cached, apply_expression
-from .poly import SpinorPolynomial, space_basis
+from .env import env_int
+from .operators import (REGISTRY, apply, apply_cached, apply_expression,
+                        joint_kernel)
+from .poly import space_basis
 from .scalars import XS_ZERO, xs
 
 __all__ = [
@@ -435,10 +436,7 @@ def _table_block_job(args):
 
 def _worker_count(workers):
     if workers is None:
-        try:
-            workers = int(os.environ.get("QUATCLIFF_WORKERS", "1"))
-        except ValueError:
-            workers = 1
+        workers = env_int("QUATCLIFF_WORKERS", 1)
     return max(1, workers)
 
 
@@ -664,21 +662,7 @@ def qmonogenic_kernel(p, a, b):
     got = _QMONO_CACHE.get(key)
     if got is not None:
         return got
-    basis = space_basis(p, a, b)
-    images = []
-    for F in basis:
-        stacked = {}
-        for i, name in enumerate(_DERIVS):
-            for k, c in apply(name, F).terms.items():
-                stacked[(i, k)] = c
-        images.append(stacked)
-    combos = linalg.nullspace(images)
-    vecs = []
-    for combo in combos:
-        acc = SpinorPolynomial.zero(2 * p)
-        for j, c in combo.items():
-            acc = acc + basis[j].scale(c)
-        vecs.append(acc)
+    vecs = joint_kernel(_DERIVS, space_basis(p, a, b))
     _QMONO_CACHE[key] = vecs
     return vecs
 
@@ -715,19 +699,7 @@ def verify_qmonogenic_equivalence(p, a, b):
     """The joint kernel of the four rotated Dirac operators equals the
     joint kernel of the four complex derivative operators, as subspaces."""
     basis = space_basis(p, a, b)
-
-    def joint_nullspace(names):
-        images = []
-        for F in basis:
-            stacked = {}
-            for i, name in enumerate(names):
-                for k, c in apply(name, F).terms.items():
-                    stacked[(i, k)] = c
-            images.append(stacked)
-        return linalg.nullspace(images)
-
-    dirac_combos = joint_nullspace(("dirac", "dirac_I", "dirac_J", "dirac_K"))
-    deriv_combos = joint_nullspace(_DERIVS)
-    same = dirac_combos == deriv_combos
-    return {"p": p, "a": a, "b": b, "dim": len(deriv_combos),
-            "passed": same}
+    dirac = joint_kernel(("dirac", "dirac_I", "dirac_J", "dirac_K"), basis)
+    deriv = joint_kernel(_DERIVS, basis)
+    return {"p": p, "a": a, "b": b, "dim": len(deriv),
+            "passed": dirac == deriv}

@@ -141,10 +141,6 @@ def mask_sort_key(mask):
     return tuple(k + 1 for k in range(mask.bit_length()) if mask >> k & 1)
 
 
-def mask_indices(mask):
-    return [k + 1 for k in range(mask.bit_length()) if mask >> k & 1]
-
-
 def grade_masks(n, r):
     """All grade-r masks, in the canonical (lexicographic subset) order."""
     from itertools import combinations

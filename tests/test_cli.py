@@ -60,7 +60,22 @@ def test_config_env_defaults(monkeypatch):
     cfg = cli.RunConfig()
     assert cfg.workers == 3 and cfg.dim_cap == 123
     monkeypatch.setenv("QUATCLIFF_WORKERS", "junk")
-    assert cli.RunConfig().workers == 1
+    with pytest.raises(ValueError):
+        cli.RunConfig()
+    monkeypatch.setenv("QUATCLIFF_WORKERS", "3")
+    monkeypatch.setenv("QUATCLIFF_DIM_CAP", "abc")
+    with pytest.raises(ValueError):
+        cli.RunConfig()
+
+
+@pytest.mark.parametrize("name,value", [
+    ("QUATCLIFF_WORKERS", "abc"), ("QUATCLIFF_WORKERS", "0"),
+    ("QUATCLIFF_DIM_CAP", "abc"), ("QUATCLIFF_DIM_CAP", "-5"),
+])
+def test_bad_env_exits_2(monkeypatch, capsys, name, value):
+    monkeypatch.setenv(name, value)
+    assert cli.main(["cells", "--p", "1"]) == 2
+    assert name in capsys.readouterr().err
 
 
 def test_empty_run_passes():
@@ -187,6 +202,20 @@ def test_decompose_round_trip(tmp_path):
         == (1, 0, 0, 0, 0)
     assert cli.parse_polynomial(lab["source"], n=2) \
         == SpinorPolynomial.monomial(2, (0, 0), (0, 0), 0)
+
+
+@pytest.mark.parametrize("degree,code", [(1, 2), (0, 0)])
+def test_decompose_honours_dim_cap(tmp_path, monkeypatch, degree, code):
+    # p=1: bidegree (1,1) spans 4 * 4 = 16 dimensions, (0,0) only 4
+    monkeypatch.setenv("QUATCLIFF_DIM_CAP", "10")
+    inp = tmp_path / "in.json"
+    out = tmp_path / "out.json"
+    inp.write_text(json.dumps([{"alpha": [degree, 0], "beta": [degree, 0],
+                                "spinor": [], "coeff": coeff_one()}]))
+    rc = cli.main(["decompose", "--p", "1", "--input", str(inp),
+                   "--output", str(out)])
+    assert rc == code
+    assert out.exists() == (code == 0)
 
 
 def test_decompose_bad_schema_exits_2(tmp_path):

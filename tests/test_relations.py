@@ -99,3 +99,9 @@ def test_witness_on_forced_failure():
     report = relations.verify_bracket(wrong, 1, 1, 1)
     assert not report.passed
     assert report.witness is not None
+
+
+def test_worker_env_must_be_a_positive_integer(monkeypatch):
+    monkeypatch.setenv("QUATCLIFF_WORKERS", "abc")
+    with pytest.raises(ValueError):
+        verify_table(1, 0)
