@@ -207,22 +207,3 @@ def inner_product(x, y):
             total = total + c.conjugate() * d
     return total
 
-
-def norm_sq(x):
-    return inner_product(x, x)
-
-
-def clifford_mul(x, y):
-    return x * y
-
-
-def conjugate(x):
-    return x.conjugate()
-
-
-def hermitian_conjugate(x):
-    return x.hermitian_conjugate()
-
-
-def k_vector_part(x, k):
-    return x.k_vector_part(k)

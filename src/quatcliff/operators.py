@@ -1,8 +1,12 @@
-"""The named operators acting on spinor-valued polynomials.
+"""The named operators acting on spinor-valued polynomials, as term tables.
 
-Scalar part and value part of each operator commute, so compositions are
-written in whatever order is convenient.  Conventions (k runs 1..n = 2p,
-j runs 1..p):
+A base operator is a list of (coefficient, word); a word is a tuple of
+SpinorPolynomial moves (method name, argument) applied rightmost first,
+and witt.apply_terms sums coefficient * word(F).  A composite operator is
+an expression [(c0, c1, name), ...] meaning sum (c0 + c1*p) * name, the
+format of the relation right-hand sides; c0 may be a Gaussian scalar.
+The scalar move and the value move of a word commute; each word applies
+its scalar move first.  Conventions (k runs 1..n = 2p, j runs 1..p):
 
   dz        = sum_k d/dz_k fdag_k            dz_dag    = sum_k d/dzbar_k f_k
   dzJ       = sum_j ( d/dz_{2j} f_{2j-1} - d/dz_{2j-1} f_{2j} )
@@ -23,226 +27,107 @@ literal real-coordinate sums and compares matrices entry by entry.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from . import linalg
 from .poly import SpinorPolynomial, space_basis
-from .scalars import XS_ONE, xs
+from .scalars import ExtendedScalar, XS_ONE, xs
+from .witt import P_terms, Q_terms, apply_terms, beta_terms
 
 
-def _zero_like(F):
-    return SpinorPolynomial.zero(F.n)
+def _each_k(n, outer, inner, c=XS_ONE):
+    """sum_k c * outer_k inner_k."""
+    return [(c, ((outer, k), (inner, k))) for k in range(1, n + 1)]
 
 
-def op_id(F):
-    return F
-
-
-def op_dz(F):
-    out = _zero_like(F)
-    for k in range(1, F.n + 1):
-        out = out + F.diff_z(k).wedge(k)
+def _twisted(n, outer, inner, sign=1):
+    """sum_j sign * ( outer_{2j-1} inner_{2j} - outer_{2j} inner_{2j-1} )."""
+    c = xs(sign)
+    out = []
+    for j in range(1, n // 2 + 1):
+        out.append((c, ((outer, 2 * j - 1), (inner, 2 * j))))
+        out.append((-c, ((outer, 2 * j), (inner, 2 * j - 1))))
     return out
-
-
-def op_dz_dag(F):
-    out = _zero_like(F)
-    for k in range(1, F.n + 1):
-        out = out + F.diff_zbar(k).contract(k)
-    return out
-
-
-def op_dzJ(F):
-    out = _zero_like(F)
-    for j in range(1, F.n // 2 + 1):
-        out = out + F.diff_z(2 * j).contract(2 * j - 1) \
-           - F.diff_z(2 * j - 1).contract(2 * j)
-    return out
-
-
-def op_dz_dagJ(F):
-    out = _zero_like(F)
-    for j in range(1, F.n // 2 + 1):
-        out = out + F.diff_zbar(2 * j).wedge(2 * j - 1) \
-           - F.diff_zbar(2 * j - 1).wedge(2 * j)
-    return out
-
-
-def op_mul_z(F):
-    out = _zero_like(F)
-    for k in range(1, F.n + 1):
-        out = out + F.mul_z_var(k).contract(k)
-    return out
-
-
-def op_mul_z_dag(F):
-    out = _zero_like(F)
-    for k in range(1, F.n + 1):
-        out = out + F.mul_zbar_var(k).wedge(k)
-    return out
-
-
-def op_mul_zJ(F):
-    out = _zero_like(F)
-    for j in range(1, F.n // 2 + 1):
-        out = out + F.mul_z_var(2 * j).wedge(2 * j - 1) \
-           - F.mul_z_var(2 * j - 1).wedge(2 * j)
-    return out
-
-
-def op_mul_z_dagJ(F):
-    out = _zero_like(F)
-    for j in range(1, F.n // 2 + 1):
-        out = out + F.mul_zbar_var(2 * j).contract(2 * j - 1) \
-           - F.mul_zbar_var(2 * j - 1).contract(2 * j)
-    return out
-
-
-def op_E_z(F):
-    return F.scale_by_euler("z")
-
-
-def op_E_z_dag(F):
-    return F.scale_by_euler("zbar")
-
-
-def op_curlyE(F):
-    out = _zero_like(F)
-    for j in range(1, F.n // 2 + 1):
-        out = out + F.diff_zbar(2 * j).mul_z_var(2 * j - 1) \
-           - F.diff_zbar(2 * j - 1).mul_z_var(2 * j)
-    return out
-
-
-def op_curlyE_dag(F):
-    out = _zero_like(F)
-    for j in range(1, F.n // 2 + 1):
-        out = out + F.diff_z(2 * j - 1).mul_zbar_var(2 * j) \
-           - F.diff_z(2 * j).mul_zbar_var(2 * j - 1)
-    return out
-
-
-def op_P(F):
-    out = _zero_like(F)
-    for j in range(1, F.n // 2 + 1):
-        out = out + F.contract(2 * j - 1).contract(2 * j)
-    return out
-
-
-def op_Q(F):
-    out = _zero_like(F)
-    for j in range(1, F.n // 2 + 1):
-        out = out + F.wedge(2 * j).wedge(2 * j - 1)
-    return out
-
-
-def op_beta(F):
-    out = {}
-    for key, c in F.terms.items():
-        r = key[2].bit_count()
-        if r:
-            out[key] = c * r
-    return SpinorPolynomial(F.n, out)
-
-
-def op_laplace(F):
-    out = _zero_like(F)
-    for k in range(1, F.n + 1):
-        out = out + F.diff_z(k).diff_zbar(k)
-    return out.scale(4)
-
-
-def op_mul_r2(F):
-    out = _zero_like(F)
-    for k in range(1, F.n + 1):
-        out = out + F.mul_z_var(k).mul_zbar_var(k)
-    return out
-
-
-def op_dirac(F):
-    return (op_dz(F) - op_dz_dag(F)).scale(2)
-
-
-def op_dirac_I(F):
-    return (op_dz(F) + op_dz_dag(F)).scale(xs(0, -2))
-
-
-def op_dirac_J(F):
-    return (op_dzJ(F) - op_dz_dagJ(F)).scale(2)
-
-
-def op_dirac_K(F):
-    return (op_dzJ(F) + op_dz_dagJ(F)).scale(xs(0, -2))
-
-
-def op_mul_X(F):
-    return op_mul_z_dag(F) - op_mul_z(F)
-
-
-def op_h_total(F):
-    p = F.n // 2
-    return op_E_z(F) + op_E_z_dag(F) + F.scale(2 * p)
-
-
-def op_h_diff(F):
-    return op_E_z(F) - op_E_z_dag(F)
-
-
-def op_h_spin(F):
-    p = F.n // 2
-    return F.scale(p) - op_beta(F)
-
-
-def op_h_herm(F):
-    # Cartan element completing gl(2) in the hermitian reduction
-    p = F.n // 2
-    return op_E_z_dag(F) - op_E_z(F) + F.scale(2 * p) - op_beta(F).scale(2)
 
 
 class OperatorSpec:
-    """A named operator: how to apply it, whether it is odd or even, and
-    which bidegree shifts (da, db) its images may occupy."""
+    """A named operator: its term table (a function of n) or its expression
+    over other operators, whether it is odd or even, and which bidegree
+    shifts (da, db) its images may occupy."""
 
-    __slots__ = ("name", "func", "parity", "shifts")
+    __slots__ = ("name", "parity", "shifts", "terms", "expr")
 
-    def __init__(self, name, func, parity, shifts=None):
+    def __init__(self, name, parity, shifts, terms=None, expr=None):
         self.name = name
-        self.func = func
         self.parity = parity
         self.shifts = shifts
-
-    def __call__(self, F):
-        return self.func(F)
+        self.terms = terms
+        self.expr = expr
 
     def __repr__(self):
         return f"OperatorSpec({self.name!r}, parity={self.parity!r})"
 
 
-_ODD = [
-    ("dz", op_dz, ((-1, 0),)), ("dz_dag", op_dz_dag, ((0, -1),)),
-    ("dzJ", op_dzJ, ((-1, 0),)), ("dz_dagJ", op_dz_dagJ, ((0, -1),)),
-    ("mul_z", op_mul_z, ((1, 0),)), ("mul_z_dag", op_mul_z_dag, ((0, 1),)),
-    ("mul_zJ", op_mul_zJ, ((1, 0),)), ("mul_z_dagJ", op_mul_z_dagJ, ((0, 1),)),
-    ("dirac", op_dirac, ((-1, 0), (0, -1))),
-    ("dirac_I", op_dirac_I, ((-1, 0), (0, -1))),
-    ("dirac_J", op_dirac_J, ((-1, 0), (0, -1))),
-    ("dirac_K", op_dirac_K, ((-1, 0), (0, -1))),
-    ("mul_X", op_mul_X, ((1, 0), (0, 1))),
-]
-_EVEN = [
-    ("id", op_id, ((0, 0),)), ("E_z", op_E_z, ((0, 0),)),
-    ("E_z_dag", op_E_z_dag, ((0, 0),)),
-    ("curlyE", op_curlyE, ((1, -1),)), ("curlyE_dag", op_curlyE_dag, ((-1, 1),)),
-    ("P", op_P, ((0, 0),)), ("Q", op_Q, ((0, 0),)), ("beta", op_beta, ((0, 0),)),
-    ("laplace", op_laplace, ((-1, -1),)), ("mul_r2", op_mul_r2, ((1, 1),)),
-    ("h_total", op_h_total, ((0, 0),)), ("h_diff", op_h_diff, ((0, 0),)),
-    ("h_spin", op_h_spin, ((0, 0),)), ("h_herm", op_h_herm, ((0, 0),)),
-]
+_DOWN, _DOWN_BAR = ((-1, 0),), ((0, -1),)
+_UP, _UP_BAR = ((1, 0),), ((0, 1),)
+_SAME = ((0, 0),)
+_DIRAC = ((-1, 0), (0, -1))
+_MINUS_2I = xs(0, -2)
 
-REGISTRY = {}
-for _name, _func, _shifts in _ODD:
-    REGISTRY[_name] = OperatorSpec(_name, _func, "odd", _shifts)
-for _name, _func, _shifts in _EVEN:
-    REGISTRY[_name] = OperatorSpec(_name, _func, "even", _shifts)
+REGISTRY = {spec.name: spec for spec in (
+    OperatorSpec("dz", "odd", _DOWN,
+                 lambda n: _each_k(n, "wedge", "diff_z")),
+    OperatorSpec("dz_dag", "odd", _DOWN_BAR,
+                 lambda n: _each_k(n, "contract", "diff_zbar")),
+    OperatorSpec("dzJ", "odd", _DOWN,
+                 lambda n: _twisted(n, "contract", "diff_z")),
+    OperatorSpec("dz_dagJ", "odd", _DOWN_BAR,
+                 lambda n: _twisted(n, "wedge", "diff_zbar")),
+    OperatorSpec("mul_z", "odd", _UP,
+                 lambda n: _each_k(n, "contract", "mul_z_var")),
+    OperatorSpec("mul_z_dag", "odd", _UP_BAR,
+                 lambda n: _each_k(n, "wedge", "mul_zbar_var")),
+    OperatorSpec("mul_zJ", "odd", _UP,
+                 lambda n: _twisted(n, "wedge", "mul_z_var")),
+    OperatorSpec("mul_z_dagJ", "odd", _UP_BAR,
+                 lambda n: _twisted(n, "contract", "mul_zbar_var")),
+    OperatorSpec("dirac", "odd", _DIRAC,
+                 expr=((2, 0, "dz"), (-2, 0, "dz_dag"))),
+    OperatorSpec("dirac_I", "odd", _DIRAC,
+                 expr=((_MINUS_2I, 0, "dz"), (_MINUS_2I, 0, "dz_dag"))),
+    OperatorSpec("dirac_J", "odd", _DIRAC,
+                 expr=((2, 0, "dzJ"), (-2, 0, "dz_dagJ"))),
+    OperatorSpec("dirac_K", "odd", _DIRAC,
+                 expr=((_MINUS_2I, 0, "dzJ"), (_MINUS_2I, 0, "dz_dagJ"))),
+    OperatorSpec("mul_X", "odd", ((1, 0), (0, 1)),
+                 expr=((1, 0, "mul_z_dag"), (-1, 0, "mul_z"))),
+    OperatorSpec("id", "even", _SAME, lambda n: [(XS_ONE, ())]),
+    OperatorSpec("E_z", "even", _SAME,
+                 lambda n: [(XS_ONE, (("scale_by_euler", "z"),))]),
+    OperatorSpec("E_z_dag", "even", _SAME,
+                 lambda n: [(XS_ONE, (("scale_by_euler", "zbar"),))]),
+    OperatorSpec("curlyE", "even", ((1, -1),),
+                 lambda n: _twisted(n, "mul_z_var", "diff_zbar")),
+    OperatorSpec("curlyE_dag", "even", ((-1, 1),),
+                 lambda n: _twisted(n, "mul_zbar_var", "diff_z", -1)),
+    OperatorSpec("P", "even", _SAME, P_terms),
+    OperatorSpec("Q", "even", _SAME, Q_terms),
+    OperatorSpec("beta", "even", _SAME, beta_terms),
+    OperatorSpec("laplace", "even", ((-1, -1),),
+                 lambda n: _each_k(n, "diff_zbar", "diff_z", xs(4))),
+    OperatorSpec("mul_r2", "even", ((1, 1),),
+                 lambda n: _each_k(n, "mul_zbar_var", "mul_z_var")),
+    OperatorSpec("h_total", "even", _SAME,
+                 expr=((1, 0, "E_z"), (1, 0, "E_z_dag"), (0, 2, "id"))),
+    OperatorSpec("h_diff", "even", _SAME,
+                 expr=((1, 0, "E_z"), (-1, 0, "E_z_dag"))),
+    OperatorSpec("h_spin", "even", _SAME,
+                 expr=((0, 1, "id"), (-1, 0, "beta"))),
+    # Cartan element completing gl(2) in the hermitian reduction
+    OperatorSpec("h_herm", "even", _SAME,
+                 expr=((1, 0, "E_z_dag"), (-1, 0, "E_z"), (0, 2, "id"),
+                       (-2, 0, "beta"))),
+)}
 
 
 def resolve(op):
@@ -253,13 +138,23 @@ def resolve(op):
             return REGISTRY[op]
         except KeyError:
             raise KeyError(f"unknown operator name {op!r}") from None
-    if callable(op):
-        return OperatorSpec(getattr(op, "__name__", "anonymous"), op, "even")
     raise TypeError(f"cannot resolve operator from {op!r}")
 
 
+@lru_cache(maxsize=None)
+def term_table(name, n):
+    """The (coefficient, word) terms of a base operator over n variables."""
+    return tuple(REGISTRY[name].terms(n))
+
+
+def _apply(spec, F):
+    if spec.expr is not None:
+        return apply_expression(spec.expr, F)
+    return apply_terms(term_table(spec.name, F.n), F)
+
+
 def apply(op, F):
-    return resolve(op)(F)
+    return _apply(resolve(op), F)
 
 
 def apply_word(word, F):
@@ -272,13 +167,16 @@ def apply_word(word, F):
 def apply_expression(expr, F):
     """Apply sum((c0 + c1*p) * op) given as [(c0, c1, name), ...]."""
     p = F.n // 2
-    out = SpinorPolynomial.zero(F.n)
+    out = {}
     for c0, c1, name in expr:
-        c = Fraction(c0) + Fraction(c1) * p
-        if not c:
-            continue
-        out = out + apply(name, F).scale(xs(c))
-    return out
+        c = Fraction(c1) * p
+        if isinstance(c0, ExtendedScalar):
+            c = c0 + xs(c)
+        else:
+            c = xs(Fraction(c0) + c)
+        if c:
+            linalg.axpy(out, apply(name, F).terms, c)
+    return SpinorPolynomial(F.n, out)
 
 
 def apply_cached(op, F, cache):
@@ -293,7 +191,7 @@ def apply_cached(op, F, cache):
         ck = (spec.name, key)
         img = cache.get(ck)
         if img is None:
-            img = spec(SpinorPolynomial(F.n, {key: XS_ONE})).terms
+            img = _apply(spec, SpinorPolynomial(F.n, {key: XS_ONE})).terms
             cache[ck] = img
         linalg.axpy(out, img, c)
     return SpinorPolynomial(F.n, out)
@@ -379,19 +277,19 @@ def dirac_dictionary_check(p, a, b):
     matrix against matrix.  Returns {name: bool, ..., "ok": bool}."""
     from .witt import rotation_I, rotation_J, rotation_K
     basis = space_basis(p, a, b, ("full",))
-    pairs = {
-        "dirac": (op_dirac, lambda F: real_dirac(F)),
-        "dirac_I": (op_dirac_I, lambda F: real_dirac(F, rotation_I)),
-        "dirac_J": (op_dirac_J, lambda F: real_dirac(F, rotation_J)),
-        "dirac_K": (op_dirac_K, lambda F: real_dirac(F, rotation_K)),
-        "mul_X": (op_mul_X, lambda F: real_vector_mult(F)),
-        # z + z_dag recovered from the first rotated vector variable
-        "mul_z_plus_z_dag": (
-            lambda F: op_mul_z(F) + op_mul_z_dag(F),
-            lambda F: real_vector_mult(F, rotation_I).scale(xs(0, 1))),
+    real_routes = {
+        "dirac": real_dirac,
+        "dirac_I": lambda F: real_dirac(F, rotation_I),
+        "dirac_J": lambda F: real_dirac(F, rotation_J),
+        "dirac_K": lambda F: real_dirac(F, rotation_K),
+        "mul_X": real_vector_mult,
     }
-    report = {}
-    for name, (witt_route, real_route) in pairs.items():
-        report[name] = all(witt_route(v) == real_route(v) for v in basis)
+    report = {name: all(apply(name, v) == route(v) for v in basis)
+              for name, route in real_routes.items()}
+    # z + z_dag recovered from the first rotated vector variable
+    z_plus_z_dag = ((1, 0, "mul_z"), (1, 0, "mul_z_dag"))
+    report["mul_z_plus_z_dag"] = all(
+        apply_expression(z_plus_z_dag, v)
+        == real_vector_mult(v, rotation_I).scale(xs(0, 1)) for v in basis)
     report["ok"] = all(report.values())
     return report

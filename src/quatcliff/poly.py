@@ -15,7 +15,7 @@ from math import comb
 
 from . import linalg
 from .scalars import ExtendedScalar, XS_ONE, xs
-from .witt import SpinorElement, grade_masks, mask_sort_key
+from .witt import SpinorElement, grade_masks, mask_sort_key, witt_move
 
 
 def term_sort_key(key):
@@ -161,26 +161,18 @@ class SpinorPolynomial:
 
     def wedge(self, k):
         """Left multiplication of the value by fdag_k."""
-        bit = 1 << (k - 1)
-        below = bit - 1
-        out = {}
-        for (a, b, m), c in self.terms.items():
-            if m & bit:
-                continue
-            sign = (m & below).bit_count() & 1
-            out[(a, b, m | bit)] = -c if sign else c
-        return SpinorPolynomial(self.n, out)
+        return self._witt_move(k, True)
 
     def contract(self, k):
         """Left multiplication of the value by f_k."""
-        bit = 1 << (k - 1)
-        below = bit - 1
+        return self._witt_move(k, False)
+
+    def _witt_move(self, k, dagger):
         out = {}
         for (a, b, m), c in self.terms.items():
-            if not m & bit:
-                continue
-            sign = (m & below).bit_count() & 1
-            out[(a, b, m ^ bit)] = -c if sign else c
+            hit = witt_move(m, k, dagger)
+            if hit is not None:
+                out[(a, b, hit[0])] = -c if hit[1] else c
         return SpinorPolynomial(self.n, out)
 
     def scale_by_euler(self, which):

@@ -9,13 +9,15 @@ Conventions, fixed once for the whole package:
 The spinor space S is spanned by fdag_A I over subsets A of {1..n}; a
 SpinorElement stores subsets as bitmasks.  Left multiplication by fdag_k is a
 signed wedge, by f_k a signed contraction, both with sign (-1)^(number of
-indices in A below k); witt-to-clifford conversion plus the full algebra in
-clifford.py serves as the oracle for these rules in the tests.
+indices in A below k) (witt_move); witt-to-clifford conversion plus the full
+algebra in clifford.py serves as the oracle for these rules in the tests.
 
-The value operators here are
+An operator is a term table: a list of (coefficient, word), where a word is
+a tuple of moves (method name, argument) applied rightmost first, and
+apply_terms sums coefficient * word(x).  The value operators here are
 
   beta = sum fdag_k f_k        (grade counter on S)
-  P    = sum f_{2j} f_{2j-1)   (column lowering, see cells below)
+  P    = sum f_{2j} f_{2j-1}   (column lowering, see cells below)
   Q    = sum fdag_{2j-1} fdag_{2j}
 
 and the cell triangle: column r holds the grade-r spinors, the bottom cell of
@@ -27,7 +29,7 @@ from functools import lru_cache
 
 from . import linalg
 from .clifford import CliffordElement
-from .scalars import ExtendedScalar, XS_ONE, XS_ZERO, Rat, xs
+from .scalars import ExtendedScalar, XS_ONE, XS_ZERO, xs
 
 
 class SpinorElement:
@@ -73,26 +75,18 @@ class SpinorElement:
 
     def wedge(self, k):
         """Left multiplication by fdag_k."""
-        bit = 1 << (k - 1)
-        below = bit - 1
-        out = {}
-        for mask, c in self.terms.items():
-            if mask & bit:
-                continue
-            sign = (mask & below).bit_count() & 1
-            out[mask | bit] = -c if sign else c
-        return SpinorElement(self.n, out)
+        return self._witt_move(k, True)
 
     def contract(self, k):
         """Left multiplication by f_k."""
-        bit = 1 << (k - 1)
-        below = bit - 1
+        return self._witt_move(k, False)
+
+    def _witt_move(self, k, dagger):
         out = {}
         for mask, c in self.terms.items():
-            if not mask & bit:
-                continue
-            sign = (mask & below).bit_count() & 1
-            out[mask ^ bit] = -c if sign else c
+            hit = witt_move(mask, k, dagger)
+            if hit is not None:
+                out[hit[0]] = -c if hit[1] else c
         return SpinorElement(self.n, out)
 
     def grade_part(self, r):
@@ -154,32 +148,61 @@ def grade_masks(n, r):
     return masks
 
 
-def beta(s):
-    """Spin-Euler operator: multiplies each grade-r component by r."""
+def witt_move(mask, k, dagger):
+    """fdag_k (dagger) or f_k on the blade fdag_A I, A = mask.
+
+    The image is (-1)^(#A below k) fdag_A' I, where A' is A with k added
+    (fdag_k) or removed (f_k).  Returns (mask of A', negate), or None when
+    the image is zero.
+    """
+    bit = 1 << (k - 1)
+    if bool(mask & bit) == dagger:
+        return None
+    return mask ^ bit, (mask & (bit - 1)).bit_count() & 1
+
+
+def apply_terms(terms, x):
+    """sum of c * word(x) over the (c, word) terms of an operator table.
+
+    x is a SpinorElement or a SpinorPolynomial; each move of a word is a
+    method of x, applied rightmost first.
+    """
     out = {}
-    for mask, c in s.terms.items():
-        r = mask.bit_count()
-        if r:
-            out[mask] = c * r
-    return SpinorElement(s.n, out)
+    for c, word in terms:
+        y = x
+        for move, arg in reversed(word):
+            y = getattr(y, move)(arg)
+        linalg.axpy(out, y.terms, c)
+    return type(x)(x.n, out)
+
+
+def beta_terms(n):
+    """beta = sum_k fdag_k f_k; multiplies each grade-r component by r."""
+    return [(XS_ONE, (("wedge", k), ("contract", k))) for k in range(1, n + 1)]
+
+
+def P_terms(n):
+    """P = sum_j f_{2j} f_{2j-1}; drops the spinor grade by two."""
+    return [(XS_ONE, (("contract", 2 * j), ("contract", 2 * j - 1)))
+            for j in range(1, n // 2 + 1)]
+
+
+def Q_terms(n):
+    """Q = sum_j fdag_{2j-1} fdag_{2j}; raises the spinor grade by two."""
+    return [(XS_ONE, (("wedge", 2 * j - 1), ("wedge", 2 * j)))
+            for j in range(1, n // 2 + 1)]
+
+
+def beta(s):
+    return apply_terms(beta_terms(s.n), s)
 
 
 def P_op(s):
-    """P = sum_j f_{2j} f_{2j-1}; drops the spinor grade by two."""
-    p = s.n // 2
-    out = SpinorElement(s.n)
-    for j in range(1, p + 1):
-        out = out + s.contract(2 * j - 1).contract(2 * j)
-    return out
+    return apply_terms(P_terms(s.n), s)
 
 
 def Q_op(s):
-    """Q = sum_j fdag_{2j-1} fdag_{2j}; raises the spinor grade by two."""
-    p = s.n // 2
-    out = SpinorElement(s.n)
-    for j in range(1, p + 1):
-        out = out + s.wedge(2 * j).wedge(2 * j - 1)
-    return out
+    return apply_terms(Q_terms(s.n), s)
 
 
 def spinor_inner(x, y):
@@ -239,10 +262,6 @@ class WittFrame:
         if coeffs is None:
             raise ValueError("element is not in the spinor module")
         return SpinorElement(self.n, {m: c for m, c in zip(masks, coeffs) if c})
-
-
-def build_witt_frame(p):
-    return WittFrame(p)
 
 
 # cached frames: immutable after construction, safe to share

@@ -4,16 +4,13 @@ engine change breaks a guarantee this file is where it shows up first.
 """
 
 import math
-import os
 import random
 import time
-
-import pytest
 
 from quatcliff import fischer as fi
 from quatcliff import relations
 from quatcliff.operators import apply, apply_word
-from quatcliff.poly import SpinorPolynomial, poly_dim, space_basis
+from quatcliff.poly import SpinorPolynomial, space_basis
 from quatcliff.scalars import xs
 
 

@@ -14,7 +14,6 @@ from fractions import Fraction
 import pytest
 
 from quatcliff import fischer as fi
-from quatcliff import linalg
 from quatcliff.operators import apply, apply_word
 from quatcliff.poly import SpinorPolynomial, poly_dim, space_basis
 from quatcliff.scalars import xs

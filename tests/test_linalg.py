@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from quatcliff import linalg
-from quatcliff.scalars import XS_ONE, XS_ZERO, xs
+from quatcliff.scalars import XS_ONE, xs
 
 small = st.integers(min_value=-4, max_value=4)
 

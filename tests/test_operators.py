@@ -6,6 +6,9 @@ duality (adjointness of multiplication and differentiation) checked as
 exact matrix transposes on full monomial bases.
 """
 
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -139,3 +142,37 @@ def test_variable_and_derivative_are_adjoint_in_dimension(pair):
     from quatcliff import linalg
     assert (linalg.rank([F.terms for F in up if F.terms])
             == linalg.rank([F.terms for F in down if F.terms]))
+
+
+def fischer_weight(key):
+    """<z^alpha zbar^beta fdag_A I, same> = alpha! beta!; distinct basis
+    monomials are orthogonal."""
+    alpha, beta, _ = key
+    return math.prod(math.factorial(e) for e in alpha + beta)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("op,adjoint,scale", [
+    ("mul_z", "dz", 1), ("mul_z_dag", "dz_dag", 1), ("mul_zJ", "dzJ", 1),
+    ("mul_z_dagJ", "dz_dagJ", 1), ("curlyE", "curlyE_dag", 1), ("P", "Q", 1),
+    ("mul_r2", "laplace", Fraction(1, 4)), ("E_z", "E_z", 1),
+    ("beta", "beta", 1)])
+def test_fischer_adjoint_is_exact_conjugate_transpose(p, op, adjoint, scale):
+    # <op x, y> = <x, adjoint y> on every pair of basis monomials, i.e.
+    # conj(op[y, x]) * w(y) == scale * adjoint[x, y] * w(x)
+    (da, db), = REGISTRY[op].shifts
+    for d in range(4 - p):
+        for a in range(d + 1):
+            b = d - a
+            if a + da < 0 or b + db < 0:
+                continue
+            lhs, rhs = {}, {}
+            for F in space_basis(p, a, b):
+                (x,) = F.terms
+                for y, c in apply(op, F).terms.items():
+                    lhs[(y, x)] = c.conjugate() * fischer_weight(y)
+            for G in space_basis(p, a + da, b + db):
+                (y,) = G.terms
+                for x, c in apply(adjoint, G).terms.items():
+                    rhs[(y, x)] = c * scale * fischer_weight(x)
+            assert lhs == rhs, (op, p, a, b)

@@ -15,7 +15,7 @@ from quatcliff.clifford import CliffordElement, inner_product
 from quatcliff.scalars import XS_ONE, XS_ZERO, xs
 from quatcliff import witt
 from quatcliff.witt import (CellLabel, P_op, Q_op, SpinorElement, beta,
-                            build_witt_frame, cell_basis, cell_decompose,
+                            cell_basis, cell_decompose,
                             cell_dim, cell_labels, conjugation_action,
                             detect_spin_convention, grade_masks,
                             project_to_cell, pq_scalars, rotation_I,
