@@ -1,5 +1,5 @@
 """Strict parsing of the integer environment knobs (QUATCLIFF_WORKERS,
-QUATCLIFF_DIM_CAP)."""
+QUATCLIFF_DIM_CAP).  No other module reads the environment."""
 
 import os
 

@@ -164,8 +164,10 @@ def apply_word(word, F):
     return F
 
 
-def apply_expression(expr, F):
-    """Apply sum((c0 + c1*p) * op) given as [(c0, c1, name), ...]."""
+def apply_expression(expr, F, cache=None):
+    """Apply sum((c0 + c1*p) * op) given as [(c0, c1, name), ...].
+
+    With a `cache` each operator goes through apply_cached."""
     p = F.n // 2
     out = {}
     for c0, c1, name in expr:
@@ -175,7 +177,8 @@ def apply_expression(expr, F):
         else:
             c = xs(Fraction(c0) + c)
         if c:
-            linalg.axpy(out, apply(name, F).terms, c)
+            img = apply(name, F) if cache is None else apply_cached(name, F, cache)
+            linalg.axpy(out, img.terms, c)
     return SpinorPolynomial(F.n, out)
 
 

@@ -397,7 +397,8 @@ def verify_bracket(rule, p, a, b, cache=None, basis=None):
     if cache is None:
         cache = {}
     for F in basis:
-        diff = bracket_image(rule, F, cache) - apply_expression(rule.rhs, F)
+        diff = (bracket_image(rule, F, cache)
+                - apply_expression(rule.rhs, F, cache))
         if diff.terms:
             witness = {
                 "a": a, "b": b,

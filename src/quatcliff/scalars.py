@@ -4,52 +4,53 @@ Every coefficient in this package is an ExtendedScalar
 
     (ar + ai*i) + (br + bi*i)*sqrt2
 
-with the four components kept as exact rationals in lowest terms.  Plain
-Gaussian rationals (br = bi = 0) cover almost everything; the sqrt2 part only
-shows up in spin group elements.
+with the four components kept as exact rationals.  A component is a plain
+int whenever it is integral and a rational (in lowest terms) only after a
+division has made it fractional: the operators have integer coefficients
+in the Witt basis, so operator images and brackets stay on small plain
+ints.  Sums and products of rational components may stay rationals even
+when integral; they compare and hash equal to the int.  Plain Gaussian
+numbers (br = bi = 0) cover almost everything; the sqrt2 part only shows up
+in spin group elements.
 
-The rational type is selected at import: gmpy2.mpq (a compiled GMP core) when
-available, stdlib fractions.Fraction otherwise.  Set QUATCLIFF_RATIONAL_BACKEND
-to "gmpy2" or "fraction" to force one; "fraction" is the portable fallback and
-the two give identical results everywhere (benchmarks/bench_backends.py times
-them against each other).
+The rational type Rat is detected at import: gmpy2.mpq (a compiled GMP
+core) when gmpy2 is importable, stdlib fractions.Fraction otherwise.  The
+two give identical results everywhere; BACKEND_NAME says which is active.
 """
 
-import os
 from fractions import Fraction
 
-BACKEND_ENV = "QUATCLIFF_RATIONAL_BACKEND"
+try:
+    from gmpy2 import mpq as Rat
+    BACKEND_NAME = "gmpy2"
+except ImportError:
+    Rat = Fraction
+    BACKEND_NAME = "fraction"
+
+_RATIONALS = (int, Fraction, Rat)
 
 
-def _pick_backend():
-    choice = os.environ.get(BACKEND_ENV, "auto").strip().lower()
-    if choice not in ("auto", "gmpy2", "fraction"):
-        raise ValueError(
-            f"{BACKEND_ENV} must be 'gmpy2', 'fraction' or 'auto', got {choice!r}")
-    if choice in ("auto", "gmpy2"):
-        try:
-            from gmpy2 import mpq
-            return "gmpy2", mpq
-        except ImportError:
-            if choice == "gmpy2":
-                raise
-    return "fraction", Fraction
+def _integral(q):
+    """q as a plain int when it is integral."""
+    return int(q.numerator) if q.denominator == 1 else q
 
 
-BACKEND_NAME, Rat = _pick_backend()
-
-RAT_ZERO = Rat(0)
-RAT_ONE = Rat(1)
+def _div(x, y):
+    """x / y exactly, as an int when the quotient is integral."""
+    return _integral(Rat(x) / y)
 
 
 def to_rat(x):
-    """Coerce an int, Fraction, mpq or 'num/den' string to the active backend type."""
-    if isinstance(x, (int, Fraction)):
-        return Rat(x)
+    """Coerce an int, Fraction, mpq or 'num/den' string to an exact rational:
+    a plain int when integral, a backend rational otherwise."""
+    if type(x) is int:
+        return x
     if isinstance(x, str):
         num, _, den = x.partition("/")
-        return Rat(int(num), int(den)) if den else Rat(int(num))
-    return Rat(x) if not isinstance(x, type(RAT_ZERO)) else x
+        x = Rat(int(num), int(den or 1))
+    elif not isinstance(x, int):
+        x = Rat(x)
+    return _integral(x)
 
 
 def rat_str(q):
@@ -58,7 +59,8 @@ def rat_str(q):
 
 
 class ExtendedScalar:
-    """An element of Q(i, sqrt2), stored as four exact rationals."""
+    """An element of Q(i, sqrt2), stored as four exact rationals (ints
+    when integral)."""
 
     __slots__ = ("ar", "ai", "br", "bi")
 
@@ -70,7 +72,7 @@ class ExtendedScalar:
 
     @classmethod
     def _raw(cls, ar, ai, br, bi):
-        # bypasses coercion; callers guarantee backend rationals
+        # bypasses coercion; callers guarantee ints or backend rationals
         self = object.__new__(cls)
         self.ar = ar
         self.ai = ai
@@ -80,7 +82,7 @@ class ExtendedScalar:
 
     @classmethod
     def from_rational(cls, q):
-        return cls._raw(to_rat(q), RAT_ZERO, RAT_ZERO, RAT_ZERO)
+        return cls._raw(to_rat(q), 0, 0, 0)
 
     def is_zero(self):
         return not (self.ar or self.ai or self.br or self.bi)
@@ -111,16 +113,16 @@ class ExtendedScalar:
             ar, ai, br, bi = self.ar, self.ai, self.br, self.bi
             cr, ci, dr, di = other.ar, other.ai, other.br, other.bi
             if not (br or bi or dr or di):
-                # plain Gaussian rationals, the common case
+                # plain Gaussian numbers, the common case
                 return ExtendedScalar._raw(ar * cr - ai * ci, ar * ci + ai * cr,
-                                           RAT_ZERO, RAT_ZERO)
+                                           0, 0)
             # (a + b s)(c + d s) = (ac + 2bd) + (ad + bc) s   with s*s = 2
             er = ar * cr - ai * ci + 2 * (br * dr - bi * di)
             ei = ar * ci + ai * cr + 2 * (br * di + bi * dr)
             fr = ar * dr - ai * di + br * cr - bi * ci
             fi = ar * di + ai * dr + br * ci + bi * cr
             return ExtendedScalar._raw(er, ei, fr, fi)
-        if isinstance(other, (int, Fraction, type(RAT_ZERO))):
+        if isinstance(other, _RATIONALS):
             q = to_rat(other)
             return ExtendedScalar._raw(self.ar * q, self.ai * q,
                                        self.br * q, self.bi * q)
@@ -141,18 +143,19 @@ class ExtendedScalar:
         norm = gr * gr + gi * gi
         if not norm:
             raise ZeroDivisionError("inverse hit a zero norm; input not in the field?")
-        hr, hi = gr / norm, -gi / norm  # h = 1/g
+        hr, hi = _div(gr, norm), _div(-gi, norm)  # h = 1/g
         # 1/x = (a - b*sqrt2) * h
-        return ExtendedScalar._raw(ar * hr - ai * hi, ar * hi + ai * hr,
-                                   -(br * hr - bi * hi), -(br * hi + bi * hr))
+        return _integral_scalar(ar * hr - ai * hi, ar * hi + ai * hr,
+                                -(br * hr - bi * hi), -(br * hi + bi * hr))
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, type(RAT_ZERO))):
+        if isinstance(other, _RATIONALS):
             q = to_rat(other)
-            return ExtendedScalar._raw(self.ar / q, self.ai / q,
-                                       self.br / q, self.bi / q)
+            return ExtendedScalar._raw(_div(self.ar, q), _div(self.ai, q),
+                                       _div(self.br, q), _div(self.bi, q))
         if isinstance(other, ExtendedScalar):
-            return self * other.inverse()
+            q = self * other.inverse()
+            return _integral_scalar(q.ar, q.ai, q.br, q.bi)
         return NotImplemented
 
     def conjugate(self):
@@ -202,14 +205,20 @@ class ExtendedScalar:
                    to_rat(obj["b_re"]), to_rat(obj["b_im"]))
 
 
+def _integral_scalar(ar, ai, br, bi):
+    """The scalar with these components, integral ones turned into ints."""
+    return ExtendedScalar._raw(_integral(ar), _integral(ai),
+                               _integral(br), _integral(bi))
+
+
 def _unpickle_scalar(ar, ai, br, bi):
     return ExtendedScalar(to_rat(ar), to_rat(ai), to_rat(br), to_rat(bi))
 
 
-XS_ZERO = ExtendedScalar._raw(RAT_ZERO, RAT_ZERO, RAT_ZERO, RAT_ZERO)
-XS_ONE = ExtendedScalar._raw(RAT_ONE, RAT_ZERO, RAT_ZERO, RAT_ZERO)
-XS_I = ExtendedScalar._raw(RAT_ZERO, RAT_ONE, RAT_ZERO, RAT_ZERO)
-XS_SQRT2 = ExtendedScalar._raw(RAT_ZERO, RAT_ZERO, RAT_ONE, RAT_ZERO)
+XS_ZERO = ExtendedScalar._raw(0, 0, 0, 0)
+XS_ONE = ExtendedScalar._raw(1, 0, 0, 0)
+XS_I = ExtendedScalar._raw(0, 1, 0, 0)
+XS_SQRT2 = ExtendedScalar._raw(0, 0, 1, 0)
 
 
 def xs(ar=0, ai=0, br=0, bi=0):

@@ -1,6 +1,7 @@
 """Field arithmetic in Q(i, sqrt2)."""
 
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,12 @@ small = st.integers(min_value=-6, max_value=6)
 
 def scalars():
     return st.builds(xs, small, small, small, small)
+
+
+# a component drawn as an int or as a Fraction with a small denominator
+component = st.one_of(small, st.builds(Fraction, small,
+                                       st.integers(min_value=1, max_value=6)))
+parts = st.tuples(component, component, component, component)
 
 
 def test_backend_reports_a_name():
@@ -90,3 +97,110 @@ def test_str_smoke():
     assert str(XS_ZERO) == "0"
     s = str(xs(1, -1, Fraction(1, 2), 0))
     assert "i" in s and "s2" in s
+
+
+# ------------------------------------------- oracle on mixed int/Fraction
+
+def ref_add(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def ref_neg(x):
+    return tuple(-a for a in x)
+
+
+def ref_mul(x, y):
+    """(u + v s)(u' + v' s) = (u u' + 2 v v') + (u v' + v u') s, s = sqrt2,
+    with u = x[0] + x[1] i and v = x[2] + x[3] i."""
+    def gmul(a, b, c, d):
+        return a * c - b * d, a * d + b * c
+    uu, vv = gmul(*x[:2], *y[:2]), gmul(*x[2:], *y[2:])
+    uv, vu = gmul(*x[:2], *y[2:]), gmul(*x[2:], *y[:2])
+    return (uu[0] + 2 * vv[0], uu[1] + 2 * vv[1],
+            uv[0] + vu[0], uv[1] + vu[1])
+
+
+def ref_conj(x):
+    return (x[0], -x[1], x[2], -x[3])
+
+
+def ref_inverse(x):
+    """1/x = sigma(x) conj(x) conj(sigma(x)) / N with sigma: sqrt2 -> -sqrt2
+    and N the product of all four conjugates, a rational."""
+    sigma = (x[0], x[1], -x[2], -x[3])
+    co = ref_mul(ref_mul(sigma, ref_conj(x)), ref_conj(sigma))
+    norm = ref_mul(x, co)
+    assert norm[1:] == (0, 0, 0) and norm[0]
+    return tuple(a / norm[0] for a in co)
+
+
+def fields(x):
+    return (x.ar, x.ai, x.br, x.bi)
+
+
+def as_fractions(x):
+    return tuple(Fraction(q) for q in fields(x))
+
+
+def assert_integral_ints(x):
+    """Every integral component is a plain int."""
+    for q in fields(x):
+        assert type(q) is int or q.denominator != 1, fields(x)
+
+
+@given(parts, parts)
+def test_mixed_components_match_fraction_oracle(u, v):
+    x, y = xs(*u), xs(*v)
+    fu, fv = tuple(map(Fraction, u)), tuple(map(Fraction, v))
+    assert as_fractions(x) == fu
+    assert as_fractions(x + y) == ref_add(fu, fv)
+    assert as_fractions(x - y) == ref_add(fu, ref_neg(fv))
+    assert as_fractions(-x) == ref_neg(fu)
+    assert as_fractions(x * y) == ref_mul(fu, fv)
+    assert as_fractions(x.conjugate()) == ref_conj(fu)
+    if y.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            y.inverse()
+        return
+    for got, want in ((y.inverse(), ref_inverse(fv)),
+                      (x / y, ref_mul(fu, ref_inverse(fv)))):
+        assert as_fractions(got) == want
+        assert_integral_ints(got)
+
+
+@given(parts, component)
+def test_mixed_components_scale_by_rationals(u, q):
+    x, fu = xs(*u), tuple(map(Fraction, u))
+    assert as_fractions(x * q) == tuple(a * q for a in fu)
+    assert as_fractions(q * x) == tuple(a * q for a in fu)
+    if q:
+        assert as_fractions(x / q) == tuple(a / q for a in fu)
+        assert_integral_ints(x / q)
+
+
+def test_integral_components_are_ints():
+    assert type(xs(Fraction(4, 2)).ar) is int
+    assert type(xs("6/3").ar) is int
+    assert type(xs(2).inverse().inverse().ar) is int
+    assert all(type(q) is int for q in fields(xs(1, 2, 3, 4)))
+
+
+def test_int_and_fraction_components_agree():
+    assert xs(2) == xs(Fraction(2))
+    assert hash(xs(2)) == hash(xs(Fraction(2)))
+    # a Fraction left integral by arithmetic still equals the int form
+    assert xs(Fraction(1, 2)) + xs(Fraction(3, 2)) == xs(2)
+    assert hash(xs(Fraction(1, 2)) + xs(Fraction(3, 2))) == hash(xs(2))
+
+
+def test_json_writes_integral_components_as_fractions():
+    assert xs(2).to_json()["a_re"] == "2/1"
+    assert xs(Fraction(2)).to_json() == xs(2).to_json()
+
+
+@given(parts)
+def test_pickle_round_trip_keeps_value(u):
+    x = xs(*u)
+    y = pickle.loads(pickle.dumps(x))
+    assert y == x and hash(y) == hash(x)
+    assert_integral_ints(y)
