@@ -23,7 +23,7 @@ from . import linalg
 from .operators import apply, apply_word, joint_kernel
 from .poly import (SpinorPolynomial, poly_dim, space_basis, term_sort_key,
                    value_basis)
-from .scalars import xs
+from .scalars import XS_ONE, xs
 from .witt import P_op, Q_op, beta, cell_dim, cell_labels, grade_masks, valid_cell
 
 __all__ = [
@@ -52,11 +52,12 @@ class SubspaceBasis:
     membership is a plain reduction.
     """
 
-    __slots__ = ("ambient", "vectors")
+    __slots__ = ("ambient", "vectors", "_solver")
 
     def __init__(self, ambient, vectors):
         self.ambient = ambient        # (p, a, b, value_space)
         self.vectors = list(vectors)
+        self._solver = None           # built on the first membership query
 
     @property
     def dim(self):
@@ -64,9 +65,9 @@ class SubspaceBasis:
 
     def coefficients_of(self, F):
         """Coordinates of F in this basis, or None when F is outside."""
-        if not F.terms:
-            return []
-        return linalg.solve_in_span([v.terms for v in self.vectors], F.terms)
+        if self._solver is None:
+            self._solver = linalg.Solver([v.terms for v in self.vectors])
+        return self._solver.solve(F.terms)
 
     def contains(self, F):
         return self.coefficients_of(F) is not None
@@ -570,7 +571,7 @@ def symplectic_harmonics_16_decomposition(p, a, b, r):
     ambient_vecs = [_tensor_scalar_value(h, v)
                     for h in HS.vectors for v in cell_vecs]
     ambient_dim = len(ambient_vecs)
-    ambient_dicts = [w.terms for w in ambient_vecs]
+    ambient = linalg.Solver([w.terms for w in ambient_vecs])
 
     components = []
     piece_vecs = []
@@ -594,9 +595,8 @@ def symplectic_harmonics_16_decomposition(p, a, b, r):
             and not apply("curlyE", w).terms
             and not apply("P", w).terms
             for w in vecs)
-        comp["in_ambient"] = all(
-            linalg.solve_in_span(ambient_dicts, w.terms) is not None
-            for w in vecs if w.terms)
+        comp["in_ambient"] = all(ambient.solve(w.terms) is not None
+                                 for w in vecs if w.terms)
         if entry["reason"] == "annihilated":
             exclusions.append({"alpha": alpha, "reason": "annihilated",
                                "source": list(entry["source"]),
@@ -637,6 +637,8 @@ def symplectic_harmonics_16_decomposition(p, a, b, r):
 
 # --------------------------------------------------- the full decomposition
 
+# (p, A, B) -> [pieces, Solver over their vectors, or None until the
+# first decompose of that bidegree]
 _PIECES_CACHE = {}
 
 
@@ -652,7 +654,7 @@ def full_decomposition_pieces(p, A, B):
     key = (p, A, B)
     cached = _PIECES_CACHE.get(key)
     if cached is not None:
-        return cached
+        return cached[0]
     pieces = []
     for l in range(0, B + 1):
         for t in range(max(0, B - A), B - l + 1):
@@ -679,8 +681,19 @@ def full_decomposition_pieces(p, A, B):
                                        list(entry["src_vectors"])))
     pieces.sort(key=lambda pc: (pc[0]["l"], pc[0]["j"], pc[0]["t"],
                                 pc[0]["alpha"], pc[0]["r"]))
-    _PIECES_CACHE[key] = pieces
+    _PIECES_CACHE[key] = [pieces, None]
     return pieces
+
+
+def _pieces_solver(p, A, B):
+    """The pieces of bidegree (A, B) and the factorisation of their
+    vectors, made once per bidegree and kept in the pieces cache."""
+    pieces = full_decomposition_pieces(p, A, B)
+    entry = _PIECES_CACHE[(p, A, B)]
+    if entry[1] is None:
+        entry[1] = linalg.Solver([v.terms for _, vecs, _ in pieces
+                                  for v in vecs])
+    return pieces, entry[1]
 
 
 def graded_tiling_check(p, k):
@@ -720,31 +733,29 @@ def decompose_polynomial(F, p):
     solved = True
     for A, B in sorted(F.bidegrees()):
         part = F.bidegree_part(A, B)
-        pieces = full_decomposition_pieces(p, A, B)
-        flat = [v.terms for _, vecs, _ in pieces for v in vecs]
-        sol = linalg.solve_in_span(flat, part.terms)
+        pieces, solver = _pieces_solver(p, A, B)
+        sol = solver.solve(part.terms)
         if sol is None:
             solved = False
             residual = residual + part
             continue
-        recomposed = SpinorPolynomial.zero(F.n)
+        recomposed = {}
         idx = 0
         for labels, vecs, src_vecs in pieces:
-            comp = SpinorPolynomial.zero(F.n)
-            source = SpinorPolynomial.zero(F.n)
+            comp, source = {}, {}
             for v, s in zip(vecs, src_vecs):
                 c = sol[idx]
                 idx += 1
                 if c:
-                    comp = comp + v.scale(c)
-                    source = source + s.scale(c)
-            if comp.terms:
+                    linalg.axpy(comp, v.terms, c)
+                    linalg.axpy(source, s.terms, c)
+            if comp:
                 entry = dict(labels)
-                entry["component"] = comp
-                entry["source"] = source
+                entry["component"] = SpinorPolynomial(F.n, comp)
+                entry["source"] = SpinorPolynomial(F.n, source)
                 components.append(entry)
-                recomposed = recomposed + comp
-        residual = residual + (part - recomposed)
+                linalg.axpy(recomposed, comp, XS_ONE)
+        residual = residual + (part - SpinorPolynomial(F.n, recomposed))
     passed = solved and not residual.terms
     return DecompositionReport(str(F), components, residual, passed,
                                details={"p": p})

@@ -4,6 +4,13 @@ Vectors are plain dicts mapping hashable, mutually sortable keys to nonzero
 ExtendedScalars.  Everything here is small and dense enough (a few hundred
 rows) that straightforward Gauss-Jordan with exact field inverses is fine;
 no pivoting heuristics are needed because there is no roundoff.
+
+There is one elimination loop, `_eliminate`.  `rref` (and through it
+`rank` and `nullspace`) runs it on bare rows.  `Solver` runs it once on a
+basis with the identity over the term keys as augmented part, keeping a
+left inverse and the consistency checks, so each later `solve` is a
+sparse product; `solve_many` and `solve_in_span` are one `Solver` replayed
+on their targets.
 """
 
 from .scalars import XS_ZERO, XS_ONE
@@ -29,16 +36,16 @@ def vec_scale(vec, c):
     return {k: c * v for k, v in vec.items()}
 
 
-def rref(rows, key_order=None):
-    """Reduced row echelon form of the span of `rows`.
+def _eliminate(work, key_order):
+    """The one Gauss-Jordan loop.
 
-    Returns (reduced_rows, pivot_keys), rows ordered by pivot position.  The
-    output depends only on the span and the key order, which makes it a
-    canonical presentation of a subspace.
+    Reduces the dicts of `work` in place, pivoting on the keys of
+    `key_order` in turn, each on the first row that holds it.  Rows that
+    cancel to zero are dropped, and the loop stops once none remain.
+    Returns (pivots, rest): the pivot rows as (key, row) in pivot order,
+    fully reduced, and the rows left without a pivot.
     """
-    work = [dict(r) for r in rows if r]
-    if key_order is None:
-        key_order = sorted({k for r in work for k in r})
+    work = [r for r in work if r]
     pivots = []   # (key, row) fully reduced so far
     for key in key_order:
         hit = None
@@ -63,6 +70,20 @@ def rref(rows, key_order=None):
         work = [r for r in work if r]
         if not work:
             break
+    return pivots, work
+
+
+def rref(rows, key_order=None):
+    """Reduced row echelon form of the span of `rows`.
+
+    Returns (reduced_rows, pivot_keys), rows ordered by pivot position.  The
+    output depends only on the span and the key order, which makes it a
+    canonical presentation of a subspace.
+    """
+    if key_order is None:
+        key_order = sorted({k for r in rows for k in r})
+    # no other reference to the copies, so rows that cancel are freed
+    pivots, _ = _eliminate([dict(r) for r in rows], key_order)
     return [row for _, row in pivots], [key for key, _ in pivots]
 
 
@@ -99,6 +120,58 @@ def nullspace(images):
     return canon
 
 
+class Solver:
+    """One elimination of a basis, replayed on any number of targets.
+
+    Row t of the system holds basis[j][t] at key j and, as its augmented
+    part, the identity over the term keys: 1 at key -1 - i for the i-th
+    term key.  Eliminating the columns 0..n-1 leaves, read by columns, a
+    left inverse in the pivot rows (term key -> {pivot column:
+    coefficient}) and consistency checks in the rows without a pivot
+    (term key -> {check: coefficient}), which a target in the span
+    satisfies.
+    """
+
+    __slots__ = ("n", "_inverse", "_checks")
+
+    def __init__(self, basis):
+        self.n = len(basis)
+        rows = {}
+        for j, vec in enumerate(basis):
+            for t, c in vec.items():
+                rows.setdefault(t, {})[j] = c
+        terms = sorted(rows)
+        for i, t in enumerate(terms):
+            rows[t][-1 - i] = XS_ONE
+        # key_order covers every column, so the rows left hold augmented keys only
+        pivots, rest = _eliminate([rows[t] for t in terms], range(self.n))
+        self._inverse = {t: {} for t in terms}
+        for j, row in pivots:
+            for k, c in row.items():
+                if k < 0:
+                    self._inverse[terms[-1 - k]][j] = c
+        self._checks = {}
+        for i, row in enumerate(rest):
+            for k, c in row.items():
+                self._checks.setdefault(terms[-1 - k], {})[i] = c
+
+    def solve(self, target):
+        """Coefficients of `target` in the basis (free variables set to
+        zero), or None when it is outside the span."""
+        x, conflict = {}, {}
+        for t, c in target.items():
+            col = self._inverse.get(t)
+            if col is None:
+                return None   # a term no basis vector has
+            axpy(x, col, c)
+            check = self._checks.get(t)
+            if check is not None:
+                axpy(conflict, check, c)
+        if conflict:
+            return None
+        return [x.get(j, XS_ZERO) for j in range(self.n)]
+
+
 def solve_many(basis, targets):
     """Solve sum_j x_j basis[j] = target for each target, exactly.
 
@@ -106,56 +179,9 @@ def solve_many(basis, targets):
     variables set to zero) or None when the target is outside the span.
     One elimination is shared by all targets.
     """
-    n = len(basis)
-    rows = {}
-    for j, vec in enumerate(basis):
-        for t, c in vec.items():
-            rows.setdefault(t, [{}, {}])[0][j] = c
-    for ti, tgt in enumerate(targets):
-        for t, c in tgt.items():
-            rows.setdefault(t, [{}, {}])[1][ti] = c
-    work = [rows[t] for t in sorted(rows)]
-    pivots = []   # (col, coeffs, augs)
-    for j in range(n):
-        hit = None
-        for idx, (coeffs, _) in enumerate(work):
-            if j in coeffs:
-                hit = idx
-                break
-        if hit is None:
-            continue
-        coeffs, augs = work.pop(hit)
-        inv = coeffs[j].inverse()
-        coeffs = {k: inv * v for k, v in coeffs.items()}
-        augs = {k: inv * v for k, v in augs.items()}
-        for other_coeffs, other_augs in work:
-            c = other_coeffs.get(j)
-            if c is not None:
-                axpy(other_coeffs, coeffs, -c)
-                axpy(other_augs, augs, -c)
-        for _, pc, pa in pivots:
-            c = pc.get(j)
-            if c is not None:
-                axpy(pc, coeffs, -c)
-                axpy(pa, augs, -c)
-        pivots.append((j, coeffs, augs))
-    bad = set()
-    for coeffs, augs in work:
-        # every remaining row has no unknowns left; a nonzero rhs is a conflict
-        for ti, v in augs.items():
-            if v:
-                bad.add(ti)
-    out = []
-    for ti in range(len(targets)):
-        if ti in bad:
-            out.append(None)
-            continue
-        x = [XS_ZERO] * n
-        for j, _, pa in pivots:
-            x[j] = pa.get(ti, XS_ZERO)
-        out.append(x)
-    return out
+    solver = Solver(basis)
+    return [solver.solve(t) for t in targets]
 
 
 def solve_in_span(basis, target):
-    return solve_many(basis, [target])[0]
+    return Solver(basis).solve(target)

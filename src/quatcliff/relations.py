@@ -675,17 +675,19 @@ def verify_qmonogenic_stability(p, a, b):
     moves = {"curlyE": (a + 1, b - 1), "curlyE_dag": (a - 1, b + 1),
              "P": (a, b), "Q": (a, b)}
     ops = {}
+    solvers = {}   # one factorisation per target bidegree (P and Q share one)
     passed = True
     for name, (ta, tb) in moves.items():
         violations = []
-        target = None
-        if ta >= 0 and tb >= 0:
-            target = [v.terms for v in qmonogenic_kernel(p, ta, tb)]
         for v in kernel:
             img = apply(name, v)
             if not img.terms:
                 continue
-            if target is None or linalg.solve_in_span(target, img.terms) is None:
+            target = (ta, tb) if ta >= 0 and tb >= 0 else None
+            if target is not None and target not in solvers:
+                solvers[target] = linalg.Solver(
+                    [w.terms for w in qmonogenic_kernel(p, ta, tb)])
+            if target is None or solvers[target].solve(img.terms) is None:
                 violations.append({"basis": str(v)})
                 break
         ok = not violations

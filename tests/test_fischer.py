@@ -8,6 +8,8 @@ pins; the structural identities (tiling sums, union ranks, projector
 idempotence) are the actual oracles.
 """
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -16,7 +18,7 @@ import pytest
 from quatcliff import fischer as fi
 from quatcliff.operators import apply, apply_word
 from quatcliff.poly import SpinorPolynomial, poly_dim, space_basis
-from quatcliff.scalars import xs
+from quatcliff.scalars import XS_ONE, xs
 
 
 def rand_combo(vectors, rng, n):
@@ -45,6 +47,16 @@ def test_harmonic_dim_oracle(p, a, b):
     assert fi.harmonic_space(p, a, b).dim == fi.harmonic_dim_oracle(p, a, b)
     assert fi.harmonic_dim_oracle(p, a, b) == (
         poly_dim(p, a, b) - poly_dim(p, a - 1, b - 1))
+
+
+def test_coefficients_of_zero_is_all_zeros():
+    H = fi.harmonic_space(1, 1, 1)
+    assert H.dim == 3
+    zero = SpinorPolynomial.zero(2)
+    assert H.coefficients_of(zero) == [xs(0)] * 3
+    assert H.contains(zero)
+    v = H.vectors[1].scale(xs(2, 1))
+    assert H.coefficients_of(v) == [xs(0), xs(2, 1), xs(0)]
 
 
 def test_symplectic_harmonic_dims_frozen():
@@ -379,6 +391,57 @@ def test_decompose_random_zero_residual():
         for c in rep.components:
             rebuilt = rebuilt + c["component"]
         assert rebuilt == F
+
+
+def mixed_input_p2(seed):
+    """Five basis vectors of each of three bidegrees a+b <= 2 at p=2, with
+    coefficients in Z[i, sqrt2]."""
+    rng = random.Random(seed)
+    bidegrees = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    F = SpinorPolynomial.zero(4)
+    for a, b in rng.sample(bidegrees, 3):
+        for v in rng.sample(space_basis(2, a, b), 5):
+            F = F + v.scale(xs(rng.randint(-3, 3), rng.randint(-2, 2),
+                               rng.randint(-1, 1)))
+    return F
+
+
+# sha256 of the canonical JSON of decompose_polynomial(mixed_input_p2(seed), 2);
+# together the three inputs cover all six bidegrees a+b <= 2.
+DECOMPOSE_GOLDEN_P2 = {
+    1: "9371ba22680a6f53910712ccfbbd747bc55448d230f730ddb67875a6ff9c1df4",
+    2: "c09edbf75057204f67430229b8eb0fe05b23fc2a21be7915a08920b52667b83a",
+    7: "95b331782b35bbc624677c2588daa317c309548b2866fdc71379573f45d56986",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DECOMPOSE_GOLDEN_P2))
+def test_decompose_golden_p2(seed):
+    rep = fi.decompose_polynomial(mixed_input_p2(seed), 2)
+    assert rep.passed
+    blob = json.dumps(rep.to_json(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == DECOMPOSE_GOLDEN_P2[seed]
+
+
+def test_decompose_cold_and_warm_cache_agree(monkeypatch):
+    monkeypatch.setattr(fi, "_PIECES_CACHE", {})
+    F = mixed_input_p2(1)
+    cold = fi.decompose_polynomial(F, 2).to_json()
+    warm = fi.decompose_polynomial(F, 2).to_json()
+    assert cold == warm
+
+
+def test_decompose_outputs_do_not_alias_cached_pieces():
+    F = mixed_input_p2(2)
+    first = fi.decompose_polynomial(F, 2)
+    expected = first.to_json()
+    for comp in first.components:
+        for name in ("component", "source"):
+            terms = comp[name].terms
+            for key in list(terms):
+                terms[key] = terms[key] + XS_ONE
+            terms.pop(next(iter(terms)))
+    assert fi.decompose_polynomial(F, 2).to_json() == expected
 
 
 def test_decompose_rejects_rank_mismatch():

@@ -1,9 +1,9 @@
 """Exact sparse linear algebra over the scalar field."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quatcliff import linalg
-from quatcliff.scalars import XS_ONE, xs
+from quatcliff.scalars import XS_ONE, XS_ZERO, xs
 
 small = st.integers(min_value=-4, max_value=4)
 
@@ -94,3 +94,101 @@ def test_solve_many_matches_one_by_one(basis, targets):
 def test_solve_in_span_empty_basis():
     assert linalg.solve_in_span([], {}) == []
     assert linalg.solve_in_span([], {0: XS_ONE}) is None
+
+
+def reference_solve_many(basis, targets):
+    """The elimination `solve_many` ran before `Solver`: basis and targets
+    eliminated together, one augmented column per target."""
+    n = len(basis)
+    rows = {}
+    for j, vec in enumerate(basis):
+        for t, c in vec.items():
+            rows.setdefault(t, [{}, {}])[0][j] = c
+    for ti, tgt in enumerate(targets):
+        for t, c in tgt.items():
+            rows.setdefault(t, [{}, {}])[1][ti] = c
+    work = [rows[t] for t in sorted(rows)]
+    pivots = []   # (col, coeffs, augs)
+    for j in range(n):
+        hit = None
+        for idx, (coeffs, _) in enumerate(work):
+            if j in coeffs:
+                hit = idx
+                break
+        if hit is None:
+            continue
+        coeffs, augs = work.pop(hit)
+        inv = coeffs[j].inverse()
+        coeffs = {k: inv * v for k, v in coeffs.items()}
+        augs = {k: inv * v for k, v in augs.items()}
+        for other_coeffs, other_augs in work:
+            c = other_coeffs.get(j)
+            if c is not None:
+                linalg.axpy(other_coeffs, coeffs, -c)
+                linalg.axpy(other_augs, augs, -c)
+        for _, pc, pa in pivots:
+            c = pc.get(j)
+            if c is not None:
+                linalg.axpy(pc, coeffs, -c)
+                linalg.axpy(pa, augs, -c)
+        pivots.append((j, coeffs, augs))
+    bad = set()
+    for coeffs, augs in work:
+        # every remaining row has no unknowns left; a nonzero rhs is a conflict
+        for ti, v in augs.items():
+            if v:
+                bad.add(ti)
+    out = []
+    for ti in range(len(targets)):
+        if ti in bad:
+            out.append(None)
+            continue
+        x = [XS_ZERO] * n
+        for j, _, pa in pivots:
+            x[j] = pa.get(ti, XS_ZERO)
+        out.append(x)
+    return out
+
+
+@st.composite
+def systems(draw):
+    """A basis over keys 0..4, made rank-deficient by appending
+    combinations of its vectors, and targets inside its span, outside it,
+    and with keys 5 and 6 that no basis vector has."""
+    basis = draw(vector_lists())
+
+    def combination():
+        acc = {}
+        for vec in basis:
+            linalg.axpy(acc, vec, xs(draw(small), draw(small)))
+        return acc
+
+    basis = basis + [combination()
+                     for _ in range(draw(st.integers(0, 2)))]
+    targets = []
+    for kind in draw(st.lists(st.sampled_from(["span", "any", "off"]),
+                              max_size=4)):
+        if kind == "any":
+            targets.append(draw(vectors()))
+            continue
+        tgt = combination()
+        if kind == "off":
+            linalg.axpy(tgt, {draw(st.sampled_from([5, 6])): XS_ONE},
+                        xs(draw(st.integers(1, 3))))
+        targets.append(tgt)
+    return basis, targets
+
+
+@given(systems())
+@example(([], []))
+@example(([], [{}, {0: XS_ONE}]))
+@example(([{0: XS_ONE}, {0: xs(2)}], [{0: xs(3)}, {0: XS_ONE, 5: XS_ONE}]))
+@example(([{0: XS_ONE, 1: XS_ONE}], [{0: XS_ONE}, {1: xs(2), 0: xs(2)}]))
+@settings(max_examples=80)
+def test_solver_matches_reference(system):
+    basis, targets = system
+    expected = reference_solve_many(basis, targets)
+    solver = linalg.Solver(basis)
+    assert [solver.solve(t) for t in targets] == expected
+    assert linalg.solve_many(basis, targets) == expected
+    assert [linalg.solve_in_span(basis, t) for t in targets] == expected
