@@ -26,9 +26,10 @@ import sys
 import time
 from math import comb
 
-from . import fischer, relations
-from .env import env_int
+from . import fischer, linalg, relations
+from .env import env_int, parallel_map
 from .poly import SpinorPolynomial, poly_dim
+from .scalars import XS_ONE
 from .witt import cell_dim, cell_labels, pq_scalars
 
 SCHEMA_VERSION = 2
@@ -343,42 +344,31 @@ _RUNNERS = {
 
 
 def _check_job(args):
-    """One check in a worker process; inner parallelism pinned off."""
+    """One check, timed; in a worker process as well as in this one."""
     name, fields = args
-    config = RunConfig(**fields)
-    config.workers = 1
     t0 = time.perf_counter()
-    result = _RUNNERS[name](config)
+    result = _RUNNERS[name](RunConfig(**fields))
     return name, result, time.perf_counter() - t0
 
 
 def run(config):
     """Execute the configured checks and return the report bundle.
 
-    Writes the JSON bundle to `config.output` when set.  Check jobs run
-    in a process pool when the config asks for more than one worker.
+    Writes the JSON bundle to `config.output` when set.  With more than
+    one worker, several checks run in a process pool, each with its
+    inner parallelism pinned off, and a single check spreads its own
+    work instead.
     """
     config.validate()
     names = [name for name in CHECK_NAMES if name in set(config.checks)]
-    reports = {}
-    timing = {}
-    if config.workers > 1 and len(names) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        fields = {"p": config.p,
-                  "max_total_degree": config.max_total_degree,
-                  "checks": config.checks, "dim_cap": config.dim_cap,
-                  "workers": 1, "label_filter": config.label_filter}
-        jobs = [(name, fields) for name in names]
-        with ProcessPoolExecutor(
-                max_workers=min(config.workers, len(jobs))) as pool:
-            for name, result, seconds in pool.map(_check_job, jobs):
-                reports[name] = result
-                timing[name] = seconds
-    else:
-        for name in names:
-            t0 = time.perf_counter()
-            reports[name] = _RUNNERS[name](config)
-            timing[name] = time.perf_counter() - t0
+    fields = {"p": config.p, "max_total_degree": config.max_total_degree,
+              "checks": config.checks, "dim_cap": config.dim_cap,
+              "workers": config.workers if len(names) == 1 else 1,
+              "label_filter": config.label_filter}
+    results = parallel_map(_check_job, [(name, fields) for name in names],
+                           config.workers)
+    reports = {name: result for name, result, _ in results}
+    timing = {name: seconds for name, _, seconds in results}
     bundle = ReportBundle(config, reports, timing)
     if config.output:
         emit_report(bundle, config.output)
@@ -399,7 +389,7 @@ def parse_polynomial(data, n=None):
     """
     if not isinstance(data, list):
         raise ValueError("polynomial JSON must be a list of term objects")
-    poly = None
+    terms = {}
     for i, item in enumerate(data):
         where = f"term {i}"
         if not isinstance(item, dict):
@@ -433,16 +423,12 @@ def parse_polynomial(data, n=None):
             if not isinstance(val, (str, int)):
                 raise ValueError(f"{where}, field 'coeff.{key}': expected a "
                                  "\"num/den\" string or an integer")
-        if poly is None:
-            poly = SpinorPolynomial.zero(n)
         try:
             term = SpinorPolynomial.from_json([item], n=n)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"{where}: {exc}") from None
-        poly = poly + term
-    if poly is None:
-        poly = SpinorPolynomial.zero(0 if n is None else n)
-    return poly
+        linalg.axpy(terms, term.terms, XS_ONE)
+    return SpinorPolynomial(0 if n is None else n, terms)
 
 
 def emit_report(bundle, path):

@@ -1,5 +1,6 @@
-"""Strict parsing of the integer environment knobs (QUATCLIFF_WORKERS,
-QUATCLIFF_DIM_CAP).  No other module reads the environment."""
+"""What a run takes from its environment: strict parsing of the integer
+knobs (QUATCLIFF_WORKERS, QUATCLIFF_DIM_CAP), and the worker processes.
+No other module reads the environment or starts a process."""
 
 import os
 
@@ -17,3 +18,20 @@ def env_int(name, default):
     if value < 1:
         raise ValueError(f"{name} must be a positive integer, got {raw!r}")
     return value
+
+
+def parallel_map(fn, jobs, workers):
+    """[fn(job) for job in jobs], in job order.
+
+    With more than one worker and more than one job the calls run in a
+    pool of at most `workers` fresh (spawned) processes, so `fn` and the
+    jobs must pickle; otherwise they run in this process.
+    """
+    jobs = list(jobs)
+    if workers <= 1 or len(jobs) <= 1:
+        return [fn(job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs)),
+                             mp_context=get_context("spawn")) as pool:
+        return list(pool.map(fn, jobs))

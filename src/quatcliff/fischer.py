@@ -17,6 +17,7 @@ rank inside its ambient space.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from . import linalg
@@ -92,58 +93,43 @@ def kernel_space(ops, p, a, b, value_space=("full",)):
                          _canonical_polys(2 * p, [v.terms for v in kernel]))
 
 
-_SPACE_CACHE = {}
-
-
+@cache
 def harmonic_space(p, a, b):
     """Scalar-valued null solutions of the Laplacian, H_{a,b}."""
-    key = ("H", p, a, b)
-    if key not in _SPACE_CACHE:
-        _SPACE_CACHE[key] = kernel_space(("laplace",), p, a, b, ("scalar",))
-    return _SPACE_CACHE[key]
+    return kernel_space(("laplace",), p, a, b, ("scalar",))
 
 
+@cache
 def symplectic_harmonic_space(p, a, b, dagger=False):
     """Harmonics killed by curlyE (or by curlyE_dag when dagger is set)."""
-    key = ("HS", p, a, b, dagger)
-    if key not in _SPACE_CACHE:
-        op = "curlyE_dag" if dagger else "curlyE"
-        _SPACE_CACHE[key] = kernel_space(("laplace", op), p, a, b, ("scalar",))
-    return _SPACE_CACHE[key]
+    op = "curlyE_dag" if dagger else "curlyE"
+    return kernel_space(("laplace", op), p, a, b, ("scalar",))
 
 
+@cache
 def qmonogenic_space(p, a, b, value_space=("full",)):
     """Joint null solutions of dz, dz_dag, dzJ, dz_dagJ."""
-    key = ("Q", p, a, b, tuple(value_space))
-    if key not in _SPACE_CACHE:
-        _SPACE_CACHE[key] = kernel_space(_DERIV4, p, a, b, value_space)
-    return _SPACE_CACHE[key]
+    return kernel_space(_DERIV4, p, a, b, value_space)
 
 
+@cache
 def s_space(p, r, a, b, dagger=False):
     """Cell space S^r_{a,b}: q-monogenic, values in the bottom cell of
     column r, killed by curlyE and P (curlyE_dag instead when dagger)."""
     if not 0 <= r <= p:
         raise ValueError(f"S-space column must satisfy 0 <= r <= p, got {r}")
-    key = ("S", p, r, a, b, dagger)
-    if key not in _SPACE_CACHE:
-        op = "curlyE_dag" if dagger else "curlyE"
-        _SPACE_CACHE[key] = kernel_space(_DERIV4 + (op, "P"), p, a, b,
-                                         ("cell", r, r))
-    return _SPACE_CACHE[key]
+    op = "curlyE_dag" if dagger else "curlyE"
+    return kernel_space(_DERIV4 + (op, "P"), p, a, b, ("cell", r, r))
 
 
+@cache
 def t_space(p, r, a, b, dagger=False):
     """Cell space T^r_{a,b}: q-monogenic, values in the top cell of
     column r, killed by curlyE and Q (curlyE_dag instead when dagger)."""
     if not p <= r <= 2 * p:
         raise ValueError(f"T-space column must satisfy p <= r <= 2p, got {r}")
-    key = ("T", p, r, a, b, dagger)
-    if key not in _SPACE_CACHE:
-        op = "curlyE_dag" if dagger else "curlyE"
-        _SPACE_CACHE[key] = kernel_space(_DERIV4 + (op, "Q"), p, a, b,
-                                         ("cell", r, 2 * p - r))
-    return _SPACE_CACHE[key]
+    op = "curlyE_dag" if dagger else "curlyE"
+    return kernel_space(_DERIV4 + (op, "Q"), p, a, b, ("cell", r, 2 * p - r))
 
 
 def harmonic_dim_oracle(p, a, b):
@@ -480,14 +466,12 @@ def _tensor_scalar_value(h, v):
     for (al, be, m0), c in h.terms.items():
         if m0 != 0:
             raise ValueError("left factor must be scalar-valued")
-        for m, cv in v.terms.items():
+        for (_, _, m), cv in v.terms.items():
             terms[(al, be, m)] = c * cv
     return SpinorPolynomial(h.n, terms)
 
 
-_ACTIVITY_CACHE = {}
-
-
+@cache
 def piece_activity(p, a, b, r):
     """Image data for all sixteen factors at one target label.
 
@@ -505,10 +489,6 @@ def piece_activity(p, a, b, r):
 
     Every exclusion keeps its witness data so reports can surface it.
     """
-    key = (p, a, b, r)
-    cached = _ACTIVITY_CACHE.get(key)
-    if cached is not None:
-        return cached
     entries = []
     for alpha in range(16):
         fac = embedding_factor(alpha, p, a, b, r)
@@ -544,7 +524,6 @@ def piece_activity(p, a, b, r):
                                     "pair_union_rank": pair}
         else:
             e5["pair_union_rank"] = e6["pair_union_rank"] = pair
-    _ACTIVITY_CACHE[key] = entries
     return entries
 
 
@@ -637,11 +616,7 @@ def symplectic_harmonics_16_decomposition(p, a, b, r):
 
 # --------------------------------------------------- the full decomposition
 
-# (p, A, B) -> [pieces, Solver over their vectors, or None until the
-# first decompose of that bidegree]
-_PIECES_CACHE = {}
-
-
+@cache
 def full_decomposition_pieces(p, A, B):
     """All pieces radial^l Q^j curlyE_dag^t (factor alpha) S-space that
     land in bidegree (A, B), with their vector lists, ordered by
@@ -651,10 +626,6 @@ def full_decomposition_pieces(p, A, B):
     alpha 6 images that coincide with alpha 5) stay out of the list
     so the remaining pieces form a direct sum.
     """
-    key = (p, A, B)
-    cached = _PIECES_CACHE.get(key)
-    if cached is not None:
-        return cached[0]
     pieces = []
     for l in range(0, B + 1):
         for t in range(max(0, B - A), B - l + 1):
@@ -681,19 +652,16 @@ def full_decomposition_pieces(p, A, B):
                                        list(entry["src_vectors"])))
     pieces.sort(key=lambda pc: (pc[0]["l"], pc[0]["j"], pc[0]["t"],
                                 pc[0]["alpha"], pc[0]["r"]))
-    _PIECES_CACHE[key] = [pieces, None]
     return pieces
 
 
+@cache
 def _pieces_solver(p, A, B):
     """The pieces of bidegree (A, B) and the factorisation of their
-    vectors, made once per bidegree and kept in the pieces cache."""
+    vectors, made on the first decompose of that bidegree."""
     pieces = full_decomposition_pieces(p, A, B)
-    entry = _PIECES_CACHE[(p, A, B)]
-    if entry[1] is None:
-        entry[1] = linalg.Solver([v.terms for _, vecs, _ in pieces
+    return pieces, linalg.Solver([v.terms for _, vecs, _ in pieces
                                   for v in vecs])
-    return pieces, entry[1]
 
 
 def graded_tiling_check(p, k):
@@ -819,19 +787,11 @@ def _degree_basis(p, d):
     return out
 
 
-_MONOGENIC_CACHE = {}
-
-
+@cache
 def _monogenic_basis(p, d):
     """Kernel of the Dirac operator on the degree-d spinor polynomials."""
-    key = (p, d)
-    got = _MONOGENIC_CACHE.get(key)
-    if got is not None:
-        return got
     kernel = joint_kernel(("dirac",), _degree_basis(p, d))
-    polys = _canonical_polys(2 * p, [v.terms for v in kernel])
-    _MONOGENIC_CACHE[key] = polys
-    return polys
+    return _canonical_polys(2 * p, [v.terms for v in kernel])
 
 
 def euclidean_fischer_dims(m, k):
@@ -983,10 +943,9 @@ def cells_check(p):
     if total != 1 << n:
         checks["column_tiling"] = False
 
-    from .witt import SpinorElement
     for r in range(0, n + 1):
         for mask in grade_masks(n, r):
-            v = SpinorElement.basis_vector(n, mask)
+            v = SpinorPolynomial.constant(n, {mask: XS_ONE})
             lhs = P_op(Q_op(v)) - Q_op(P_op(v))
             rhs = v.scale(xs(p)) - beta(v)
             if (lhs - rhs).terms:

@@ -27,7 +27,7 @@ literal real-coordinate sums and compares matrices entry by entry.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 
 from . import linalg
 from .poly import SpinorPolynomial, space_basis
@@ -141,7 +141,7 @@ def resolve(op):
     raise TypeError(f"cannot resolve operator from {op!r}")
 
 
-@lru_cache(maxsize=None)
+@cache
 def term_table(name, n):
     """The (coefficient, word) terms of a base operator over n variables."""
     return tuple(REGISTRY[name].terms(n))

@@ -7,7 +7,8 @@ printing, JSON and basis enumeration, is
 
     (total degree, alpha + beta as one tuple, ascending spinor index tuple)
 
-Scalar-valued polynomials are the mask-0 slice.
+Scalar-valued polynomials are the mask-0 slice, and a spinor value (an
+element of S) is a constant polynomial.
 """
 
 from itertools import combinations_with_replacement
@@ -15,7 +16,7 @@ from math import comb
 
 from . import linalg
 from .scalars import ExtendedScalar, XS_ONE, xs
-from .witt import SpinorElement, grade_masks, mask_sort_key, witt_move
+from .witt import grade_masks, mask_sort_key, witt_move
 
 
 def term_sort_key(key):
@@ -48,11 +49,18 @@ class SpinorPolynomial:
         return cls(n, {(alpha, beta, mask): coeff})
 
     @classmethod
+    def constant(cls, n, values):
+        """The spinor value sum of c fdag_mask I over {mask: c}."""
+        zero = (0,) * n
+        return cls(n, {(zero, zero, mask): c for mask, c in values.items()})
+
+    @classmethod
     def from_value(cls, n, value, alpha=None, beta=None):
-        """Constant polynomial (or one monomial times) a SpinorElement value."""
+        """The spinor value `value` times one monomial (1 by default)."""
         alpha = tuple(alpha) if alpha is not None else (0,) * n
         beta = tuple(beta) if beta is not None else (0,) * n
-        return cls(n, {(alpha, beta, mask): c for mask, c in value.terms.items()})
+        return cls(n, {(alpha, beta, mask): c
+                       for (_, _, mask), c in value.terms.items()})
 
     def _check(self, other):
         if self.n != other.n:
@@ -108,16 +116,6 @@ class SpinorPolynomial:
     def value_grade_part(self, r):
         return SpinorPolynomial(self.n, {
             k: c for k, c in self.terms.items() if k[2].bit_count() == r})
-
-    def evaluate_value(self):
-        """Collapse a constant polynomial to its SpinorElement value."""
-        zero_exp = (0,) * self.n
-        out = {}
-        for (a, b, mask), c in self.terms.items():
-            if a != zero_exp or b != zero_exp:
-                raise ValueError("polynomial is not constant")
-            out[mask] = c
-        return SpinorElement(self.n, out)
 
     # ---------------------------------------------------- primitive moves
 
@@ -226,15 +224,15 @@ class SpinorPolynomial:
             if not data:
                 raise ValueError("cannot infer rank from an empty polynomial")
             n = len(data[0]["alpha"])
-        poly = cls.zero(n)
+        terms = {}
         for item in data:
             mask = 0
             for k in item.get("spinor", []):
                 mask |= 1 << (k - 1)
-            poly = poly + cls.monomial(
-                n, item["alpha"], item["beta"], mask,
-                ExtendedScalar.from_json(item["coeff"]))
-        return poly
+            term = cls.monomial(n, item["alpha"], item["beta"], mask,
+                                ExtendedScalar.from_json(item["coeff"]))
+            linalg.axpy(terms, term.terms, XS_ONE)
+        return cls(n, terms)
 
 
 # -------------------------------------------------------------- enumeration
@@ -265,7 +263,7 @@ def poly_dim(p, a, b):
 
 
 def value_basis(p, value_space):
-    """Basis of a value space inside S, as SpinorElements.
+    """Basis of a value space inside S, as spinor values.
 
     value_space is one of ("scalar",), ("full",), ("grade", r), ("cell", r, s).
     """
@@ -273,12 +271,12 @@ def value_basis(p, value_space):
     n = 2 * p
     kind = value_space[0]
     if kind == "scalar":
-        return [SpinorElement.basis_vector(n, 0)]
+        return [SpinorPolynomial.constant(n, {0: XS_ONE})]
     if kind == "full":
-        return [SpinorElement.basis_vector(n, m)
+        return [SpinorPolynomial.constant(n, {m: XS_ONE})
                 for r in range(n + 1) for m in grade_masks(n, r)]
     if kind == "grade":
-        return [SpinorElement.basis_vector(n, m)
+        return [SpinorPolynomial.constant(n, {m: XS_ONE})
                 for m in grade_masks(n, value_space[1])]
     if kind == "cell":
         return list(cell_basis(p, value_space[1], value_space[2]))

@@ -26,9 +26,10 @@ reports the weights of the other.
 """
 
 from fractions import Fraction
+from functools import cache
 
 from . import linalg
-from .env import env_int
+from .env import env_int, parallel_map
 from .operators import (REGISTRY, apply, apply_cached, apply_expression,
                         joint_kernel)
 from .poly import space_basis
@@ -451,13 +452,8 @@ def verify_table(p, max_total_degree, workers=None):
     order, so the outcome does not depend on scheduling.
     """
     grid = bidegrees_up_to(max_total_degree)
-    workers = _worker_count(workers)
-    if workers > 1 and len(grid) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(workers, len(grid))) as pool:
-            blocks = list(pool.map(_table_block_job, [(p, a, b) for a, b in grid]))
-    else:
-        blocks = [_table_block_job((p, a, b)) for a, b in grid]
+    blocks = parallel_map(_table_block_job, [(p, a, b) for a, b in grid],
+                          _worker_count(workers))
 
     reports = []
     for rule in RULES:
@@ -654,18 +650,10 @@ def verify_osp12_and_sl12(p, a, b):
 
 # ----------------------------------------------------- q-monogenic kernels
 
-_QMONO_CACHE = {}
-
-
+@cache
 def qmonogenic_kernel(p, a, b):
     """Canonical basis of Ker(dz, dz_dag, dzJ, dz_dagJ) inside P_{a,b} x S."""
-    key = (p, a, b)
-    got = _QMONO_CACHE.get(key)
-    if got is not None:
-        return got
-    vecs = joint_kernel(_DERIVS, space_basis(p, a, b))
-    _QMONO_CACHE[key] = vecs
-    return vecs
+    return joint_kernel(_DERIVS, space_basis(p, a, b))
 
 
 def verify_qmonogenic_stability(p, a, b):

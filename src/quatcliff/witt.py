@@ -6,11 +6,12 @@ Conventions, fixed once for the whole package:
   fdag_k   = +1/2 (e_{2k-1} + i e_{2k})
   I        = (f_1 fdag_1)(f_2 fdag_2) ... (f_n fdag_n)
 
-The spinor space S is spanned by fdag_A I over subsets A of {1..n}; a
-SpinorElement stores subsets as bitmasks.  Left multiplication by fdag_k is a
-signed wedge, by f_k a signed contraction, both with sign (-1)^(number of
-indices in A below k) (witt_move); witt-to-clifford conversion plus the full
-algebra in clifford.py serves as the oracle for these rules in the tests.
+The spinor space S is spanned by fdag_A I over subsets A of {1..n}, stored
+as bitmasks.  A spinor value is a constant poly.SpinorPolynomial, keyed
+((0,)*n, (0,)*n, mask).  Left multiplication by fdag_k is a signed wedge, by
+f_k a signed contraction, both with sign (-1)^(number of indices in A below
+k) (witt_move); WittFrame.to_clifford plus the full algebra in clifford.py
+serves as the oracle for these rules in the tests.
 
 An operator is a term table: a list of (coefficient, word), where a word is
 a tuple of moves (method name, argument) applied rightmost first, and
@@ -25,109 +26,11 @@ column s is S^s_s = Ker P restricted to grade s, and S^{s+2k}_s = Q^k S^s_s.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 
 from . import linalg
 from .clifford import CliffordElement
-from .scalars import ExtendedScalar, XS_ONE, XS_ZERO, xs
-
-
-class SpinorElement:
-    """Element of S for n Witt pairs: dict {mask over n bits: ExtendedScalar}."""
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n, terms=None):
-        self.n = n
-        self.terms = {}
-        if terms:
-            for mask, c in terms.items():
-                if c:
-                    self.terms[mask] = c
-
-    @classmethod
-    def basis_vector(cls, n, mask, coeff=XS_ONE):
-        return cls(n, {mask: coeff})
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise ValueError("mixing spinor spaces of different rank")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        linalg.axpy(out, other.terms, XS_ONE)
-        return SpinorElement(self.n, out)
-
-    def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        linalg.axpy(out, other.terms, -XS_ONE)
-        return SpinorElement(self.n, out)
-
-    def __neg__(self):
-        return SpinorElement(self.n, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, c):
-        if not isinstance(c, ExtendedScalar):
-            c = xs(c)
-        return SpinorElement(self.n, linalg.vec_scale(self.terms, c))
-
-    def wedge(self, k):
-        """Left multiplication by fdag_k."""
-        return self._witt_move(k, True)
-
-    def contract(self, k):
-        """Left multiplication by f_k."""
-        return self._witt_move(k, False)
-
-    def _witt_move(self, k, dagger):
-        out = {}
-        for mask, c in self.terms.items():
-            hit = witt_move(mask, k, dagger)
-            if hit is not None:
-                out[hit[0]] = -c if hit[1] else c
-        return SpinorElement(self.n, out)
-
-    def grade_part(self, r):
-        return SpinorElement(self.n, {m: c for m, c in self.terms.items()
-                                      if m.bit_count() == r})
-
-    def grades(self):
-        return sorted({m.bit_count() for m in self.terms})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, SpinorElement):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for mask in sorted(self.terms, key=mask_sort_key):
-            c = self.terms[mask]
-            name = "I" if mask == 0 else "fd{%s}I" % ",".join(
-                str(k + 1) for k in range(self.n) if mask >> k & 1)
-            bits.append(f"({c})*{name}")
-        return " + ".join(bits)
-
-    __repr__ = __str__
-
-    def to_clifford(self, frame):
-        out = CliffordElement.zero(frame.m)
-        for mask, c in self.terms.items():
-            out = out + frame.spinor_blade(mask).scale(c)
-        return out
+from .scalars import XS_ONE, XS_ZERO, xs
 
 
 def mask_sort_key(mask):
@@ -164,8 +67,8 @@ def witt_move(mask, k, dagger):
 def apply_terms(terms, x):
     """sum of c * word(x) over the (c, word) terms of an operator table.
 
-    x is a SpinorElement or a SpinorPolynomial; each move of a word is a
-    method of x, applied rightmost first.
+    x is a SpinorPolynomial; each move of a word is a method of x, applied
+    rightmost first.
     """
     out = {}
     for c, word in terms:
@@ -206,15 +109,16 @@ def Q_op(s):
 
 
 def spinor_inner(x, y):
-    """Hermitian inner product on S; equals 2^-n on each diagonal blade pair.
+    """Hermitian inner product of two spinor values; equals 2^-n on each
+    diagonal blade pair.
 
     Computed componentwise; tests confirm it against the Clifford-algebra
     pairing of the converted elements.
     """
     x._check(y)
     total = XS_ZERO
-    for mask, c in x.terms.items():
-        d = y.terms.get(mask)
+    for key, c in x.terms.items():
+        d = y.terms.get(key)
         if d is not None:
             total = total + c.conjugate() * d
     return total * Fraction(1, 2 ** x.n)
@@ -254,18 +158,26 @@ class WittFrame:
         self._blade_cache[mask] = out
         return out
 
+    def to_clifford(self, x):
+        """The Clifford element of the spinor value x."""
+        out = CliffordElement.zero(self.m)
+        for (_, _, mask), c in x.terms.items():
+            out = out + self.spinor_blade(mask).scale(c)
+        return out
+
     def spinor_to_element(self, x):
-        """Inverse of SpinorElement.to_clifford, via exact solve on blades."""
+        """Inverse of to_clifford, via exact solve on blades."""
+        from .poly import SpinorPolynomial
         masks = [m for r in range(self.n + 1) for m in grade_masks(self.n, r)]
         basis = [self.spinor_blade(m).terms for m in masks]
         coeffs = linalg.solve_in_span(basis, x.terms)
         if coeffs is None:
             raise ValueError("element is not in the spinor module")
-        return SpinorElement(self.n, {m: c for m, c in zip(masks, coeffs) if c})
+        return SpinorPolynomial.constant(self.n, dict(zip(masks, coeffs)))
 
 
 # cached frames: immutable after construction, safe to share
-@lru_cache(maxsize=None)
+@cache
 def _frame(p):
     return WittFrame(p)
 
@@ -438,24 +350,22 @@ class CellBasis:
         return f"CellBasis({self.label!r}, dim={self.dim})"
 
 
-_cell_cache = {}
-
-
+@cache
 def cell_basis(p, r, s):
-    """Canonical basis of the cell S^r_s (empty list for invalid labels)."""
-    key = (p, r, s)
-    cached = _cell_cache.get(key)
-    if cached is not None:
-        return cached
+    """Canonical basis of the cell S^r_s (empty list for invalid labels),
+    as spinor values."""
+    from .poly import SpinorPolynomial
     n = 2 * p
     if not valid_cell(p, r, s):
-        _cell_cache[key] = []
         return []
+    zero = (0,) * n
     if r == s:
         masks = grade_masks(n, s)
-        images = [P_op(SpinorElement.basis_vector(n, m)).terms for m in masks]
+        images = [P_op(SpinorPolynomial.constant(n, {m: XS_ONE})).terms
+                  for m in masks]
         kernel = linalg.nullspace(images)
-        vecs = [{masks[j]: c for j, c in coords.items()} for coords in kernel]
+        vecs = [{(zero, zero, masks[j]): c for j, c in coords.items()}
+                for coords in kernel]
     else:
         k = (r - s) // 2
         vecs = []
@@ -464,10 +374,9 @@ def cell_basis(p, r, s):
             for _ in range(k):
                 cur = Q_op(cur)
             vecs.append(cur.terms)
-    reduced, _ = linalg.rref(vecs, key_order=grade_masks(n, r))
-    out = [SpinorElement(n, row) for row in reduced]
-    _cell_cache[key] = out
-    return out
+    reduced, _ = linalg.rref(
+        vecs, key_order=[(zero, zero, m) for m in grade_masks(n, r)])
+    return [SpinorPolynomial(n, row) for row in reduced]
 
 
 def cell_decompose(p):
@@ -476,11 +385,11 @@ def cell_decompose(p):
 
 
 def project_to_cell(s, label):
-    """Orthogonal projection of a SpinorElement onto one cell span."""
+    """Orthogonal projection of a spinor value onto one cell span."""
     p = s.n // 2
     basis = cell_basis(p, label.r, label.s)
     if not basis:
-        return SpinorElement(s.n)
+        return type(s)(s.n)
     gram_cols = []
     for vj in basis:
         col = {}
@@ -495,7 +404,7 @@ def project_to_cell(s, label):
         if val:
             rhs[i] = val
     coeffs = linalg.solve_in_span(gram_cols, rhs)
-    out = SpinorElement(s.n)
+    out = type(s)(s.n)
     for c, v in zip(coeffs, basis):
         if c:
             out = out + v.scale(c)

@@ -4,12 +4,14 @@ tmp_path; reports are compared after stripping the timing block, which
 is the only part allowed to vary between identical runs.
 """
 
+import hashlib
 import json
 import random
 
 import pytest
 
-from quatcliff import cli
+from quatcliff import cli, relations
+from quatcliff.env import parallel_map
 from quatcliff.poly import SpinorPolynomial
 from quatcliff.scalars import xs
 
@@ -103,6 +105,19 @@ def test_parse_single_witt_monomial():
 def test_parse_empty_list_is_zero():
     assert cli.parse_polynomial([], n=4).is_zero()
     assert cli.parse_polynomial([]).is_zero()
+
+
+@pytest.mark.parametrize("parse", [
+    cli.parse_polynomial,
+    lambda data: SpinorPolynomial.from_json(data)], ids=["cli", "from_json"])
+def test_parse_sums_repeated_terms(parse):
+    def term(alpha, re):
+        return {"alpha": alpha, "beta": [0, 0, 0, 0], "spinor": [1],
+                "coeff": {"a_re": re, "a_im": 0, "b_re": 0, "b_im": 0}}
+    x, y = [0, 1, 0, 0], [1, 0, 0, 0]
+    F = parse([term(x, 1), term(y, 2), term(x, "1/2"), term(y, -2)])
+    assert F == SpinorPolynomial.monomial(4, x, (0, 0, 0, 0), 0b0001,
+                                          xs("3/2"))
 
 
 def test_parse_round_trip_random():
@@ -254,16 +269,44 @@ def test_report_determinism(tmp_path):
     assert first == second
 
 
-def test_parallel_matches_sequential():
-    cfg1 = cli.RunConfig(p=1, max_total_degree=1,
-                         checks=("relations", "cells"), workers=1)
-    cfg2 = cli.RunConfig(p=1, max_total_degree=1,
-                         checks=("relations", "cells"), workers=2)
-    b1 = cli.run(cfg1)
-    b2 = cli.run(cfg2)
-    r1 = json.dumps(b1.reports, sort_keys=True)
-    r2 = json.dumps(b2.reports, sort_keys=True)
-    assert b1.passed and b2.passed and r1 == r2
+def test_parallel_matches_sequential(monkeypatch):
+    # several checks share the pool; a single check spreads its bidegrees
+    spread = []
+
+    def spy(fn, jobs, workers):
+        spread.append(workers)
+        return parallel_map(fn, jobs, workers)
+
+    monkeypatch.setattr(relations, "parallel_map", spy)
+    for checks in (("relations", "cells"), ("relations",)):
+        cfg1 = cli.RunConfig(p=1, max_total_degree=1, checks=checks,
+                             workers=1)
+        cfg2 = cli.RunConfig(p=1, max_total_degree=1, checks=checks,
+                             workers=2)
+        b1 = cli.run(cfg1)
+        b2 = cli.run(cfg2)
+        r1 = json.dumps(b1.reports, sort_keys=True)
+        r2 = json.dumps(b2.reports, sort_keys=True)
+        assert b1.passed and b2.passed and r1 == r2
+    assert spread == [1, 1, 2]
+
+
+# sha256 of the canonical report of `all` (every check, one worker, the
+# default dimension cap), without its timing block
+REPORT_GOLDEN = {
+    (1, 3): "538de77d34793af5a881cb42f3fc6b7b2e27129683b2c7174bb89fff7ae4d10b",
+    (2, 1): "7dfc45ff253f2c6c0f839ddaf9f6a0525d4d37b0364fed7d52cbf8457f6e75fe",
+}
+
+
+@pytest.mark.parametrize("p,degree", sorted(REPORT_GOLDEN))
+def test_report_golden(p, degree):
+    bundle = cli.run(cli.RunConfig(p, max_total_degree=degree,
+                                   checks=cli.CHECK_NAMES, workers=1,
+                                   dim_cap=100000))
+    blob = json.dumps(bundle.to_json(with_timing=False), sort_keys=True,
+                      separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == REPORT_GOLDEN[p, degree]
 
 
 def test_dim_cap_skips_but_passes():

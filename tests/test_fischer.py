@@ -423,8 +423,9 @@ def test_decompose_golden_p2(seed):
     assert hashlib.sha256(blob.encode()).hexdigest() == DECOMPOSE_GOLDEN_P2[seed]
 
 
-def test_decompose_cold_and_warm_cache_agree(monkeypatch):
-    monkeypatch.setattr(fi, "_PIECES_CACHE", {})
+def test_decompose_cold_and_warm_cache_agree():
+    fi.full_decomposition_pieces.cache_clear()
+    fi._pieces_solver.cache_clear()
     F = mixed_input_p2(1)
     cold = fi.decompose_polynomial(F, 2).to_json()
     warm = fi.decompose_polynomial(F, 2).to_json()
