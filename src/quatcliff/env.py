@@ -27,7 +27,6 @@ def parallel_map(fn, jobs, workers):
     pool of at most `workers` fresh (spawned) processes, so `fn` and the
     jobs must pickle; otherwise they run in this process.
     """
-    jobs = list(jobs)
     if workers <= 1 or len(jobs) <= 1:
         return [fn(job) for job in jobs]
     from concurrent.futures import ProcessPoolExecutor
