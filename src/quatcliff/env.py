@@ -24,13 +24,12 @@ def parallel_map(fn, jobs, workers):
     """[fn(job) for job in jobs], in job order.
 
     With more than one worker and more than one job the calls run in a
-    pool of at most `workers` fresh (spawned) processes, so `fn` and the
-    jobs must pickle; otherwise they run in this process.
+    pool of at most `workers` processes (the platform's default start
+    method), so `fn` and the jobs must pickle; otherwise they run in this
+    process.
     """
     if workers <= 1 or len(jobs) <= 1:
         return [fn(job) for job in jobs]
     from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs)),
-                             mp_context=get_context("spawn")) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         return list(pool.map(fn, jobs))

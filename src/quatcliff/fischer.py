@@ -108,7 +108,8 @@ def symplectic_harmonic_space(p, a, b, dagger=False):
 
 @cache
 def qmonogenic_space(p, a, b, value_space=("full",)):
-    """Joint null solutions of dz, dz_dag, dzJ, dz_dagJ."""
+    """Joint null solutions of dz, dz_dag, dzJ, dz_dagJ.  The arguments
+    are the cache key, so `value_space` must be a tuple."""
     return kernel_space(_DERIV4, p, a, b, value_space)
 
 

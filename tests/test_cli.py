@@ -270,14 +270,21 @@ def test_report_determinism(tmp_path):
 
 
 def test_parallel_matches_sequential(monkeypatch):
-    # several checks share the pool; a single check spreads its bidegrees
-    spread = []
+    # several checks share the pool with their inner workers pinned to 1;
+    # a single check keeps the workers and spreads its bidegrees
+    inner, spread = [], []
 
-    def spy(fn, jobs, workers):
+    def check_spy(fn, jobs, workers):
+        inner.append((workers, sorted({job[1]["workers"] for job in jobs})))
+        return parallel_map(fn, jobs, workers)
+
+    def table_spy(fn, jobs, workers):
+        # sees only the calls made in this process
         spread.append(workers)
         return parallel_map(fn, jobs, workers)
 
-    monkeypatch.setattr(relations, "parallel_map", spy)
+    monkeypatch.setattr(cli, "parallel_map", check_spy)
+    monkeypatch.setattr(relations, "parallel_map", table_spy)
     for checks in (("relations", "cells"), ("relations",)):
         cfg1 = cli.RunConfig(p=1, max_total_degree=1, checks=checks,
                              workers=1)
@@ -288,6 +295,7 @@ def test_parallel_matches_sequential(monkeypatch):
         r1 = json.dumps(b1.reports, sort_keys=True)
         r2 = json.dumps(b2.reports, sort_keys=True)
         assert b1.passed and b2.passed and r1 == r2
+    assert inner == [(1, [1]), (2, [1]), (1, [1]), (2, [2])]
     assert spread == [1, 1, 2]
 
 
