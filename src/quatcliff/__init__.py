@@ -1,7 +1,7 @@
 """Exact operator algebra on spinor-valued polynomials over quaternionic space.
 
 Everything is computed over the field Q(i, sqrt2) with exact rational
-arithmetic; see scalars.BACKEND_NAME for which rational backend is active.
+arithmetic in stdlib Fractions (scalars.BACKEND_NAME).
 """
 
 from .scalars import BACKEND_NAME, ExtendedScalar, xs

@@ -435,9 +435,7 @@ def emit_report(bundle, path):
     """Write the bundle as canonical JSON (sorted keys, two-space
     indent, trailing newline) and return the emitted dict."""
     payload = bundle.to_json()
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(payload, path)
     return payload
 
 

@@ -366,18 +366,18 @@ def project_ker(op_kind, T, params, order=2):
     return out
 
 
-def composite_projection(T, params, order=2):
+def composite_projection(T, params):
     """Ker curlyE after Ker P after Ker laplace, in that application
     order (laplace first)."""
-    out = project_ker("laplace", T, params, order)
-    out = project_ker("P", out, params, order)
-    return project_ker("curlyE", out, params, order)
+    out = project_ker("laplace", T, params)
+    out = project_ker("P", out, params)
+    return project_ker("curlyE", out, params)
 
 
-def _composite_projection_swapped(T, params, order=2):
-    out = project_ker("laplace", T, params, order)
-    out = project_ker("curlyE", out, params, order)
-    return project_ker("P", out, params, order)
+def _composite_projection_swapped(T, params):
+    out = project_ker("laplace", T, params)
+    out = project_ker("curlyE", out, params)
+    return project_ker("P", out, params)
 
 
 # ------------------------------------------------------ embedding factors

@@ -17,21 +17,24 @@ Right-hand sides are lists of (c0, c1, name) meaning (c0 + c1*p) * name,
 so one rule set serves every p.  The anticommutator is used exactly when
 both operands are odd.
 
-Two smaller systems are verified the same way: the Euclidean five-grading
-around (mul_X, dirac, laplace, mul_r2) on R^(4p), and the hermitian system
-around (mul_z, mul_z_dag, dz, dz_dag) with the spin counter beta.  For the
-hermitian Cartan element there are two sign variants in circulation; the
-verifier asserts the one that gives the odd generators weight +-1 and only
-reports the weights of the other.
+RULES is the only place a bracket identity is written; every other rule
+set is a view of it.  The Cartan rows of the g0-g+-1 blocks read their
+signs from WEIGHT_LABELS, and each sl(2) triple is the three rule ids that
+state it, its cross pairs the table's commuting rules.  Two smaller
+systems are verified the same way: the Euclidean five-grading around
+(mul_X, dirac, laplace, mul_r2) on R^(4p), and the hermitian system around
+(mul_z, mul_z_dag, dz, dz_dag) with the spin counter beta.  They list the
+identities they share with RULES as its entries and define only their own
+rules.  For the hermitian Cartan element there are two sign variants in
+circulation; the verifier asserts the one that gives the odd generators
+weight +-1 and only reports the weights of the other.
 """
 
 from fractions import Fraction
-from functools import cache
 
-from . import linalg
 from .env import env_int, parallel_map
-from .operators import (REGISTRY, apply, apply_cached, apply_expression,
-                        joint_kernel)
+from .fischer import kernel_space, qmonogenic_space
+from .operators import REGISTRY, apply, apply_cached, apply_expression
 from .poly import space_basis
 from .scalars import XS_ZERO, xs
 
@@ -41,7 +44,7 @@ __all__ = [
     "verify_bracket", "verify_table", "verify_sl2_triples",
     "verify_osp12_and_sl12", "verify_qmonogenic_stability",
     "verify_qmonogenic_equivalence", "cartan_weight_report",
-    "qmonogenic_kernel", "bidegrees_up_to",
+    "bidegrees_up_to",
 ]
 
 
@@ -71,7 +74,8 @@ class BracketRule:
             if c1:
                 coeff = f"({c0:+}{c1:+}p)" if c0 else (f"{c1:+}p" if abs(c1) != 1 else ("+p" if c1 > 0 else "-p"))
             else:
-                coeff = f"{Fraction(c0):+}" if abs(Fraction(c0)) != 1 else ("+" if c0 > 0 else "-")
+                q = Fraction(c0)
+                coeff = ("+" if q > 0 else "-") + (str(abs(q)) if abs(q) != 1 else "")
             parts.append(f"{coeff}{name if name != 'id' else '1'}")
         return lhs + " = " + " ".join(parts)
 
@@ -110,7 +114,20 @@ def _r(block, kind, left, right, *rhs):
 
 _DERIVS = ("dz", "dz_dag", "dzJ", "dz_dagJ")
 _MULTS = ("mul_z", "mul_z_dag", "mul_zJ", "mul_z_dagJ")
-_CARTANS = ("h_total", "h_diff", "h_spin")
+
+# Weight of each odd generator under (h_total, h_diff, h_spin), as a
+# commutator eigenvalue: [h, O] = w * O.
+CARTAN_ORDER = ("h_total", "h_diff", "h_spin")
+WEIGHT_LABELS = {
+    "mul_z": (1, 1, 1),
+    "mul_z_dag": (1, -1, -1),
+    "dz": (-1, -1, -1),
+    "dz_dag": (-1, 1, 1),
+    "mul_zJ": (1, 1, -1),
+    "mul_z_dagJ": (1, -1, 1),
+    "dzJ": (-1, -1, 1),
+    "dz_dagJ": (-1, 1, -1),
+}
 
 
 def _build_rules():
@@ -143,53 +160,30 @@ def _build_rules():
         _r(g0, "comm", "curlyE_dag", "Q"),
     ]
 
-    # between g0 and g1: one signed copy of the same derivative, or a swap
-    g01 = "g0-g1"
-    rows = {
-        "h_total": (-1, -1, -1, -1),
-        "h_diff": (-1, 1, -1, 1),
-        "h_spin": (-1, 1, 1, -1),
-    }
-    for h, signs in rows.items():
-        for d, sgn in zip(_DERIVS, signs):
-            rules.append(_r(g01, "comm", h, d, (sgn, 0, d)))
-    swaps = {
-        "curlyE": ((-1, "dz_dagJ"), None, (1, "dz_dag"), None),
-        "curlyE_dag": (None, (1, "dzJ"), None, (-1, "dz")),
-        "P": ((-1, "dzJ"), None, None, (1, "dz_dag")),
-        "Q": (None, (1, "dz_dagJ"), (-1, "dz"), None),
-    }
-    for h, row in swaps.items():
-        for d, entry in zip(_DERIVS, row):
-            if entry is None:
-                rules.append(_r(g01, "comm", h, d))
-            else:
-                sgn, name = entry
-                rules.append(_r(g01, "comm", h, d, (sgn, 0, name)))
-
-    # between g0 and g-1
-    g0m1 = "g0-g-1"
-    rows = {
-        "h_total": (1, 1, 1, 1),
-        "h_diff": (1, -1, 1, -1),
-        "h_spin": (1, -1, -1, 1),
-    }
-    for h, signs in rows.items():
-        for v, sgn in zip(_MULTS, signs):
-            rules.append(_r(g0m1, "comm", h, v, (sgn, 0, v)))
-    swaps = {
-        "curlyE": (None, (-1, "mul_zJ"), None, (1, "mul_z")),
-        "curlyE_dag": ((1, "mul_z_dagJ"), None, (-1, "mul_z_dag"), None),
-        "P": (None, (-1, "mul_z_dagJ"), (1, "mul_z"), None),
-        "Q": ((1, "mul_zJ"), None, None, (-1, "mul_z_dag")),
-    }
-    for h, row in swaps.items():
-        for v, entry in zip(_MULTS, row):
-            if entry is None:
-                rules.append(_r(g0m1, "comm", h, v))
-            else:
-                sgn, name = entry
-                rules.append(_r(g0m1, "comm", h, v, (sgn, 0, name)))
+    # between g0 and g+-1: each Cartan element scales a generator by its
+    # weight, the other four elements swap generators or commute
+    blocks = (
+        ("g0-g1", _DERIVS, {
+            "curlyE": ((-1, "dz_dagJ"), None, (1, "dz_dag"), None),
+            "curlyE_dag": (None, (1, "dzJ"), None, (-1, "dz")),
+            "P": ((-1, "dzJ"), None, None, (1, "dz_dag")),
+            "Q": (None, (1, "dz_dagJ"), (-1, "dz"), None),
+        }),
+        ("g0-g-1", _MULTS, {
+            "curlyE": (None, (-1, "mul_zJ"), None, (1, "mul_z")),
+            "curlyE_dag": ((1, "mul_z_dagJ"), None, (-1, "mul_z_dag"), None),
+            "P": (None, (-1, "mul_z_dagJ"), (1, "mul_z"), None),
+            "Q": ((1, "mul_zJ"), None, None, (-1, "mul_z_dag")),
+        }),
+    )
+    for block, gens, swaps in blocks:
+        for i, h in enumerate(CARTAN_ORDER):
+            for g in gens:
+                rules.append(_r(block, "comm", h, g, (WEIGHT_LABELS[g][i], 0, g)))
+        for h, row in swaps.items():
+            for g, entry in zip(gens, row):
+                rhs = [] if entry is None else [(entry[0], 0, entry[1])]
+                rules.append(_r(block, "comm", h, g, *rhs))
 
     # between g0 and g+-2
     g02 = "g0-g2"
@@ -305,23 +299,9 @@ for _rule in RULES:
     RULE_INDEX[_rule.rule_id] = _rule
 
 
-# Weight of each odd generator under (h_total, h_diff, h_spin), as a
-# commutator eigenvalue: [h, O] = w * O.
-CARTAN_ORDER = _CARTANS
-WEIGHT_LABELS = {
-    "mul_z": (1, 1, 1),
-    "mul_z_dag": (1, -1, -1),
-    "dz": (-1, -1, -1),
-    "dz_dag": (-1, 1, 1),
-    "mul_zJ": (1, 1, -1),
-    "mul_z_dagJ": (1, -1, 1),
-    "dzJ": (-1, -1, 1),
-    "dz_dagJ": (-1, 1, -1),
-}
-
-
 # The Euclidean five-grading on R^(4p): mul_X and dirac are the odd
 # generators, laplace and mul_r2 span the ends, h_total = Euler + 2p.
+# Identities already in RULES are named by id, not restated.
 EUCLIDEAN_RULES = [
     _r("osp12", "acomm", "mul_X", "mul_X", (-2, 0, "mul_r2")),
     _r("osp12", "acomm", "dirac", "dirac", (-2, 0, "laplace")),
@@ -333,7 +313,7 @@ EUCLIDEAN_RULES = [
     _r("osp12", "comm", "laplace", "mul_X", (2, 0, "dirac")),
     _r("osp12", "comm", "mul_X", "mul_r2"),
     _r("osp12", "comm", "dirac", "laplace"),
-    _r("osp12", "comm", "laplace", "mul_r2", (4, 0, "h_total")),
+    RULE_INDEX["g2-g-2:laplace,mul_r2"],
 ]
 
 # The hermitian system on the same space read with n = 2p complex
@@ -344,25 +324,20 @@ HERMITIAN_RULES = [
     _r("sl12", "comm", "beta", "mul_z_dag", (1, 0, "mul_z_dag")),
     _r("sl12", "comm", "beta", "dz", (1, 0, "dz")),
     _r("sl12", "comm", "beta", "dz_dag", (-1, 0, "dz_dag")),
-    _r("sl12", "acomm", "dz", "mul_z", (1, 0, "E_z"), (1, 0, "beta")),
-    _r("sl12", "acomm", "dz_dag", "mul_z_dag",
-       (1, 0, "E_z_dag"), (0, 2, "id"), (-1, 0, "beta")),
-    _r("sl12", "acomm", "dz", "mul_z_dag"),
-    _r("sl12", "acomm", "dz_dag", "mul_z"),
-    _r("sl12", "acomm", "mul_z", "mul_z_dag", (1, 0, "mul_r2")),
-    _r("sl12", "acomm", "dz", "dz_dag", (Fraction(1, 4), 0, "laplace")),
-    _r("sl12", "acomm", "mul_z", "mul_z"),
-    _r("sl12", "acomm", "mul_z_dag", "mul_z_dag"),
-    _r("sl12", "acomm", "dz", "dz"),
-    _r("sl12", "acomm", "dz_dag", "dz_dag"),
+    *(RULE_INDEX[rule_id] for rule_id in (
+        "g1-g-1:dz,mul_z", "g1-g-1:dz_dag,mul_z_dag",
+        "g1-g-1:dz,mul_z_dag", "g1-g-1:dz_dag,mul_z",
+        "within-g-1:mul_z,mul_z_dag", "within-g1:dz,dz_dag",
+        "within-g-1:mul_z,mul_z", "within-g-1:mul_z_dag,mul_z_dag",
+        "within-g1:dz,dz", "within-g1:dz_dag,dz_dag")),
     _r("sl12", "comm", "h_herm", "mul_z", (1, 0, "mul_z")),
     _r("sl12", "comm", "h_herm", "mul_z_dag", (-1, 0, "mul_z_dag")),
     _r("sl12", "comm", "h_herm", "dz", (-1, 0, "dz")),
     _r("sl12", "comm", "h_herm", "dz_dag", (1, 0, "dz_dag")),
     _r("sl12", "comm", "h_herm", "mul_r2"),
     _r("sl12", "comm", "h_herm", "laplace"),
-    _r("sl12", "comm", "h_total", "mul_r2", (2, 0, "mul_r2")),
-    _r("sl12", "comm", "h_total", "laplace", (-2, 0, "laplace")),
+    RULE_INDEX["g0-g2:h_total,mul_r2"],
+    RULE_INDEX["g0-g2:h_total,laplace"],
     _r("sl12", "comm", "h_herm", "h_total"),
 ]
 
@@ -439,7 +414,9 @@ def _table_block_job(args):
 def _worker_count(workers):
     if workers is None:
         workers = env_int("QUATCLIFF_WORKERS", 1)
-    return max(1, workers)
+    if not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    return workers
 
 
 def verify_table(p, max_total_degree, workers=None):
@@ -470,18 +447,29 @@ def verify_table(p, max_total_degree, workers=None):
 
 # ---------------------------------------------------- sl(2) triple checks
 
-# (h, e, f) with optional rational scalings on e and f.
+# Rule ids of [e, f], [h, e] and [h, f] for each triple (h, e, f).  The
+# radial triple is (h_total, mul_r2/2, -laplace/2); its identities are
+# these rules up to those scalings.
 SL2_TRIPLES = {
-    "radial": (("h_total", 1), ("mul_r2", Fraction(1, 2)), ("laplace", Fraction(-1, 2))),
-    "cell": (("h_spin", 1), ("P", 1), ("Q", 1)),
-    "twist": (("h_diff", 1), ("curlyE", 1), ("curlyE_dag", 1)),
+    "radial": ("g2-g-2:laplace,mul_r2", "g0-g2:h_total,mul_r2",
+               "g0-g2:h_total,laplace"),
+    "cell": ("within-g0:P,Q", "within-g0:h_spin,P", "within-g0:h_spin,Q"),
+    "twist": ("within-g0:curlyE,curlyE_dag", "within-g0:h_diff,curlyE",
+              "within-g0:h_diff,curlyE_dag"),
 }
 
 
-def _apply_scaled(pair, F, cache):
-    name, c = pair
-    img = apply_cached(name, F, cache)
-    return img if c == 1 else img.scale(xs(Fraction(c)))
+def _triple_generators(tname):
+    _, he, hf = (RULE_INDEX[rule_id] for rule_id in SL2_TRIPLES[tname])
+    return he.left, he.right, hf.right
+
+
+def _commuting_rule(x, y):
+    """The zero-rhs rule of the table on the unordered pair {x, y}."""
+    for rule in RULE_INDEX.values():
+        if not rule.rhs and {rule.left, rule.right} == {x, y}:
+            return rule
+    raise KeyError(f"no commuting rule for {x}, {y}")
 
 
 def verify_sl2_triples(p, a, b):
@@ -489,47 +477,26 @@ def verify_sl2_triples(p, a, b):
 
     Per triple: [e, f] = h, [h, e] = 2e, [h, f] = -2f.  Across triples:
     every generator of one commutes with every generator of another.
+    Each identity is the rule of RULES that states it.
     """
     basis = space_basis(p, a, b)
     cache = {}
+
+    def holds(rule):
+        return verify_bracket(rule, p, a, b, cache=cache, basis=basis).passed
+
     triples = {}
-    for tname, (hp, ep, fp) in SL2_TRIPLES.items():
-        checks = {"[e,f]=h": True, "[h,e]=2e": True, "[h,f]=-2f": True}
-        for F in basis:
-            eF = _apply_scaled(ep, F, cache)
-            fF = _apply_scaled(fp, F, cache)
-            hF = _apply_scaled(hp, F, cache)
-            ef = _apply_scaled(ep, fF, cache) - _apply_scaled(fp, eF, cache)
-            if (ef - hF).terms:
-                checks["[e,f]=h"] = False
-            he = _apply_scaled(hp, eF, cache) - _apply_scaled(ep, hF, cache)
-            if (he - eF.scale(xs(2))).terms:
-                checks["[h,e]=2e"] = False
-            hf = _apply_scaled(hp, fF, cache) - _apply_scaled(fp, hF, cache)
-            if (hf + fF.scale(xs(2))).terms:
-                checks["[h,f]=-2f"] = False
-        triples[tname] = checks
+    for tname, rule_ids in SL2_TRIPLES.items():
+        triples[tname] = {label: holds(rule_id) for label, rule_id
+                          in zip(("[e,f]=h", "[h,e]=2e", "[h,f]=-2f"), rule_ids)}
 
     names = sorted(SL2_TRIPLES)
     cross = {}
     for i, t1 in enumerate(names):
         for t2 in names[i + 1:]:
-            ok = True
-            gens1 = [pair[0] for pair in SL2_TRIPLES[t1]]
-            gens2 = [pair[0] for pair in SL2_TRIPLES[t2]]
-            for x in gens1:
-                for y in gens2:
-                    for F in basis:
-                        xy = apply_cached(x, apply_cached(y, F, cache), cache)
-                        yx = apply_cached(y, apply_cached(x, F, cache), cache)
-                        if (xy - yx).terms:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            cross[f"{t1}|{t2}"] = ok
+            cross[f"{t1}|{t2}"] = all(
+                holds(_commuting_rule(x, y))
+                for x in _triple_generators(t1) for y in _triple_generators(t2))
 
     passed = all(all(c.values()) for c in triples.values()) and all(cross.values())
     return {"p": p, "a": a, "b": b, "triples": triples, "cross": cross,
@@ -650,47 +617,35 @@ def verify_osp12_and_sl12(p, a, b):
 
 # ----------------------------------------------------- q-monogenic kernels
 
-@cache
-def qmonogenic_kernel(p, a, b):
-    """Canonical basis of Ker(dz, dz_dag, dzJ, dz_dagJ) inside P_{a,b} x S."""
-    return joint_kernel(_DERIVS, space_basis(p, a, b))
-
-
 def verify_qmonogenic_stability(p, a, b):
     """Images of the joint kernel under curlyE, curlyE_dag, P, Q stay in
     the joint kernel (at the shifted bidegree for the first two)."""
-    kernel = qmonogenic_kernel(p, a, b)
+    kernel = qmonogenic_space(p, a, b)
     moves = {"curlyE": (a + 1, b - 1), "curlyE_dag": (a - 1, b + 1),
              "P": (a, b), "Q": (a, b)}
     ops = {}
-    solvers = {}   # one factorisation per target bidegree (P and Q share one)
     passed = True
     for name, (ta, tb) in moves.items():
         violations = []
-        for v in kernel:
+        for v in kernel.vectors:
             img = apply(name, v)
             if not img.terms:
                 continue
-            target = (ta, tb) if ta >= 0 and tb >= 0 else None
-            if target is not None and target not in solvers:
-                solvers[target] = linalg.Solver(
-                    [w.terms for w in qmonogenic_kernel(p, ta, tb)])
-            if target is None or solvers[target].solve(img.terms) is None:
+            if ta < 0 or tb < 0 or not qmonogenic_space(p, ta, tb).contains(img):
                 violations.append({"basis": str(v)})
                 break
         ok = not violations
         passed = passed and ok
         ops[name] = {"ok": ok, "violations": violations,
                      "target_bidegree": [ta, tb]}
-    return {"p": p, "a": a, "b": b, "kernel_dim": len(kernel),
+    return {"p": p, "a": a, "b": b, "kernel_dim": kernel.dim,
             "operators": ops, "passed": passed}
 
 
 def verify_qmonogenic_equivalence(p, a, b):
     """The joint kernel of the four rotated Dirac operators equals the
     joint kernel of the four complex derivative operators, as subspaces."""
-    basis = space_basis(p, a, b)
-    dirac = joint_kernel(("dirac", "dirac_I", "dirac_J", "dirac_K"), basis)
-    deriv = joint_kernel(_DERIVS, basis)
-    return {"p": p, "a": a, "b": b, "dim": len(deriv),
-            "passed": dirac == deriv}
+    dirac = kernel_space(("dirac", "dirac_I", "dirac_J", "dirac_K"), p, a, b)
+    deriv = qmonogenic_space(p, a, b)
+    return {"p": p, "a": a, "b": b, "dim": deriv.dim,
+            "passed": dirac.vectors == deriv.vectors}

@@ -13,21 +13,14 @@ when integral; they compare and hash equal to the int.  Plain Gaussian
 numbers (br = bi = 0) cover almost everything; the sqrt2 part only shows up
 in spin group elements.
 
-The rational type Rat is detected at import: gmpy2.mpq (a compiled GMP
-core) when gmpy2 is importable, stdlib fractions.Fraction otherwise.  The
-two give identical results everywhere; BACKEND_NAME says which is active.
+The rationals are stdlib fractions.Fraction; BACKEND_NAME names them.
 """
 
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as Rat
-    BACKEND_NAME = "gmpy2"
-except ImportError:
-    Rat = Fraction
-    BACKEND_NAME = "fraction"
+BACKEND_NAME = "fraction"
 
-_RATIONALS = (int, Fraction, Rat)
+_RATIONALS = (int, Fraction)
 
 
 def _integral(q):
@@ -37,19 +30,19 @@ def _integral(q):
 
 def _div(x, y):
     """x / y exactly, as an int when the quotient is integral."""
-    return _integral(Rat(x) / y)
+    return _integral(Fraction(x) / y)
 
 
 def to_rat(x):
-    """Coerce an int, Fraction, mpq or 'num/den' string to an exact rational:
-    a plain int when integral, a backend rational otherwise."""
+    """Coerce an int, Fraction or 'num/den' string to an exact rational:
+    a plain int when integral, a Fraction otherwise."""
     if type(x) is int:
         return x
     if isinstance(x, str):
         num, _, den = x.partition("/")
-        x = Rat(int(num), int(den or 1))
+        x = Fraction(int(num), int(den or 1))
     elif not isinstance(x, int):
-        x = Rat(x)
+        x = Fraction(x)
     return _integral(x)
 
 
@@ -72,7 +65,7 @@ class ExtendedScalar:
 
     @classmethod
     def _raw(cls, ar, ai, br, bi):
-        # bypasses coercion; callers guarantee ints or backend rationals
+        # bypasses coercion; callers guarantee ints or Fractions
         self = object.__new__(cls)
         self.ar = ar
         self.ai = ai
@@ -171,11 +164,6 @@ class ExtendedScalar:
     def __hash__(self):
         return hash((self.ar, self.ai, self.br, self.bi))
 
-    def __reduce__(self):
-        # string round-trip keeps pickles portable across rational backends
-        return (_unpickle_scalar, (rat_str(self.ar), rat_str(self.ai),
-                                   rat_str(self.br), rat_str(self.bi)))
-
     def __str__(self):
         parts = []
         for q, tag in ((self.ar, ""), (self.ai, "i"), (self.br, "s2"), (self.bi, "i*s2")):
@@ -211,10 +199,6 @@ def _integral_scalar(ar, ai, br, bi):
                                _integral(br), _integral(bi))
 
 
-def _unpickle_scalar(ar, ai, br, bi):
-    return ExtendedScalar(to_rat(ar), to_rat(ai), to_rat(br), to_rat(bi))
-
-
 XS_ZERO = ExtendedScalar._raw(0, 0, 0, 0)
 XS_ONE = ExtendedScalar._raw(1, 0, 0, 0)
 XS_I = ExtendedScalar._raw(0, 1, 0, 0)
@@ -222,5 +206,5 @@ XS_SQRT2 = ExtendedScalar._raw(0, 0, 1, 0)
 
 
 def xs(ar=0, ai=0, br=0, bi=0):
-    """Shorthand constructor; accepts ints, Fractions, backend rationals, 'n/d' strings."""
+    """Shorthand constructor; accepts ints, Fractions and 'n/d' strings."""
     return ExtendedScalar(ar, ai, br, bi)

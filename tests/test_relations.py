@@ -10,8 +10,8 @@ import pytest
 
 from quatcliff import relations
 from quatcliff.operators import REGISTRY
-from quatcliff.relations import (EUCLIDEAN_RULES, HERMITIAN_RULES, RULES,
-                                 SL2_TRIPLES, bidegrees_up_to,
+from quatcliff.relations import (EUCLIDEAN_RULES, HERMITIAN_RULES, RULE_INDEX,
+                                 RULES, SL2_TRIPLES, bidegrees_up_to,
                                  cartan_weight_report,
                                  rules_parity_consistent, verify_osp12_and_sl12,
                                  verify_qmonogenic_equivalence,
@@ -43,6 +43,19 @@ def test_sub_table_sizes():
         assert rule.kind in ("comm", "acomm")
 
 
+def test_each_identity_is_stated_once():
+    # a rule set shares an identity with RULES by naming its entry, so no
+    # two distinct rule objects bracket the same pair of operators
+    seen = {}
+    restated = []
+    for rule in list(RULES) + list(EUCLIDEAN_RULES) + list(HERMITIAN_RULES):
+        key = (frozenset((rule.left, rule.right)), rule.kind)
+        first = seen.setdefault(key, rule)
+        if first is not rule:
+            restated.append((first.rule_id, rule.rule_id))
+    assert restated == []
+
+
 def test_bidegree_grid():
     grid = bidegrees_up_to(2)
     assert grid == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
@@ -66,6 +79,17 @@ def test_sl2_triples(p, a, b):
     out = verify_sl2_triples(p, a, b)
     assert out["passed"], out
     assert set(out["triples"]) == set(SL2_TRIPLES)
+
+
+def test_sl2_triples_read_the_rule_table(monkeypatch):
+    rule = RULE_INDEX["within-g0:P,Q"]
+    wrong = relations.BracketRule(rule.rule_id, rule.block, rule.kind,
+                                  rule.left, rule.right, ((2, 0, "h_spin"),))
+    monkeypatch.setitem(RULE_INDEX, rule.rule_id, wrong)
+    out = verify_sl2_triples(1, 1, 1)
+    assert out["triples"]["cell"]["[e,f]=h"] is False
+    assert out["triples"]["cell"]["[h,e]=2e"] is True
+    assert not out["passed"]
 
 
 @pytest.mark.parametrize("p,a,b", [(1, 1, 1), (2, 1, 0)])
@@ -92,6 +116,17 @@ def test_qmonogenic_equivalence(p, a, b):
     assert out["passed"], out
 
 
+def test_every_rule_renders():
+    rules = list(RULES) + list(EUCLIDEAN_RULES) + list(HERMITIAN_RULES)
+    rendered = {rule.rule_id: rule.rendered() for rule in rules}
+    assert rendered["within-g0:h_diff,curlyE"] == "[h_diff, curlyE] = +2curlyE"
+    assert rendered["within-g1:dz,dz_dag"] == "{dz, dz_dag} = +1/4laplace"
+    assert rendered["g1-g-1:dz_dag,mul_z_dag"] == (
+        "{dz_dag, mul_z_dag} = +E_z_dag +2p1 -beta")
+    assert rendered["osp12:mul_X,dirac"] == (
+        "{mul_X, dirac} = -2E_z -2E_z_dag -4p1")
+
+
 def test_witness_on_forced_failure():
     # a deliberately wrong rule must fail with a concrete witness
     wrong = relations.BracketRule("test/wrong", "g1", "acomm", "dz",
@@ -105,3 +140,6 @@ def test_worker_env_must_be_a_positive_integer(monkeypatch):
     monkeypatch.setenv("QUATCLIFF_WORKERS", "abc")
     with pytest.raises(ValueError):
         verify_table(1, 0)
+    monkeypatch.delenv("QUATCLIFF_WORKERS")
+    with pytest.raises(ValueError):
+        verify_table(1, 0, workers=0)
