@@ -522,10 +522,10 @@ def main(argv=None):
                                checks=CHECK_NAMES, output=args.json_path)
             bundle = run(config)
         elif args.command == "decompose":
+            cap = RunConfig(p=args.p).validate().dim_cap
             with open(args.input) as fh:
                 data = json.load(fh)
             F = parse_polynomial(data, n=2 * args.p)
-            cap = env_int("QUATCLIFF_DIM_CAP", DEFAULT_DIM_CAP)
             for A, B in F.bidegrees():
                 needed = poly_dim(args.p, A, B) * 4 ** args.p
                 if needed > cap:

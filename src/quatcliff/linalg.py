@@ -5,12 +5,22 @@ ExtendedScalars.  Everything here is small and dense enough (a few hundred
 rows) that straightforward Gauss-Jordan with exact field inverses is fine;
 no pivoting heuristics are needed because there is no roundoff.
 
-There is one elimination loop, `_eliminate`.  `rref` (and through it
-`rank` and `nullspace`) runs it on bare rows.  `Solver` runs it once on a
-basis with the identity over the term keys as augmented part, keeping a
-left inverse and the consistency checks, so each later `solve` is a
-sparse product; `solve_many` and `solve_in_span` are one `Solver` replayed
-on their targets.
+There is one exact elimination loop, `_eliminate`.  `rref` (and through
+it `nullspace`) runs it on bare rows.  `Solver` runs it once on a basis
+with the identity over the term keys as augmented part, keeping a left
+inverse and the consistency checks, so each later `solve` is a sparse
+product; `solve_many` and `solve_in_span` are one `Solver` replayed on
+their targets.
+
+`rank` first tries a rank-only certificate modulo the prime _Q: it maps
+every entry to F_q by i -> zeta**2, sqrt2 -> zeta + 1/zeta (zeta a
+primitive 8th root of unity mod _Q) and rationals num/den -> num * den**-1.
+That is a ring map on Z[1/d][i, sqrt2] when _Q does not divide d, so every
+minor of the image is the image of a minor of the exact rows, and
+    rank mod q <= exact rank <= min(rows, distinct keys).
+When the image reaches that bound, the bound is the exact rank.  Any other
+outcome (a smaller rank mod q, or a denominator divisible by _Q) falls
+back to `rref`, so every rank `rank` returns is exact.
 """
 
 from .scalars import XS_ZERO, XS_ONE
@@ -87,8 +97,79 @@ def rref(rows, key_order=None):
     return [row for _, row in pivots], [key for key, _ in pivots]
 
 
-def rank(rows, key_order=None):
-    return len(rref(rows, key_order)[0])
+def rank(rows):
+    """Exact rank of the span of `rows`: certified modulo _Q when the
+    image there has the largest rank the shape allows, else from `rref`."""
+    rows = [r for r in rows if r]
+    certified = _certified_rank(rows)
+    return len(rref(rows)[0]) if certified is None else certified
+
+
+# _Q = 2**61 + 57 is prime and 1 mod 8; _ZETA is a primitive 8th root of
+# unity mod _Q, so _I_Q**2 = -1 and _SQRT2_Q**2 = 2 there.
+_Q = 2305843009213694009
+_ZETA = 295966784213466425
+_I_Q = _ZETA * _ZETA % _Q
+_SQRT2_Q = (_ZETA + pow(_ZETA, -1, _Q)) % _Q
+
+
+def _mod_q(c):
+    """Image of the scalar c in F_q, or None when _Q divides a
+    denominator of c."""
+    ar, ai, br, bi = c.ar, c.ai, c.br, c.bi
+    if type(ar) is int and type(ai) is int and not (br or bi):
+        return (ar + ai * _I_Q) % _Q
+    parts = []
+    for x in (ar, ai, br, bi):
+        if type(x) is not int:
+            d = x.denominator % _Q
+            if not d:
+                return None
+            x = x.numerator * pow(d, -1, _Q)
+        parts.append(x)
+    ar, ai, br, bi = parts
+    return (ar + ai * _I_Q + (br + bi * _I_Q) * _SQRT2_Q) % _Q
+
+
+def _certified_rank(rows):
+    """min(rows, distinct keys) when the image of the nonzero `rows` in
+    F_q has that rank, so the exact rank does too; None otherwise.
+
+    Each row is reduced against the pivot rows found so far, and what is
+    left pivots on its smallest key.  Gives up as soon as the rows left
+    cannot reach the bound, or on an entry with no image.
+    """
+    keys = sorted({k for r in rows for k in r})
+    index = {k: i for i, k in enumerate(keys)}
+    bound = min(len(rows), len(keys))
+    pivots = {}   # key -> row with 1 at key and no smaller key
+    for done, row in enumerate(rows):
+        if len(pivots) == bound:
+            break
+        if len(pivots) + len(rows) - done < bound:
+            return None
+        r = {}
+        for k, c in row.items():
+            v = _mod_q(c)
+            if v is None:
+                return None
+            if v:
+                r[index[k]] = v
+        while r:
+            key = min(r)
+            prow = pivots.get(key)
+            if prow is None:
+                inv = pow(r[key], -1, _Q)
+                pivots[key] = {k: v * inv % _Q for k, v in r.items()}
+                break
+            c = r[key]
+            for k, v in prow.items():
+                s = (r.get(k, 0) - c * v) % _Q
+                if s:
+                    r[k] = s
+                else:
+                    r.pop(k, None)
+    return bound if len(pivots) == bound else None
 
 
 def nullspace(images):

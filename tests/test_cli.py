@@ -233,6 +233,18 @@ def test_decompose_honours_dim_cap(tmp_path, monkeypatch, degree, code):
     assert out.exists() == (code == 0)
 
 
+@pytest.mark.parametrize("p", ["0", "-1", "5"])
+def test_decompose_rejects_p_out_of_range(tmp_path, capsys, p):
+    inp = tmp_path / "in.json"
+    out = tmp_path / "out.json"
+    inp.write_text(json.dumps([]))
+    rc = cli.main(["decompose", "--p", p, "--input", str(inp),
+                   "--output", str(out)])
+    assert rc == 2
+    assert "error: p must be an integer in 1..3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_decompose_bad_schema_exits_2(tmp_path):
     inp = tmp_path / "in.json"
     inp.write_text(json.dumps([{"alpha": [1], "beta": "no"}]))

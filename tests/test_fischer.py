@@ -346,6 +346,14 @@ def test_graded_tiling_p2_degree4():
             == 1600)
 
 
+def test_graded_tiling_p3_degree2():
+    out = fi.graded_tiling_check(3, 2)
+    assert out["passed"], out
+    assert [(e["a"], e["b"], e["sum_of_dims"], e["union_rank"])
+            for e in out["per_bidegree"]] == [
+        (2, 0, 1344, 1344), (1, 1, 2304, 2304), (0, 2, 1344, 1344)]
+
+
 @pytest.mark.parametrize("a,b", [(a, t - a) for t in range(5)
                                  for a in range(t, -1, -1) if a >= t - a])
 def test_sixteen_piece_tiling_p2_up_to_degree4(a, b):

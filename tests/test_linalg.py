@@ -1,9 +1,11 @@
 """Exact sparse linear algebra over the scalar field."""
 
+from fractions import Fraction
+
 from hypothesis import example, given, settings, strategies as st
 
 from quatcliff import linalg
-from quatcliff.scalars import XS_ONE, XS_ZERO, xs
+from quatcliff.scalars import XS_ONE, XS_ZERO, ExtendedScalar, xs
 
 small = st.integers(min_value=-4, max_value=4)
 
@@ -23,6 +25,31 @@ def vectors(n_keys=5, max_terms=4):
 
 def vector_lists(max_len=4):
     return st.lists(vectors(), min_size=0, max_size=max_len)
+
+
+components = st.one_of(small, st.builds(
+    Fraction, small, st.integers(min_value=1, max_value=5)))
+
+
+@st.composite
+def field_rows(draw):
+    """Rows over keys 0..4 with Fraction and sqrt2 components, made
+    rank-deficient by appending combinations of earlier rows."""
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        row = {}
+        for key in draw(st.lists(st.integers(0, 4), max_size=4)):
+            c = ExtendedScalar(*(draw(components) for _ in range(4)))
+            if c:
+                linalg.axpy(row, {key: c}, XS_ONE)
+        rows.append(row)
+    for _ in range(draw(st.integers(0, 3))):
+        combo = {}
+        for row in rows:
+            linalg.axpy(combo, row, ExtendedScalar(
+                *(draw(components) for _ in range(4))))
+        rows.append(combo)
+    return rows
 
 
 def test_axpy_cancels_to_empty():
@@ -50,8 +77,9 @@ def test_rref_depends_only_on_span(rows_a, extra):
     assert base == again
 
 
-@given(vector_lists())
-@settings(max_examples=40)
+@given(field_rows())
+@example([{0: xs(0, 0, 1), 1: xs(2)}, {0: xs(1), 1: xs(0, 0, 1)}])
+@settings(max_examples=80)
 def test_rank_vs_rref(rows):
     reduced, pivots = linalg.rref(rows)
     assert linalg.rank(rows) == len(reduced) == len(pivots)
@@ -192,3 +220,59 @@ def test_solver_matches_reference(system):
     assert [solver.solve(t) for t in targets] == expected
     assert linalg.solve_many(basis, targets) == expected
     assert [linalg.solve_in_span(basis, t) for t in targets] == expected
+
+
+# ------------------------------------------------ rank certificate mod q
+
+Q = linalg._Q
+
+
+def is_prime(n):
+    """Miller-Rabin on the first 13 prime bases: exact below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or n in bases:
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_modulus_is_a_prime_one_mod_eight():
+    assert is_prime(2 ** 61 - 1) and not is_prime(561)   # 561 = 3*11*17
+    assert is_prime(Q) and Q % 8 == 1
+
+
+def test_images_of_i_and_sqrt2():
+    assert pow(linalg._ZETA, 4, Q) == Q - 1
+    assert linalg._I_Q ** 2 % Q == Q - 1
+    assert linalg._SQRT2_Q ** 2 % Q == 2
+
+
+def test_mod_q_is_a_ring_map_on_the_basis():
+    i, s2 = xs(0, 1), xs(0, 0, 1)
+    assert linalg._mod_q(i * s2) == linalg._I_Q * linalg._SQRT2_Q % Q
+    assert linalg._mod_q(xs(Fraction(3, 7))) * 7 % Q == 3
+    assert linalg._mod_q(xs(Fraction(1, Q))) is None
+
+
+def test_rank_lost_mod_q_falls_back_to_exact():
+    rows = [{0: xs(1), 1: xs(1)}, {0: xs(1), 1: xs(1 + Q)}]
+    assert linalg._certified_rank(rows) is None
+    assert linalg.rank(rows) == 2
+
+
+def test_denominator_divisible_by_q_falls_back_to_exact():
+    rows = [{0: xs(Fraction(1, Q)), 1: xs(1)}, {1: xs(2)}]
+    assert linalg._certified_rank(rows) is None
+    assert linalg.rank(rows) == 2
