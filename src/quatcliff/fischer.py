@@ -190,8 +190,7 @@ def _power(name, k, F):
 
 
 def _span_rank(vec_lists):
-    rows = [v.terms for vecs in vec_lists for v in vecs if v.terms]
-    return linalg.rank(rows) if rows else 0
+    return linalg.rank([v.terms for vecs in vec_lists for v in vecs])
 
 
 def _spans_equal(vecs1, vecs2):

@@ -116,11 +116,8 @@ _SQRT2_Q = (_ZETA + pow(_ZETA, -1, _Q)) % _Q
 def _mod_q(c):
     """Image of the scalar c in F_q, or None when _Q divides a
     denominator of c."""
-    ar, ai, br, bi = c.ar, c.ai, c.br, c.bi
-    if type(ar) is int and type(ai) is int and not (br or bi):
-        return (ar + ai * _I_Q) % _Q
     parts = []
-    for x in (ar, ai, br, bi):
+    for x in (c.ar, c.ai, c.br, c.bi):
         if type(x) is not int:
             d = x.denominator % _Q
             if not d:

@@ -77,7 +77,7 @@ def test_rref_depends_only_on_span(rows_a, extra):
     assert base == again
 
 
-@given(field_rows())
+@given(st.one_of(vector_lists(), field_rows()))
 @example([{0: xs(0, 0, 1), 1: xs(2)}, {0: xs(1), 1: xs(0, 0, 1)}])
 @settings(max_examples=80)
 def test_rank_vs_rref(rows):
