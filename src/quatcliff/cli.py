@@ -48,8 +48,9 @@ class RunConfig:
     `workers` and `dim_cap` default to the QUATCLIFF_WORKERS and
     QUATCLIFF_DIM_CAP environment variables; a value there that is not a
     positive integer raises ValueError.
-    `label_filter` narrows the degree grid to one (a, b[, r]) label; the
-    `fischer` subcommand uses it, programmatic callers may too.
+    `label_filter` narrows the degree grid to one (a, b[, r]) label, under
+    the same degree bound a + b <= 6; the `fischer` subcommand uses it,
+    programmatic callers may too.
     """
 
     __slots__ = ("p", "max_total_degree", "checks", "output", "workers",
@@ -91,6 +92,9 @@ class RunConfig:
             if not (isinstance(a, int) and a >= 0
                     and isinstance(b, int) and b >= 0):
                 raise ValueError("label_filter needs integer a >= 0, b >= 0")
+            if a + b > 6:
+                raise ValueError("label_filter a + b must be at most 6, "
+                                 f"got {a + b}")
             if r is not None and not (isinstance(r, int)
                                       and 0 <= r <= self.p):
                 raise ValueError(f"label_filter r must be in 0..{self.p}")
@@ -377,15 +381,20 @@ def run(config):
 
 # ---------------------------------------------------------------- JSON I/O
 
+def _is_int(x):
+    """An int that is not a bool (JSON true/false load as bools)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_polynomial(data, n=None):
     """Turn the JSON term list into a SpinorPolynomial.
 
     Schema: a list of {"alpha": [ints], "beta": [ints],
     "spinor": [1-based indices], "coeff": scalar object}, where the
     scalar object holds "num/den" strings (or integers) under the keys
-    a_re, a_im, b_re, b_im.  Violations raise ValueError naming the term
-    index and field.  An empty list gives the zero polynomial (of rank
-    `n` when provided).
+    a_re, a_im, b_re, b_im.  JSON true/false are not integers here.
+    Violations raise ValueError naming the term index and field.  An
+    empty list gives the zero polynomial (of rank `n` when provided).
     """
     if not isinstance(data, list):
         raise ValueError("polynomial JSON must be a list of term objects")
@@ -397,7 +406,7 @@ def parse_polynomial(data, n=None):
         for field in ("alpha", "beta"):
             val = item.get(field)
             if (not isinstance(val, list)
-                    or not all(isinstance(e, int) and e >= 0 for e in val)):
+                    or not all(_is_int(e) and e >= 0 for e in val)):
                 raise ValueError(f"{where}, field '{field}': expected a list "
                                  "of nonnegative integers")
         if n is None:
@@ -407,7 +416,7 @@ def parse_polynomial(data, n=None):
                              f"length {n}")
         spinor = item.get("spinor", [])
         if (not isinstance(spinor, list)
-                or not all(isinstance(k, int) and 1 <= k <= n
+                or not all(_is_int(k) and 1 <= k <= n
                            for k in spinor)
                 or len(set(spinor)) != len(spinor)):
             raise ValueError(f"{where}, field 'spinor': expected distinct "
@@ -420,7 +429,7 @@ def parse_polynomial(data, n=None):
             if key not in coeff:
                 raise ValueError(f"{where}, field 'coeff': missing '{key}'")
             val = coeff[key]
-            if not isinstance(val, (str, int)):
+            if not (isinstance(val, str) or _is_int(val)):
                 raise ValueError(f"{where}, field 'coeff.{key}': expected a "
                                  "\"num/den\" string or an integer")
         try:

@@ -617,11 +617,35 @@ def symplectic_harmonics_16_decomposition(p, a, b, r):
 # --------------------------------------------------- the full decomposition
 
 @cache
+def _piece_power(p, a, b, r, alpha, t, j, l):
+    """mul_r2^l Q^j curlyE_dag^t applied to each image vector of factor
+    alpha in piece_activity(p, a, b, r), as a tuple.
+
+    Each power is the next-shorter prefix with one more application, in
+    the literal order: curlyE_dag first, then Q, then mul_r2.  The cache
+    makes every prefix a one-time cost shared by all the targets whose
+    pieces extend it.
+    """
+    if l:
+        name, prefix = "mul_r2", (t, j, l - 1)
+    elif j:
+        name, prefix = "Q", (t, j - 1, 0)
+    elif t:
+        name, prefix = "curlyE_dag", (t - 1, 0, 0)
+    else:
+        return tuple(piece_activity(p, a, b, r)[alpha]["vecs"])
+    return tuple(apply(name, w)
+                 for w in _piece_power(p, a, b, r, alpha, *prefix))
+
+
+@cache
 def full_decomposition_pieces(p, A, B):
     """All pieces radial^l Q^j curlyE_dag^t (factor alpha) S-space that
     land in bidegree (A, B), with their vector lists, ordered by
     (l, j, t, alpha, r).
 
+    The vectors come from the power towers of `_piece_power`, so each
+    power of each piece is computed once however many targets use it.
     Pieces excluded by `piece_activity` (annihilated sources, the
     alpha 6 images that coincide with alpha 5) stay out of the list
     so the remaining pieces form a direct sum.
@@ -639,12 +663,8 @@ def full_decomposition_pieces(p, A, B):
                     for entry in activity:
                         if not entry["counted"]:
                             continue
-                        vecs = []
-                        for w0 in entry["vecs"]:
-                            w = _power("curlyE_dag", t, w0)
-                            w = _power("Q", j, w)
-                            w = _power("mul_r2", l, w)
-                            vecs.append(w)
+                        vecs = list(_piece_power(p, a, b, r, entry["alpha"],
+                                                 t, j, l))
                         labels = {"l": l, "j": j, "t": t,
                                   "alpha": entry["alpha"],
                                   "r": r, "a": a, "b": b}

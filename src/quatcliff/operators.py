@@ -1,10 +1,11 @@
 """The named operators acting on spinor-valued polynomials, as term tables.
 
 A base operator is a list of (coefficient, word); a word is a tuple of
-SpinorPolynomial moves (method name, argument) applied rightmost first,
-and witt.apply_terms sums coefficient * word(F).  A composite operator is
-an expression [(c0, c1, name), ...] meaning sum (c0 + c1*p) * name, the
+moves (a name of witt.KEY_MOVES, argument) applied rightmost first, and
+witt.apply_terms sums coefficient * word(F).  A composite operator is an
+expression [(c0, c1, name), ...] meaning sum (c0 + c1*p) * name, the
 format of the relation right-hand sides; c0 may be a Gaussian scalar.
+Its coefficients are formed once per (expression, p).
 The scalar move and the value move of a word commute; each word applies
 its scalar move first.  Conventions (k runs 1..n = 2p, j runs 1..p):
 
@@ -164,12 +165,11 @@ def apply_word(word, F):
     return F
 
 
-def apply_expression(expr, F, cache=None):
-    """Apply sum((c0 + c1*p) * op) given as [(c0, c1, name), ...].
-
-    With a `cache` each operator goes through apply_cached."""
-    p = F.n // 2
-    out = {}
+@cache
+def _expression_coefficients(expr, p):
+    """The (c0 + c1*p, name) pairs of an expression at p, zero ones left
+    out; `expr` is a tuple of (c0, c1, name)."""
+    out = []
     for c0, c1, name in expr:
         c = Fraction(c1) * p
         if isinstance(c0, ExtendedScalar):
@@ -177,8 +177,18 @@ def apply_expression(expr, F, cache=None):
         else:
             c = xs(Fraction(c0) + c)
         if c:
-            img = apply(name, F) if cache is None else apply_cached(name, F, cache)
-            linalg.axpy(out, img.terms, c)
+            out.append((c, name))
+    return tuple(out)
+
+
+def apply_expression(expr, F, cache=None):
+    """Apply sum((c0 + c1*p) * op) given as [(c0, c1, name), ...].
+
+    With a `cache` each operator goes through apply_cached."""
+    out = {}
+    for c, name in _expression_coefficients(tuple(expr), F.n // 2):
+        img = apply(name, F) if cache is None else apply_cached(name, F, cache)
+        linalg.axpy(out, img.terms, c)
     return SpinorPolynomial(F.n, out)
 
 

@@ -16,7 +16,7 @@ from math import comb
 
 from . import linalg
 from .scalars import ExtendedScalar, XS_ONE, xs
-from .witt import grade_masks, mask_sort_key, witt_move
+from .witt import KEY_MOVES, grade_masks, mask_sort_key
 
 
 def term_sort_key(key):
@@ -119,68 +119,40 @@ class SpinorPolynomial:
 
     # ---------------------------------------------------- primitive moves
 
-    def mul_z_var(self, k):
-        """Multiply by z_k (1-based)."""
-        i = k - 1
+    def _move(self, move, arg):
+        """The image of every term under one key move of witt.KEY_MOVES."""
         out = {}
-        for (a, b, m), c in self.terms.items():
-            a2 = a[:i] + (a[i] + 1,) + a[i + 1:]
-            out[(a2, b, m)] = c
+        for key, c in self.terms.items():
+            hit = move(key, arg)
+            if hit is not None:
+                out[hit[0]] = c * hit[1]
         return SpinorPolynomial(self.n, out)
 
+    def mul_z_var(self, k):
+        """Multiply by z_k (1-based)."""
+        return self._move(KEY_MOVES["mul_z_var"], k)
+
     def mul_zbar_var(self, k):
-        i = k - 1
-        out = {}
-        for (a, b, m), c in self.terms.items():
-            b2 = b[:i] + (b[i] + 1,) + b[i + 1:]
-            out[(a, b2, m)] = c
-        return SpinorPolynomial(self.n, out)
+        return self._move(KEY_MOVES["mul_zbar_var"], k)
 
     def diff_z(self, k):
         """d/dz_k."""
-        i = k - 1
-        out = {}
-        for (a, b, m), c in self.terms.items():
-            e = a[i]
-            if e:
-                a2 = a[:i] + (e - 1,) + a[i + 1:]
-                out[(a2, b, m)] = c * e
-        return SpinorPolynomial(self.n, out)
+        return self._move(KEY_MOVES["diff_z"], k)
 
     def diff_zbar(self, k):
-        i = k - 1
-        out = {}
-        for (a, b, m), c in self.terms.items():
-            e = b[i]
-            if e:
-                b2 = b[:i] + (e - 1,) + b[i + 1:]
-                out[(a, b2, m)] = c * e
-        return SpinorPolynomial(self.n, out)
+        return self._move(KEY_MOVES["diff_zbar"], k)
 
     def wedge(self, k):
         """Left multiplication of the value by fdag_k."""
-        return self._witt_move(k, True)
+        return self._move(KEY_MOVES["wedge"], k)
 
     def contract(self, k):
         """Left multiplication of the value by f_k."""
-        return self._witt_move(k, False)
-
-    def _witt_move(self, k, dagger):
-        out = {}
-        for (a, b, m), c in self.terms.items():
-            hit = witt_move(m, k, dagger)
-            if hit is not None:
-                out[(a, b, hit[0])] = -c if hit[1] else c
-        return SpinorPolynomial(self.n, out)
+        return self._move(KEY_MOVES["contract"], k)
 
     def scale_by_euler(self, which):
         """Multiply each term by its z-degree ('z') or zbar-degree ('zbar')."""
-        out = {}
-        for key, c in self.terms.items():
-            d = sum(key[0]) if which == "z" else sum(key[1])
-            if d:
-                out[key] = c * d
-        return SpinorPolynomial(self.n, out)
+        return self._move(KEY_MOVES["scale_by_euler"], which)
 
     # ------------------------------------------------------- serialisation
 

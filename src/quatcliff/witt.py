@@ -13,9 +13,17 @@ f_k a signed contraction, both with sign (-1)^(number of indices in A below
 k) (witt_move); WittFrame.to_clifford plus the full algebra in clifford.py
 serves as the oracle for these rules in the tests.
 
+Each of the seven primitive moves (multiplication by z_k or zbar_k, d/dz_k,
+d/dzbar_k, fdag_k, f_k and the Euler scalings) is written once, in
+KEY_MOVES, as a map on a single term key: (key, arg) -> (key', integer
+factor), or None when the image is zero.  The SpinorPolynomial move
+methods loop over a polynomial's terms with these maps.
+
 An operator is a term table: a list of (coefficient, word), where a word is
-a tuple of moves (method name, argument) applied rightmost first, and
-apply_terms sums coefficient * word(x).  The value operators here are
+a tuple of moves (move name, argument) applied rightmost first, and
+apply_terms sums coefficient * word(x) in one pass per term of x: the key
+moves of the word run on the term's key, and the coefficient is multiplied
+once, by the product of their factors.  The value operators here are
 
   beta = sum fdag_k f_k        (grade counter on S)
   P    = sum f_{2j} f_{2j-1}   (column lowering, see cells below)
@@ -64,18 +72,108 @@ def witt_move(mask, k, dagger):
     return mask ^ bit, (mask & (bit - 1)).bit_count() & 1
 
 
+def _mul_z_var(key, k):
+    """z_k times the term (k is 1-based)."""
+    a, b, m = key
+    i = k - 1
+    return (a[:i] + (a[i] + 1,) + a[i + 1:], b, m), 1
+
+
+def _mul_zbar_var(key, k):
+    """zbar_k times the term."""
+    a, b, m = key
+    i = k - 1
+    return (a, b[:i] + (b[i] + 1,) + b[i + 1:], m), 1
+
+
+def _diff_z(key, k):
+    """d/dz_k of the term."""
+    a, b, m = key
+    i = k - 1
+    e = a[i]
+    if not e:
+        return None
+    return (a[:i] + (e - 1,) + a[i + 1:], b, m), e
+
+
+def _diff_zbar(key, k):
+    """d/dzbar_k of the term."""
+    a, b, m = key
+    i = k - 1
+    e = b[i]
+    if not e:
+        return None
+    return (a, b[:i] + (e - 1,) + b[i + 1:], m), e
+
+
+def _wedge(key, k):
+    """fdag_k times the value of the term."""
+    a, b, m = key
+    hit = witt_move(m, k, True)
+    if hit is None:
+        return None
+    return (a, b, hit[0]), -1 if hit[1] else 1
+
+
+def _contract(key, k):
+    """f_k times the value of the term."""
+    a, b, m = key
+    hit = witt_move(m, k, False)
+    if hit is None:
+        return None
+    return (a, b, hit[0]), -1 if hit[1] else 1
+
+
+def _scale_by_euler(key, which):
+    """The term times its z-degree ('z') or zbar-degree ('zbar')."""
+    d = sum(key[0]) if which == "z" else sum(key[1])
+    return (key, d) if d else None
+
+
+# a unit c * factor skips the multiplication: the raising operators have
+# unit coefficients, and most of their moves unit factors
+_MINUS_ONE = -XS_ONE
+_UNITS = {XS_ONE: XS_ONE, _MINUS_ONE: _MINUS_ONE}
+
+KEY_MOVES = {
+    "mul_z_var": _mul_z_var, "mul_zbar_var": _mul_zbar_var,
+    "diff_z": _diff_z, "diff_zbar": _diff_zbar,
+    "wedge": _wedge, "contract": _contract,
+    "scale_by_euler": _scale_by_euler,
+}
+
+
 def apply_terms(terms, x):
     """sum of c * word(x) over the (c, word) terms of an operator table.
 
-    x is a SpinorPolynomial; each move of a word is a method of x, applied
-    rightmost first.
+    x is a SpinorPolynomial.  Each term of x passes through the key moves
+    of a word, rightmost first, and its coefficient is multiplied once, by
+    c times the product of their factors (formed once per distinct
+    factor; +-1 costs no multiplication).  Entries that cancel are dropped
+    at the end.
     """
     out = {}
+    items = x.terms.items()
     for c, word in terms:
-        y = x
-        for move, arg in reversed(word):
-            y = getattr(y, move)(arg)
-        linalg.axpy(out, y.terms, c)
+        moves = [(KEY_MOVES[move], arg) for move, arg in reversed(word)]
+        scaled = {}
+        for key, v in items:
+            f = 1
+            for move, arg in moves:
+                hit = move(key, arg)
+                if hit is None:
+                    break
+                key, g = hit
+                f *= g
+            else:
+                cf = scaled.get(f)
+                if cf is None:
+                    cf = c * f
+                    cf = scaled[f] = _UNITS.get(cf, cf)
+                if cf is not XS_ONE:
+                    v = -v if cf is _MINUS_ONE else v * cf
+                cur = out.get(key)
+                out[key] = v if cur is None else cur + v
     return type(x)(x.n, out)
 
 

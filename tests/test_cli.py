@@ -50,6 +50,8 @@ def test_config_defaults_validate():
     {"label_filter": {"a": 1}},
     {"label_filter": {"a": -1, "b": 0}},
     {"p": 2, "label_filter": {"a": 1, "b": 0, "r": 3}},
+    {"label_filter": {"a": 7, "b": 0}},
+    {"label_filter": {"a": 4, "b": 3}},
 ])
 def test_config_rejects(kwargs):
     with pytest.raises(ValueError):
@@ -189,6 +191,14 @@ def test_invalid_p_exits_2():
     assert cli.main(["cells", "--p", "9"]) == 2
 
 
+def test_fischer_label_over_degree_bound_exits_2(capsys):
+    rc = cli.main(["fischer", "--p", "1", "--a", "7", "--b", "0",
+                   "--check", "thm5"])
+    assert rc == 2
+    assert "error: label_filter a + b must be at most 6" in \
+        capsys.readouterr().err
+
+
 def test_failing_check_exits_1(monkeypatch):
     monkeypatch.setitem(cli._RUNNERS, "cells",
                         lambda config: {"passed": False, "why": "forced"})
@@ -242,6 +252,30 @@ def test_decompose_rejects_p_out_of_range(tmp_path, capsys, p):
                    "--output", str(out)])
     assert rc == 2
     assert "error: p must be an integer in 1..3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mangle,needle", [
+    (lambda t: dict(t, alpha=[True, 0, 0, 0]), "term 1, field 'alpha'"),
+    (lambda t: dict(t, beta=[0, 0, False, 0]), "term 1, field 'beta'"),
+    (lambda t: dict(t, spinor=[True]), "term 1, field 'spinor'"),
+    (lambda t: dict(t, coeff=dict(coeff_one(), a_re=True)),
+     "term 1, field 'coeff.a_re'"),
+    (lambda t: dict(t, coeff=dict(coeff_one(), a_im=False)),
+     "term 1, field 'coeff.a_im'"),
+    (lambda t: dict(t, coeff=dict(coeff_one(), b_re=True)),
+     "term 1, field 'coeff.b_re'"),
+    (lambda t: dict(t, coeff=dict(coeff_one(), b_im=True)),
+     "term 1, field 'coeff.b_im'"),
+])
+def test_decompose_rejects_json_booleans(tmp_path, capsys, mangle, needle):
+    inp = tmp_path / "in.json"
+    out = tmp_path / "out.json"
+    inp.write_text(json.dumps([good_term(), mangle(good_term())]))
+    rc = cli.main(["decompose", "--p", "2", "--input", str(inp),
+                   "--output", str(out)])
+    assert rc == 2
+    assert needle in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -326,6 +326,26 @@ def test_pieces_sorted_and_nonempty():
     assert all(vecs for _, vecs, _ in pieces)
 
 
+@pytest.mark.parametrize("p,k", [(1, k) for k in range(6)]
+                         + [(2, k) for k in range(3)])
+def test_tower_pieces_match_literal_powers(p, k):
+    """Every piece vector equals its literal chain: curlyE_dag^t, then
+    Q^j, then mul_r2^l, applied to the factor image."""
+    used = set()
+    for A in range(k, -1, -1):
+        for lab, vecs, _ in fi.full_decomposition_pieces(p, A, k - A):
+            entry = fi.piece_activity(p, lab["a"], lab["b"], lab["r"])
+            expect = []
+            for w in entry[lab["alpha"]]["vecs"]:
+                w = fi._power("curlyE_dag", lab["t"], w)
+                w = fi._power("Q", lab["j"], w)
+                expect.append(fi._power("mul_r2", lab["l"], w))
+            assert vecs == expect, lab
+            used.update(name for name in "tjl" if lab[name])
+    if k >= 2:
+        assert used == set("tjl")
+
+
 @pytest.mark.parametrize("k", range(7))
 def test_graded_tiling_p1(k):
     out = fi.graded_tiling_check(1, k)
@@ -433,6 +453,7 @@ def test_decompose_golden_p2(seed):
 
 def test_decompose_cold_and_warm_cache_agree():
     fi.full_decomposition_pieces.cache_clear()
+    fi._piece_power.cache_clear()
     fi._pieces_solver.cache_clear()
     F = mixed_input_p2(1)
     cold = fi.decompose_polynomial(F, 2).to_json()

@@ -10,12 +10,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quatcliff.operators import (REGISTRY, apply, apply_expression,
-                                 apply_word, dirac_dictionary_check)
+                                 apply_word, dirac_dictionary_check,
+                                 term_table)
 from quatcliff.poly import SpinorPolynomial, space_basis
 from quatcliff.scalars import xs
+from quatcliff.witt import apply_terms
 
 small = st.integers(min_value=-3, max_value=3)
 
@@ -115,6 +117,63 @@ def test_apply_expression_affine_in_p():
     G = apply_expression([(1, 2, "E_z")], F)  # (1 + 2p) E_z
     assert G == F.scale(xs(3))
     assert apply_expression([], F).is_zero()
+
+
+# Gaussian, Fraction and sqrt2 coefficients; each one's negative is there
+# too, so images of different terms often cancel
+_COEFFS = [xs(1), xs(0, 1), xs(2, -3), xs(Fraction(1, 3)),
+           xs(Fraction(-5, 2), Fraction(1, 7)), xs(0, 0, 1),
+           xs(1, 0, Fraction(1, 2), -1)]
+_COEFFS += [-c for c in _COEFFS]
+
+
+def mixed_polys(n):
+    exps = st.tuples(*[st.integers(min_value=0, max_value=2)
+                       for _ in range(n)])
+    masks = st.integers(min_value=0, max_value=(1 << n) - 1)
+    def build(terms):
+        F = SpinorPolynomial.zero(n)
+        for alpha, beta, mask, c in terms:
+            F = F + SpinorPolynomial.monomial(n, alpha, beta, mask, c)
+        return F
+    return st.builds(build, st.lists(
+        st.tuples(exps, exps, masks, st.sampled_from(_COEFFS)), max_size=6))
+
+
+def moves_one_by_one(terms, F):
+    """sum c * word(F), each move through a SpinorPolynomial method."""
+    out = SpinorPolynomial.zero(F.n)
+    for c, word in terms:
+        y = F
+        for move, arg in reversed(word):
+            y = getattr(y, move)(arg)
+        out = out + y.scale(c)
+    return out
+
+
+BASE_OPS = sorted(name for name, spec in REGISTRY.items() if spec.expr is None)
+# r^2 = z1 zbar1 + z2 zbar2 at p = 1: curlyE and curlyE_dag cancel it to 0
+_R2 = (SpinorPolynomial.monomial(2, (1, 0), (1, 0), 0b11)
+       + SpinorPolynomial.monomial(2, (0, 1), (0, 1), 0b11))
+
+
+@pytest.mark.parametrize("name", BASE_OPS)
+@settings(max_examples=40, deadline=None)
+@given(F=st.one_of(mixed_polys(2), mixed_polys(4)))
+@example(F=_R2)
+def test_one_pass_applier_matches_move_by_move(name, F):
+    terms = term_table(name, F.n)
+    got = apply_terms(terms, F)
+    assert got == moves_one_by_one(terms, F)
+    assert all(got.terms.values())
+
+
+def test_one_pass_applier_drops_cancelled_terms():
+    assert apply("curlyE_dag", _R2).is_zero()
+    assert apply("curlyE", _R2).is_zero()
+    # Q = fdag1 fdag2 + fdag3 fdag4 sends fd{3,4}I and fd{1,2}I to fd{1,2,3,4}I
+    x = SpinorPolynomial.constant(4, {0b1100: xs(1), 0b0011: xs(-1)})
+    assert apply("Q", x).is_zero()
 
 
 def test_resolve_unknown_name():
