@@ -39,6 +39,8 @@ CHECK_NAMES = ("relations", "cells", "thm5", "prop8", "prop9", "thm10",
 
 DEFAULT_DIM_CAP = 10 ** 5
 
+MAX_TOTAL_DEGREE = 6
+
 
 class RunConfig:
     """What to run: quaternionic rank p, degree range, selected checks.
@@ -49,8 +51,8 @@ class RunConfig:
     QUATCLIFF_DIM_CAP environment variables; a value there that is not a
     positive integer raises ValueError.
     `label_filter` narrows the degree grid to one (a, b[, r]) label, under
-    the same degree bound a + b <= 6; the `fischer` subcommand uses it,
-    programmatic callers may too.
+    the same degree bound a + b <= MAX_TOTAL_DEGREE; the `fischer`
+    subcommand uses it, programmatic callers may too.
     """
 
     __slots__ = ("p", "max_total_degree", "checks", "output", "workers",
@@ -72,8 +74,9 @@ class RunConfig:
         if not isinstance(self.p, int) or not 1 <= self.p <= 3:
             raise ValueError(f"p must be an integer in 1..3, got {self.p!r}")
         if (not isinstance(self.max_total_degree, int)
-                or not 0 <= self.max_total_degree <= 6):
-            raise ValueError("max_total_degree must be an integer in 0..6, "
+                or not 0 <= self.max_total_degree <= MAX_TOTAL_DEGREE):
+            raise ValueError("max_total_degree must be an integer in "
+                             f"0..{MAX_TOTAL_DEGREE}, "
                              f"got {self.max_total_degree!r}")
         unknown = [c for c in self.checks if c not in CHECK_NAMES]
         if unknown:
@@ -92,9 +95,9 @@ class RunConfig:
             if not (isinstance(a, int) and a >= 0
                     and isinstance(b, int) and b >= 0):
                 raise ValueError("label_filter needs integer a >= 0, b >= 0")
-            if a + b > 6:
-                raise ValueError("label_filter a + b must be at most 6, "
-                                 f"got {a + b}")
+            if a + b > MAX_TOTAL_DEGREE:
+                raise ValueError("label_filter a + b must be at most "
+                                 f"{MAX_TOTAL_DEGREE}, got {a + b}")
             if r is not None and not (isinstance(r, int)
                                       and 0 <= r <= self.p):
                 raise ValueError(f"label_filter r must be in 0..{self.p}")

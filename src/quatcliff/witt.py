@@ -34,7 +34,7 @@ column s is S^s_s = Ker P restricted to grade s, and S^{s+2k}_s = Q^k S^s_s.
 """
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 from . import linalg
 from .clifford import CliffordElement
@@ -106,19 +106,10 @@ def _diff_zbar(key, k):
     return (a, b[:i] + (e - 1,) + b[i + 1:], m), e
 
 
-def _wedge(key, k):
-    """fdag_k times the value of the term."""
+def _value_move(key, k, dagger):
+    """fdag_k (dagger) or f_k times the value of the term."""
     a, b, m = key
-    hit = witt_move(m, k, True)
-    if hit is None:
-        return None
-    return (a, b, hit[0]), -1 if hit[1] else 1
-
-
-def _contract(key, k):
-    """f_k times the value of the term."""
-    a, b, m = key
-    hit = witt_move(m, k, False)
+    hit = witt_move(m, k, dagger)
     if hit is None:
         return None
     return (a, b, hit[0]), -1 if hit[1] else 1
@@ -130,15 +121,18 @@ def _scale_by_euler(key, which):
     return (key, d) if d else None
 
 
-# a unit c * factor skips the multiplication: the raising operators have
-# unit coefficients, and most of their moves unit factors
+# c * factor is +-1 for 81% of the terms multiplied in
+# graded_tiling_check(2, 4) and 88% in verify_table(2, 2); a negation or
+# nothing in place of an exact product takes the former from 5.0 to 4.0 s
+# (CPU, median of 10 alternating runs, Python 3.11, 2-vCPU Linux)
 _MINUS_ONE = -XS_ONE
 _UNITS = {XS_ONE: XS_ONE, _MINUS_ONE: _MINUS_ONE}
 
 KEY_MOVES = {
     "mul_z_var": _mul_z_var, "mul_zbar_var": _mul_zbar_var,
     "diff_z": _diff_z, "diff_zbar": _diff_zbar,
-    "wedge": _wedge, "contract": _contract,
+    "wedge": partial(_value_move, dagger=True),
+    "contract": partial(_value_move, dagger=False),
     "scale_by_euler": _scale_by_euler,
 }
 
@@ -149,8 +143,8 @@ def apply_terms(terms, x):
     x is a SpinorPolynomial.  Each term of x passes through the key moves
     of a word, rightmost first, and its coefficient is multiplied once, by
     c times the product of their factors (formed once per distinct
-    factor; +-1 costs no multiplication).  Entries that cancel are dropped
-    at the end.
+    factor; +-1 costs a negation or nothing).  Entries that cancel are
+    dropped at the end.
     """
     out = {}
     items = x.terms.items()
