@@ -374,6 +374,31 @@ def test_dim_cap_skips_but_passes():
     assert all("needed_dim" in d and "dim_cap" in d for d in skipped)
 
 
+# p=1, max degree 2: the cap, how many labels are skipped of how many, and
+# the first skip record without its "skipped" and "dim_cap" fields
+GRID_SKIPS = {
+    "thm5": (1, 5, 6, {"a": 1, "b": 0, "needed_dim": 2}),
+    "prop8": (5, 15, 18, {"a": 1, "b": 0, "r": 0, "k": 0, "needed_dim": 8}),
+    "prop9": (5, 6, 8, {"a": 1, "b": 0, "r": 0, "needed_dim": 8}),
+    "thm10": (5, 2, 3, {"degree": 1, "needed_dim": 16}),
+    "euclidean": (5, 2, 3, {"k": 1, "needed_dim": 16}),
+    "hermitian": (5, 5, 6, {"a": 1, "b": 0, "needed_dim": 8}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_SKIPS))
+def test_grid_check_skip_records(name):
+    cap, count, total, first = GRID_SKIPS[name]
+    bundle = cli.run(cli.RunConfig(p=1, max_total_degree=2, checks=(name,),
+                                   workers=1, dim_cap=cap))
+    assert bundle.passed
+    report = bundle.reports[name]
+    entries = report.get("labels", report.get("degrees"))
+    skipped = [e for e in entries if e.get("skipped") == "cap"]
+    assert (len(skipped), len(entries)) == (count, total)
+    assert skipped[0] == dict(first, skipped="cap", dim_cap=cap)
+
+
 def test_relations_cap_truncates_degree():
     cfg = cli.RunConfig(p=1, checks=("relations",), max_total_degree=3,
                         dim_cap=15)
