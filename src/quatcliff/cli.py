@@ -1,7 +1,8 @@
 """Command line front end: run configurations, JSON reports, exit codes.
 
-Check names are short stable tokens (they double as CLI flag values and
-report keys):
+Each check is one runner in the table `_RUNNERS`; its keys, in report
+order, are `CHECK_NAMES`.  Check names are short stable tokens (they
+double as CLI flag values and report keys):
 
 * ``relations``   the full bracket rule table on polynomial spaces
 * ``cells``       the spinor cell triangle and its ladder scalars
@@ -13,6 +14,11 @@ report keys):
 * ``euclidean``   monogenic dimension ladder on R^(4p)
 * ``hermitian``   per-grade hermitian ladder of even words
 * ``example13``   the pinned p=2 decomposition of z2 fd{1}I
+
+The grid checks (thm5 to hermitian) share one label loop, `_walk`: a
+label whose space is over the dimension cap is reported as skipped with
+its needed dimension, and every other label is run.  relations caps its
+degree instead, and cells and example13 have no labels.
 
 Check jobs are independent; with more than one worker they dispatch to
 a process pool and report assembly stays single threaded.  Emitted JSON
@@ -33,9 +39,6 @@ from .scalars import XS_ONE
 from .witt import cell_dim, cell_labels, pq_scalars
 
 SCHEMA_VERSION = 2
-
-CHECK_NAMES = ("relations", "cells", "thm5", "prop8", "prop9", "thm10",
-               "euclidean", "hermitian", "example13")
 
 DEFAULT_DIM_CAP = 10 ** 5
 
@@ -146,15 +149,13 @@ class ReportBundle:
 
 # ------------------------------------------------------------- the checks
 
-def _grid(config, need_a_ge_b=False):
-    """Bidegree labels to visit, honoring any label filter."""
+def _grid(config):
+    """Bidegree labels {a, b} to visit, honoring any label filter."""
     if config.label_filter is not None:
-        a, b = config.label_filter["a"], config.label_filter["b"]
-        return [(a, b)] if (a >= b or not need_a_ge_b) else []
-    grid = relations.bidegrees_up_to(config.max_total_degree)
-    if need_a_ge_b:
-        grid = [(a, b) for a, b in grid if a >= b]
-    return grid
+        pairs = [(config.label_filter["a"], config.label_filter["b"])]
+    else:
+        pairs = relations.bidegrees_up_to(config.max_total_degree)
+    return [{"a": a, "b": b} for a, b in pairs]
 
 
 def _columns(config):
@@ -165,11 +166,32 @@ def _columns(config):
     return list(range(0, config.p + 1))
 
 
-def _skip(entry, needed, cap):
-    entry["skipped"] = "cap"
-    entry["needed_dim"] = needed
-    entry["dim_cap"] = cap
-    return entry
+def _walk(config, labels, needed, run):
+    """The one label loop of the grid checks.
+
+    Each label is a dict of keyword arguments for `needed`, the dimension
+    of the space the label touches, and for `run`, which checks the label
+    and returns its report fields.  A label over `config.dim_cap` is not
+    run; its entry is the label plus the skip record.  Returns the
+    entries in label order and whether every run label passed.
+    """
+    cap = config.dim_cap
+    entries = []
+    passed = True
+    for label in labels:
+        dim = needed(**label)
+        if dim > cap:
+            entries.append(dict(label, skipped="cap", needed_dim=dim,
+                                dim_cap=cap))
+            continue
+        entry = dict(label, **run(**label))
+        passed = passed and entry["passed"]
+        entries.append(entry)
+    return entries, passed
+
+
+def _report(rep):
+    return {"report": rep.to_json(), "passed": rep.passed}
 
 
 def _run_relations(config):
@@ -205,120 +227,73 @@ def _run_cells(config):
 
 
 def _run_thm5(config):
-    p, cap = config.p, config.dim_cap
-    entries = []
-    passed = True
-    for a, b in _grid(config):
-        entry = {"a": a, "b": b}
-        needed = poly_dim(p, a, b)
-        if needed > cap:
-            entries.append(_skip(entry, needed, cap))
-            continue
+    p = config.p
+
+    def run(a, b):
         rep = fischer.symplectic_harmonic_decomposition(p, a, b)
-        entry["tiling"] = rep.to_json()
-        entry["passed"] = rep.passed
+        out = {"tiling": rep.to_json(), "passed": rep.passed}
         if a >= b:
             sl2 = fischer.sl2_module_checks(p, a, b)
-            entry["sl2"] = sl2
-            entry["passed"] = entry["passed"] and sl2["passed"]
-        passed = passed and entry["passed"]
-        entries.append(entry)
+            out.update(sl2=sl2, passed=rep.passed and sl2["passed"])
+        return out
+
+    entries, passed = _walk(config, _grid(config),
+                            lambda a, b: poly_dim(p, a, b), run)
     return {"p": p, "labels": entries, "passed": passed}
 
 
 def _run_prop8(config):
-    p, cap = config.p, config.dim_cap
-    spinor = 1 << (2 * p)
-    entries = []
-    passed = True
-    for a, b in _grid(config):
-        needed = poly_dim(p, a, b) * spinor
-        for r in _columns(config):
-            for k in range(0, p - r + 1):
-                entry = {"a": a, "b": b, "r": r, "k": k}
-                if needed > cap:
-                    entries.append(_skip(entry, needed, cap))
-                    continue
-                rep = fischer.qmonogenic_decomposition(p, r, k, a, b)
-                entry["report"] = rep.to_json()
-                entry["passed"] = rep.passed
-                passed = passed and rep.passed
-                entries.append(entry)
+    p = config.p
+    labels = [dict(ab, r=r, k=k) for ab in _grid(config)
+              for r in _columns(config) for k in range(0, p - r + 1)]
+    entries, passed = _walk(
+        config, labels,
+        lambda a, b, **_: poly_dim(p, a, b) * 4 ** p,
+        lambda a, b, r, k: _report(
+            fischer.qmonogenic_decomposition(p, r, k, a, b)))
     return {"p": p, "labels": entries, "passed": passed}
 
 
 def _run_prop9(config):
-    p, cap = config.p, config.dim_cap
-    spinor = 1 << (2 * p)
-    entries = []
-    passed = True
-    for a, b in _grid(config, need_a_ge_b=True):
-        needed = poly_dim(p, a, b) * spinor
-        for r in _columns(config):
-            entry = {"a": a, "b": b, "r": r}
-            if needed > cap:
-                entries.append(_skip(entry, needed, cap))
-                continue
-            rep = fischer.symplectic_harmonics_16_decomposition(p, a, b, r)
-            entry["report"] = rep.to_json()
-            entry["passed"] = rep.passed
-            passed = passed and rep.passed
-            entries.append(entry)
+    p = config.p
+    labels = [dict(ab, r=r) for ab in _grid(config) if ab["a"] >= ab["b"]
+              for r in _columns(config)]
+    entries, passed = _walk(
+        config, labels,
+        lambda a, b, **_: poly_dim(p, a, b) * 4 ** p,
+        lambda a, b, r: _report(
+            fischer.symplectic_harmonics_16_decomposition(p, a, b, r)))
     return {"p": p, "labels": entries, "passed": passed}
 
 
 def _run_thm10(config):
-    p, cap = config.p, config.dim_cap
-    spinor = 1 << (2 * p)
+    p = config.p
     if config.label_filter is not None:
         degrees = [config.label_filter["a"] + config.label_filter["b"]]
     else:
-        degrees = list(range(0, config.max_total_degree + 1))
-    entries = []
-    passed = True
-    for k in degrees:
-        needed = comb(k + 4 * p - 1, 4 * p - 1) * spinor
-        if needed > cap:
-            entries.append(_skip({"degree": k}, needed, cap))
-            continue
-        rep = fischer.graded_tiling_check(p, k)
-        rep["degree"] = k
-        passed = passed and rep["passed"]
-        entries.append(rep)
+        degrees = range(0, config.max_total_degree + 1)
+    entries, passed = _walk(
+        config, [{"degree": k} for k in degrees],
+        lambda degree: comb(degree + 4 * p - 1, 4 * p - 1) * 4 ** p,
+        lambda degree: fischer.graded_tiling_check(p, degree))
     return {"p": p, "degrees": entries, "passed": passed}
 
 
 def _run_euclidean(config):
-    p, cap = config.p, config.dim_cap
-    m = 4 * p
-    spinor = 1 << (2 * p)
-    entries = []
-    passed = True
-    for k in range(0, config.max_total_degree + 1):
-        needed = comb(k + m - 1, m - 1) * spinor
-        if needed > cap:
-            entries.append(_skip({"k": k}, needed, cap))
-            continue
-        rep = fischer.euclidean_fischer_dims(m, k)
-        passed = passed and rep["passed"]
-        entries.append(rep)
+    p, m = config.p, 4 * config.p
+    entries, passed = _walk(
+        config, [{"k": k} for k in range(0, config.max_total_degree + 1)],
+        lambda k: comb(k + m - 1, m - 1) * 4 ** p,
+        lambda k: fischer.euclidean_fischer_dims(m, k))
     return {"p": p, "m": m, "degrees": entries, "passed": passed}
 
 
 def _run_hermitian(config):
-    p, cap = config.p, config.dim_cap
-    n = 2 * p
-    spinor = 1 << (2 * p)
-    entries = []
-    passed = True
-    for a, b in _grid(config):
-        needed = poly_dim(p, a, b) * spinor
-        if needed > cap:
-            entries.append(_skip({"a": a, "b": b}, needed, cap))
-            continue
-        rep = fischer.hermitian_fischer_dims(n, a, b)
-        passed = passed and rep["passed"]
-        entries.append(rep)
+    p, n = config.p, 2 * config.p
+    entries, passed = _walk(
+        config, _grid(config),
+        lambda a, b: poly_dim(p, a, b) * 4 ** p,
+        lambda a, b: fischer.hermitian_fischer_dims(n, a, b))
     return {"p": p, "n": n, "labels": entries, "passed": passed}
 
 
@@ -337,6 +312,7 @@ def _run_example13(config):
     return out
 
 
+# The check table: a new check is one runner and one row here.
 _RUNNERS = {
     "relations": _run_relations,
     "cells": _run_cells,
@@ -348,6 +324,8 @@ _RUNNERS = {
     "hermitian": _run_hermitian,
     "example13": _run_example13,
 }
+
+CHECK_NAMES = tuple(_RUNNERS)
 
 
 def _check_job(args):

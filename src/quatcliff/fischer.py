@@ -322,14 +322,14 @@ def _projection_denominators(op_kind, p, a, b, r):
     return a - b + 2, 2 * (a - b + 3) * (a - b + 2)
 
 
-def project_ker(op_kind, T, params, order=2):
+def project_ker(op_kind, T, params):
     """Project T onto the kernel of laplace, P or curlyE by the two-term
     correction formula for that operator.
 
     `params` is (p, a, b, r) with (a, b) the bidegree of T and r the
-    value grade (only the relevant labels enter each formula).  `order`
-    bounds the nilpotency of the lowering operator on T: order 1 demands
-    the square kills T, order 2 the cube; anything deeper is an error.
+    value grade (only the relevant labels enter each formula).  The
+    cube of the lowering operator must kill T; if it does not, the two
+    terms cannot be the whole correction and ValueError is raised.
     Correction terms whose prerequisite power of the lowering operator
     already annihilates T are dropped before their coefficients are ever
     formed, so degenerate denominators in those terms cannot hurt.
@@ -338,8 +338,6 @@ def project_ker(op_kind, T, params, order=2):
         lower, raiser = _PROJECTION_TABLE[op_kind]
     except KeyError:
         raise ValueError(f"unknown projection kind {op_kind!r}") from None
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
     p, a, b, r = params
     if T.terms and T.bidegrees() != [(a, b)]:
         raise ValueError("input is not homogeneous of the stated bidegree")
@@ -348,10 +346,7 @@ def project_ker(op_kind, T, params, order=2):
     if not L1.terms:
         return T
     L2 = apply(lower, L1)
-    if order == 1:
-        if L2.terms:
-            raise ValueError(f"{lower} is not nilpotent of order 2 on this input")
-    elif apply(lower, L2).terms:
+    if apply(lower, L2).terms:
         raise ValueError(f"{lower} is not nilpotent of order 3 on this input")
 
     d1, d2 = _projection_denominators(op_kind, p, a, b, r)
@@ -522,8 +517,6 @@ def piece_activity(p, a, b, r):
             e6["coincides_with"] = {"kept_alpha": 5, "rank_5": e5["rank"],
                                     "rank_6": e6["rank"],
                                     "pair_union_rank": pair}
-        else:
-            e5["pair_union_rank"] = e6["pair_union_rank"] = pair
     return entries
 
 

@@ -535,6 +535,27 @@ def _proportionality(cols_num, cols_den):
     return "ok", c
 
 
+def _weight(h, gen, basis, cache):
+    """The scalar w with [h, gen] = w * gen on `basis`, where the Cartan
+    element h is an operator expression.
+
+    Returns (w, shown): w is the scalar or None; shown is what a report
+    prints, str(w), None when both sides vanish (w undetermined) or
+    "not proportional" when no scalar exists.
+    """
+    gen_cols, brk = [], []
+    for F in basis:
+        gF = apply_cached(gen, F, cache)
+        gen_cols.append(gF.terms)
+        hF = apply_expression(h, F, cache)
+        brk.append((apply_expression(h, gF, cache)
+                    - apply_cached(gen, hF, cache)).terms)
+    status, val = _proportionality(brk, gen_cols)
+    if status == "ok":
+        return val, str(val)
+    return None, (None if status == "zero" else "not proportional")
+
+
 def cartan_weight_report(p, a, b):
     """Recompute the weight triple of each odd generator from the Cartan
     action: [h, O] = w * O for h in (h_total, h_diff, h_spin).
@@ -548,25 +569,12 @@ def cartan_weight_report(p, a, b):
     found = {}
     consistent = True
     for gen, expected in WEIGHT_LABELS.items():
-        gen_cols = [apply_cached(gen, F, cache).terms for F in basis]
-        triple = []
+        found[gen] = []
         for h, want in zip(CARTAN_ORDER, expected):
-            brk = []
-            for F in basis:
-                hg = apply_cached(h, apply_cached(gen, F, cache), cache)
-                gh = apply_cached(gen, apply_cached(h, F, cache), cache)
-                brk.append((hg - gh).terms)
-            status, val = _proportionality(brk, gen_cols)
-            if status == "ok":
-                triple.append(str(val))
-                if val != xs(want):
-                    consistent = False
-            elif status == "zero":
-                triple.append(None)
-            else:
-                triple.append("not proportional")
+            val, shown = _weight(((1, 0, h),), gen, basis, cache)
+            found[gen].append(shown)
+            if shown is not None and val != xs(want):
                 consistent = False
-        found[gen] = triple
     return {"p": p, "a": a, "b": b, "cartan_order": list(CARTAN_ORDER),
             "found": found,
             "expected": {k: list(v) for k, v in WEIGHT_LABELS.items()},
@@ -575,11 +583,9 @@ def cartan_weight_report(p, a, b):
 
 # ------------------------------------------ Euclidean and hermitian systems
 
-def _h_alt(F):
-    # The other sign variant of the hermitian Cartan element; kept out of
-    # the asserted rule set because it gives the odd generators weight +-3.
-    return apply_expression(((1, 0, "E_z"), (-1, 0, "E_z_dag"),
-                             (0, 2, "id"), (-2, 0, "beta")), F)
+# The other sign variant of the hermitian Cartan element; kept out of the
+# asserted rule set because it gives the odd generators weight +-3.
+_H_ALT = ((1, 0, "E_z"), (-1, 0, "E_z_dag"), (0, 2, "id"), (-2, 0, "beta"))
 
 
 def verify_osp12_and_sl12(p, a, b):
@@ -593,19 +599,8 @@ def verify_osp12_and_sl12(p, a, b):
     hermitian = [verify_bracket(r, p, a, b, cache=cache, basis=basis)
                  for r in HERMITIAN_RULES]
 
-    alt = {}
-    for gen in ("mul_z", "mul_z_dag", "dz", "dz_dag"):
-        gen_cols = [apply_cached(gen, F, cache).terms for F in basis]
-        brk = []
-        for F in basis:
-            hg = _h_alt(apply_cached(gen, F, cache))
-            gh = apply_cached(gen, _h_alt(F), cache)
-            brk.append((hg - gh).terms)
-        status, val = _proportionality(brk, gen_cols)
-        if status == "ok":
-            alt[gen] = str(val)
-        else:
-            alt[gen] = None if status == "zero" else "not proportional"
+    alt = {gen: _weight(_H_ALT, gen, basis, cache)[1]
+           for gen in ("mul_z", "mul_z_dag", "dz", "dz_dag")}
 
     passed = all(r.passed for r in euclidean) and all(r.passed for r in hermitian)
     return {"p": p, "a": a, "b": b,

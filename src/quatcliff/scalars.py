@@ -73,18 +73,11 @@ class ExtendedScalar:
         self.bi = bi
         return self
 
-    @classmethod
-    def from_rational(cls, q):
-        return cls._raw(to_rat(q), 0, 0, 0)
-
     def is_zero(self):
         return not (self.ar or self.ai or self.br or self.bi)
 
     def __bool__(self):
         return not self.is_zero()
-
-    def is_rational(self):
-        return not (self.ai or self.br or self.bi)
 
     def __add__(self, other):
         if not isinstance(other, ExtendedScalar):

@@ -405,9 +405,6 @@ class CellLabel:
     def __repr__(self):
         return f"CellLabel(r={self.r}, s={self.s})"
 
-    def to_json(self):
-        return {"r": self.r, "s": self.s}
-
 
 def valid_cell(p, r, s):
     return 0 <= s <= min(r, 2 * p - r) and (r - s) % 2 == 0

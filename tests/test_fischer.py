@@ -172,8 +172,6 @@ def test_projection_P_random(seed):
     out = fi.project_ker("P", T, params)
     assert not apply("P", out).terms
     assert fi.project_ker("P", out, params) == out
-    # the second power of P already kills this input, so order=1 agrees
-    assert fi.project_ker("P", T, params, order=1) == out
 
 
 def test_projection_P_three_layers():
@@ -222,18 +220,12 @@ def test_projection_rejects_deep_nilpotency():
         r6 = apply("mul_r2", r6)
     with pytest.raises(ValueError):
         fi.project_ker("laplace", r6, (1, 3, 3, 0))
-    r4 = apply_word(("mul_r2", "mul_r2"),
-                    SpinorPolynomial.monomial(2, (0, 0), (0, 0), 0))
-    with pytest.raises(ValueError):
-        fi.project_ker("laplace", r4, (1, 2, 2, 0), order=1)
 
 
 def test_projection_rejects_unknown_kind_and_order():
     F = SpinorPolynomial.monomial(2, (1, 0), (0, 0), 0)
     with pytest.raises(ValueError):
         fi.project_ker("beta", F, (1, 1, 0, 0))
-    with pytest.raises(ValueError):
-        fi.project_ker("laplace", F, (1, 1, 0, 0), order=3)
 
 
 def test_composite_projection_recovers_embedding_factor():
