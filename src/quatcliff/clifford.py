@@ -142,11 +142,6 @@ class CliffordElement:
         from .scalars import XS_ZERO
         return self.terms.get(0, XS_ZERO)
 
-    def k_vector_part(self, k):
-        return CliffordElement(self.n_gens,
-                               {mask: c for mask, c in self.terms.items()
-                                if mask.bit_count() == k})
-
     def is_zero(self):
         return not self.terms
 
@@ -174,21 +169,6 @@ class CliffordElement:
 
     def __repr__(self):
         return f"CliffordElement<{self.n_gens}>[{self}]"
-
-    def to_json(self):
-        out = []
-        for mask in sorted(self.terms, key=lambda mk: (mk.bit_count(), mk)):
-            indices = [a + 1 for a in range(self.n_gens) if mask >> a & 1]
-            out.append({"blade": indices, "coeff": self.terms[mask].to_json()})
-        return out
-
-    @classmethod
-    def from_json(cls, data, n_gens):
-        el = cls.zero(n_gens)
-        for item in data:
-            el = el + cls.blade(n_gens, item["blade"],
-                                ExtendedScalar.from_json(item["coeff"]))
-        return el
 
 
 def inner_product(x, y):

@@ -9,8 +9,7 @@ There is one exact elimination loop, `_eliminate`.  `rref` (and through
 it `nullspace`) runs it on bare rows.  `Solver` runs it once on a basis
 with the identity over the term keys as augmented part, keeping a left
 inverse and the consistency checks, so each later `solve` is a sparse
-product; `solve_many` and `solve_in_span` are one `Solver` replayed on
-their targets.
+product; `solve_many` is one `Solver` replayed on its targets.
 
 `rank` first tries a rank-only certificate modulo the prime _Q: it maps
 every entry to F_q by i -> zeta**2, sqrt2 -> zeta + 1/zeta (zeta a
@@ -259,7 +258,3 @@ def solve_many(basis, targets):
     """
     solver = Solver(basis)
     return [solver.solve(t) for t in targets]
-
-
-def solve_in_span(basis, target):
-    return Solver(basis).solve(target)

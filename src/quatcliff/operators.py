@@ -131,15 +131,11 @@ REGISTRY = {spec.name: spec for spec in (
 )}
 
 
-def resolve(op):
-    if isinstance(op, OperatorSpec):
-        return op
-    if isinstance(op, str):
-        try:
-            return REGISTRY[op]
-        except KeyError:
-            raise KeyError(f"unknown operator name {op!r}") from None
-    raise TypeError(f"cannot resolve operator from {op!r}")
+def resolve(name):
+    try:
+        return REGISTRY[name]
+    except KeyError:
+        raise KeyError(f"unknown operator name {name!r}") from None
 
 
 @cache

@@ -110,13 +110,6 @@ class SpinorPolynomial:
             k: c for k, c in self.terms.items()
             if sum(k[0]) == a and sum(k[1]) == b})
 
-    def value_grades(self):
-        return sorted({m.bit_count() for _, _, m in self.terms})
-
-    def value_grade_part(self, r):
-        return SpinorPolynomial(self.n, {
-            k: c for k, c in self.terms.items() if k[2].bit_count() == r})
-
     # ---------------------------------------------------- primitive moves
 
     def _move(self, move, arg):

@@ -14,8 +14,9 @@ bihomogeneous spinor-valued polynomials; a failure carries the first
 offending basis monomial as a witness.
 
 Right-hand sides are lists of (c0, c1, name) meaning (c0 + c1*p) * name,
-so one rule set serves every p.  The anticommutator is used exactly when
-both operands are odd.
+so one rule set serves every p.  A rule's kind is not written down: `_r`
+reads it off the operand parities in operators.REGISTRY, the
+anticommutator exactly when both operands are odd.
 
 RULES is the only place a bracket identity is written; every other rule
 set is a view of it.  The Cartan rows of the g0-g+-1 blocks read their
@@ -32,7 +33,7 @@ weight +-1 and only reports the weights of the other.
 
 from fractions import Fraction
 
-from .env import env_int, parallel_map
+from .env import parallel_map
 from .fischer import kernel_space, qmonogenic_space
 from .operators import REGISTRY, apply, apply_cached, apply_expression
 from .poly import space_basis
@@ -108,8 +109,12 @@ class VerificationReport:
         return out
 
 
-def _r(block, kind, left, right, *rhs):
-    return BracketRule(f"{block}:{left},{right}", block, kind, left, right, rhs)
+def _r(block, left, right, *rhs):
+    """The rule [left, right] = rhs, or {left, right} = rhs when both
+    operands are odd."""
+    odd = REGISTRY[left].parity == REGISTRY[right].parity == "odd"
+    return BracketRule(f"{block}:{left},{right}", block,
+                       "acomm" if odd else "comm", left, right, rhs)
 
 
 _DERIVS = ("dz", "dz_dag", "dzJ", "dz_dagJ")
@@ -136,28 +141,28 @@ def _build_rules():
     # within g0
     g0 = "within-g0"
     rules += [
-        _r(g0, "comm", "h_total", "curlyE"),
-        _r(g0, "comm", "h_total", "curlyE_dag"),
-        _r(g0, "comm", "h_diff", "curlyE", (2, 0, "curlyE")),
-        _r(g0, "comm", "h_diff", "curlyE_dag", (-2, 0, "curlyE_dag")),
-        _r(g0, "comm", "h_spin", "P", (2, 0, "P")),
-        _r(g0, "comm", "h_spin", "Q", (-2, 0, "Q")),
-        _r(g0, "comm", "curlyE", "curlyE_dag", (1, 0, "h_diff")),
-        _r(g0, "comm", "P", "Q", (1, 0, "h_spin")),
+        _r(g0, "h_total", "curlyE"),
+        _r(g0, "h_total", "curlyE_dag"),
+        _r(g0, "h_diff", "curlyE", (2, 0, "curlyE")),
+        _r(g0, "h_diff", "curlyE_dag", (-2, 0, "curlyE_dag")),
+        _r(g0, "h_spin", "P", (2, 0, "P")),
+        _r(g0, "h_spin", "Q", (-2, 0, "Q")),
+        _r(g0, "curlyE", "curlyE_dag", (1, 0, "h_diff")),
+        _r(g0, "P", "Q", (1, 0, "h_spin")),
         # the remaining pairs inside g0 commute
-        _r(g0, "comm", "h_total", "h_diff"),
-        _r(g0, "comm", "h_total", "h_spin"),
-        _r(g0, "comm", "h_diff", "h_spin"),
-        _r(g0, "comm", "h_total", "P"),
-        _r(g0, "comm", "h_total", "Q"),
-        _r(g0, "comm", "h_diff", "P"),
-        _r(g0, "comm", "h_diff", "Q"),
-        _r(g0, "comm", "h_spin", "curlyE"),
-        _r(g0, "comm", "h_spin", "curlyE_dag"),
-        _r(g0, "comm", "curlyE", "P"),
-        _r(g0, "comm", "curlyE", "Q"),
-        _r(g0, "comm", "curlyE_dag", "P"),
-        _r(g0, "comm", "curlyE_dag", "Q"),
+        _r(g0, "h_total", "h_diff"),
+        _r(g0, "h_total", "h_spin"),
+        _r(g0, "h_diff", "h_spin"),
+        _r(g0, "h_total", "P"),
+        _r(g0, "h_total", "Q"),
+        _r(g0, "h_diff", "P"),
+        _r(g0, "h_diff", "Q"),
+        _r(g0, "h_spin", "curlyE"),
+        _r(g0, "h_spin", "curlyE_dag"),
+        _r(g0, "curlyE", "P"),
+        _r(g0, "curlyE", "Q"),
+        _r(g0, "curlyE_dag", "P"),
+        _r(g0, "curlyE_dag", "Q"),
     ]
 
     # between g0 and g+-1: each Cartan element scales a generator by its
@@ -179,45 +184,45 @@ def _build_rules():
     for block, gens, swaps in blocks:
         for i, h in enumerate(CARTAN_ORDER):
             for g in gens:
-                rules.append(_r(block, "comm", h, g, (WEIGHT_LABELS[g][i], 0, g)))
+                rules.append(_r(block, h, g, (WEIGHT_LABELS[g][i], 0, g)))
         for h, row in swaps.items():
             for g, entry in zip(gens, row):
                 rhs = [] if entry is None else [(entry[0], 0, entry[1])]
-                rules.append(_r(block, "comm", h, g, *rhs))
+                rules.append(_r(block, h, g, *rhs))
 
     # between g0 and g+-2
     g02 = "g0-g2"
     rules += [
-        _r(g02, "comm", "h_total", "laplace", (-2, 0, "laplace")),
-        _r(g02, "comm", "h_total", "mul_r2", (2, 0, "mul_r2")),
-        _r(g02, "comm", "h_diff", "laplace"),
-        _r(g02, "comm", "h_diff", "mul_r2"),
-        _r(g02, "comm", "curlyE", "laplace"),
-        _r(g02, "comm", "curlyE_dag", "laplace"),
-        _r(g02, "comm", "curlyE", "mul_r2"),
-        _r(g02, "comm", "curlyE_dag", "mul_r2"),
-        _r(g02, "comm", "h_spin", "laplace"),
-        _r(g02, "comm", "P", "laplace"),
-        _r(g02, "comm", "Q", "laplace"),
-        _r(g02, "comm", "h_spin", "mul_r2"),
-        _r(g02, "comm", "P", "mul_r2"),
-        _r(g02, "comm", "Q", "mul_r2"),
+        _r(g02, "h_total", "laplace", (-2, 0, "laplace")),
+        _r(g02, "h_total", "mul_r2", (2, 0, "mul_r2")),
+        _r(g02, "h_diff", "laplace"),
+        _r(g02, "h_diff", "mul_r2"),
+        _r(g02, "curlyE", "laplace"),
+        _r(g02, "curlyE_dag", "laplace"),
+        _r(g02, "curlyE", "mul_r2"),
+        _r(g02, "curlyE_dag", "mul_r2"),
+        _r(g02, "h_spin", "laplace"),
+        _r(g02, "P", "laplace"),
+        _r(g02, "Q", "laplace"),
+        _r(g02, "h_spin", "mul_r2"),
+        _r(g02, "P", "mul_r2"),
+        _r(g02, "Q", "mul_r2"),
     ]
 
     # within g1
     g1 = "within-g1"
     quarter = Fraction(1, 4)
     rules += [
-        _r(g1, "acomm", "dz", "dz_dag", (quarter, 0, "laplace")),
-        _r(g1, "acomm", "dzJ", "dz_dagJ", (quarter, 0, "laplace")),
-        _r(g1, "acomm", "dz", "dzJ"),
-        _r(g1, "acomm", "dz", "dz_dagJ"),
-        _r(g1, "acomm", "dz_dag", "dzJ"),
-        _r(g1, "acomm", "dz_dag", "dz_dagJ"),
-        _r(g1, "acomm", "dz", "dz"),
-        _r(g1, "acomm", "dz_dag", "dz_dag"),
-        _r(g1, "acomm", "dzJ", "dzJ"),
-        _r(g1, "acomm", "dz_dagJ", "dz_dagJ"),
+        _r(g1, "dz", "dz_dag", (quarter, 0, "laplace")),
+        _r(g1, "dzJ", "dz_dagJ", (quarter, 0, "laplace")),
+        _r(g1, "dz", "dzJ"),
+        _r(g1, "dz", "dz_dagJ"),
+        _r(g1, "dz_dag", "dzJ"),
+        _r(g1, "dz_dag", "dz_dagJ"),
+        _r(g1, "dz", "dz"),
+        _r(g1, "dz_dag", "dz_dag"),
+        _r(g1, "dzJ", "dzJ"),
+        _r(g1, "dz_dagJ", "dz_dagJ"),
     ]
 
     # between g1 and g-1: all sixteen anticommutators
@@ -242,51 +247,51 @@ def _build_rules():
     }
     for d in _DERIVS:
         for v in _MULTS:
-            rules.append(_r(g1m1, "acomm", d, v, *table[(d, v)]))
+            rules.append(_r(g1m1, d, v, *table[(d, v)]))
 
     # g1 and g2 commute
     for d in _DERIVS:
-        rules.append(_r("g1-g2", "comm", d, "laplace"))
+        rules.append(_r("g1-g2", d, "laplace"))
 
     # between g1 and g-2
     g1m2 = "g1-g-2"
     rules += [
-        _r(g1m2, "comm", "dz", "mul_r2", (1, 0, "mul_z_dag")),
-        _r(g1m2, "comm", "dzJ", "mul_r2", (1, 0, "mul_z_dagJ")),
-        _r(g1m2, "comm", "dz_dag", "mul_r2", (1, 0, "mul_z")),
-        _r(g1m2, "comm", "dz_dagJ", "mul_r2", (1, 0, "mul_zJ")),
+        _r(g1m2, "dz", "mul_r2", (1, 0, "mul_z_dag")),
+        _r(g1m2, "dzJ", "mul_r2", (1, 0, "mul_z_dagJ")),
+        _r(g1m2, "dz_dag", "mul_r2", (1, 0, "mul_z")),
+        _r(g1m2, "dz_dagJ", "mul_r2", (1, 0, "mul_zJ")),
     ]
 
     # within g-1
     gm1 = "within-g-1"
     rules += [
-        _r(gm1, "acomm", "mul_z", "mul_z_dag", (1, 0, "mul_r2")),
-        _r(gm1, "acomm", "mul_zJ", "mul_z_dagJ", (1, 0, "mul_r2")),
-        _r(gm1, "acomm", "mul_z", "mul_zJ"),
-        _r(gm1, "acomm", "mul_z", "mul_z_dagJ"),
-        _r(gm1, "acomm", "mul_z_dag", "mul_zJ"),
-        _r(gm1, "acomm", "mul_z_dag", "mul_z_dagJ"),
-        _r(gm1, "acomm", "mul_z", "mul_z"),
-        _r(gm1, "acomm", "mul_z_dag", "mul_z_dag"),
-        _r(gm1, "acomm", "mul_zJ", "mul_zJ"),
-        _r(gm1, "acomm", "mul_z_dagJ", "mul_z_dagJ"),
+        _r(gm1, "mul_z", "mul_z_dag", (1, 0, "mul_r2")),
+        _r(gm1, "mul_zJ", "mul_z_dagJ", (1, 0, "mul_r2")),
+        _r(gm1, "mul_z", "mul_zJ"),
+        _r(gm1, "mul_z", "mul_z_dagJ"),
+        _r(gm1, "mul_z_dag", "mul_zJ"),
+        _r(gm1, "mul_z_dag", "mul_z_dagJ"),
+        _r(gm1, "mul_z", "mul_z"),
+        _r(gm1, "mul_z_dag", "mul_z_dag"),
+        _r(gm1, "mul_zJ", "mul_zJ"),
+        _r(gm1, "mul_z_dagJ", "mul_z_dagJ"),
     ]
 
     # between g-1 and g2
     gm12 = "g-1-g2"
     rules += [
-        _r(gm12, "comm", "mul_z", "laplace", (-4, 0, "dz_dag")),
-        _r(gm12, "comm", "mul_zJ", "laplace", (-4, 0, "dz_dagJ")),
-        _r(gm12, "comm", "mul_z_dag", "laplace", (-4, 0, "dz")),
-        _r(gm12, "comm", "mul_z_dagJ", "laplace", (-4, 0, "dzJ")),
+        _r(gm12, "mul_z", "laplace", (-4, 0, "dz_dag")),
+        _r(gm12, "mul_zJ", "laplace", (-4, 0, "dz_dagJ")),
+        _r(gm12, "mul_z_dag", "laplace", (-4, 0, "dz")),
+        _r(gm12, "mul_z_dagJ", "laplace", (-4, 0, "dzJ")),
     ]
 
     # g-1 and g-2 commute
     for v in _MULTS:
-        rules.append(_r("g-1-g-2", "comm", v, "mul_r2"))
+        rules.append(_r("g-1-g-2", v, "mul_r2"))
 
     # g2 against g-2
-    rules.append(_r("g2-g-2", "comm", "laplace", "mul_r2", (4, 0, "h_total")))
+    rules.append(_r("g2-g-2", "laplace", "mul_r2", (4, 0, "h_total")))
 
     return rules
 
@@ -303,16 +308,16 @@ for _rule in RULES:
 # generators, laplace and mul_r2 span the ends, h_total = Euler + 2p.
 # Identities already in RULES are named by id, not restated.
 EUCLIDEAN_RULES = [
-    _r("osp12", "acomm", "mul_X", "mul_X", (-2, 0, "mul_r2")),
-    _r("osp12", "acomm", "dirac", "dirac", (-2, 0, "laplace")),
-    _r("osp12", "acomm", "mul_X", "dirac",
+    _r("osp12", "mul_X", "mul_X", (-2, 0, "mul_r2")),
+    _r("osp12", "dirac", "dirac", (-2, 0, "laplace")),
+    _r("osp12", "mul_X", "dirac",
        (-2, 0, "E_z"), (-2, 0, "E_z_dag"), (0, -4, "id")),
-    _r("osp12", "comm", "h_total", "mul_X", (1, 0, "mul_X")),
-    _r("osp12", "comm", "h_total", "dirac", (-1, 0, "dirac")),
-    _r("osp12", "comm", "dirac", "mul_r2", (2, 0, "mul_X")),
-    _r("osp12", "comm", "laplace", "mul_X", (2, 0, "dirac")),
-    _r("osp12", "comm", "mul_X", "mul_r2"),
-    _r("osp12", "comm", "dirac", "laplace"),
+    _r("osp12", "h_total", "mul_X", (1, 0, "mul_X")),
+    _r("osp12", "h_total", "dirac", (-1, 0, "dirac")),
+    _r("osp12", "dirac", "mul_r2", (2, 0, "mul_X")),
+    _r("osp12", "laplace", "mul_X", (2, 0, "dirac")),
+    _r("osp12", "mul_X", "mul_r2"),
+    _r("osp12", "dirac", "laplace"),
     RULE_INDEX["g2-g-2:laplace,mul_r2"],
 ]
 
@@ -320,37 +325,26 @@ EUCLIDEAN_RULES = [
 # variables; beta is the spin counter and h_herm the Cartan element that
 # gives mul_z, mul_z_dag, dz, dz_dag weights +1, -1, -1, +1.
 HERMITIAN_RULES = [
-    _r("sl12", "comm", "beta", "mul_z", (-1, 0, "mul_z")),
-    _r("sl12", "comm", "beta", "mul_z_dag", (1, 0, "mul_z_dag")),
-    _r("sl12", "comm", "beta", "dz", (1, 0, "dz")),
-    _r("sl12", "comm", "beta", "dz_dag", (-1, 0, "dz_dag")),
+    _r("sl12", "beta", "mul_z", (-1, 0, "mul_z")),
+    _r("sl12", "beta", "mul_z_dag", (1, 0, "mul_z_dag")),
+    _r("sl12", "beta", "dz", (1, 0, "dz")),
+    _r("sl12", "beta", "dz_dag", (-1, 0, "dz_dag")),
     *(RULE_INDEX[rule_id] for rule_id in (
         "g1-g-1:dz,mul_z", "g1-g-1:dz_dag,mul_z_dag",
         "g1-g-1:dz,mul_z_dag", "g1-g-1:dz_dag,mul_z",
         "within-g-1:mul_z,mul_z_dag", "within-g1:dz,dz_dag",
         "within-g-1:mul_z,mul_z", "within-g-1:mul_z_dag,mul_z_dag",
         "within-g1:dz,dz", "within-g1:dz_dag,dz_dag")),
-    _r("sl12", "comm", "h_herm", "mul_z", (1, 0, "mul_z")),
-    _r("sl12", "comm", "h_herm", "mul_z_dag", (-1, 0, "mul_z_dag")),
-    _r("sl12", "comm", "h_herm", "dz", (-1, 0, "dz")),
-    _r("sl12", "comm", "h_herm", "dz_dag", (1, 0, "dz_dag")),
-    _r("sl12", "comm", "h_herm", "mul_r2"),
-    _r("sl12", "comm", "h_herm", "laplace"),
+    _r("sl12", "h_herm", "mul_z", (1, 0, "mul_z")),
+    _r("sl12", "h_herm", "mul_z_dag", (-1, 0, "mul_z_dag")),
+    _r("sl12", "h_herm", "dz", (-1, 0, "dz")),
+    _r("sl12", "h_herm", "dz_dag", (1, 0, "dz_dag")),
+    _r("sl12", "h_herm", "mul_r2"),
+    _r("sl12", "h_herm", "laplace"),
     RULE_INDEX["g0-g2:h_total,mul_r2"],
     RULE_INDEX["g0-g2:h_total,laplace"],
-    _r("sl12", "comm", "h_herm", "h_total"),
+    _r("sl12", "h_herm", "h_total"),
 ]
-
-
-def rules_parity_consistent(rules=None):
-    """Ids of rules whose comm/acomm kind disagrees with operand parity."""
-    bad = []
-    for rule in (RULES if rules is None else rules):
-        both_odd = (REGISTRY[rule.left].parity == "odd"
-                    and REGISTRY[rule.right].parity == "odd")
-        if (rule.kind == "acomm") != both_odd:
-            bad.append(rule.rule_id)
-    return bad
 
 
 # ------------------------------------------------------------ verification
@@ -411,26 +405,20 @@ def _table_block_job(args):
     return a, b, _check_block(p, a, b, RULES)
 
 
-def _worker_count(workers):
-    if workers is None:
-        workers = env_int("QUATCLIFF_WORKERS", 1)
-    if not isinstance(workers, int) or workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers!r}")
-    return workers
-
-
-def verify_table(p, max_total_degree, workers=None):
+def verify_table(p, max_total_degree, workers=1):
     """Every rule on every bidegree with a+b <= max_total_degree.
 
     Returns one VerificationReport per rule, in table order, each listing
     all bidegrees it was checked on and the first witness if it ever
-    failed.  Bidegrees are verified independently (in parallel when
-    QUATCLIFF_WORKERS or `workers` asks for it) and merged in a fixed
+    failed.  Bidegrees are verified independently (in a pool of
+    `workers` processes when it is more than one) and merged in a fixed
     order, so the outcome does not depend on scheduling.
     """
+    if not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
     grid = bidegrees_up_to(max_total_degree)
     blocks = parallel_map(_table_block_job, [(p, a, b) for a, b in grid],
-                          _worker_count(workers))
+                          workers)
 
     reports = []
     for rule in RULES:

@@ -35,10 +35,11 @@ column s is S^s_s = Ker P restricted to grade s, and S^{s+2k}_s = Q^k S^s_s.
 
 from fractions import Fraction
 from functools import cache, partial
+from typing import NamedTuple
 
 from . import linalg
 from .clifford import CliffordElement
-from .scalars import XS_ONE, XS_ZERO, xs
+from .scalars import XS_ONE, xs
 
 
 def mask_sort_key(mask):
@@ -200,22 +201,6 @@ def Q_op(s):
     return apply_terms(Q_terms(s.n), s)
 
 
-def spinor_inner(x, y):
-    """Hermitian inner product of two spinor values; equals 2^-n on each
-    diagonal blade pair.
-
-    Computed componentwise; tests confirm it against the Clifford-algebra
-    pairing of the converted elements.
-    """
-    x._check(y)
-    total = XS_ZERO
-    for key, c in x.terms.items():
-        d = y.terms.get(key)
-        if d is not None:
-            total = total + c.conjugate() * d
-    return total * Fraction(1, 2 ** x.n)
-
-
 class WittFrame:
     """Clifford-algebra realisation of the Witt basis for given p."""
 
@@ -256,16 +241,6 @@ class WittFrame:
         for (_, _, mask), c in x.terms.items():
             out = out + self.spinor_blade(mask).scale(c)
         return out
-
-    def spinor_to_element(self, x):
-        """Inverse of to_clifford, via exact solve on blades."""
-        from .poly import SpinorPolynomial
-        masks = [m for r in range(self.n + 1) for m in grade_masks(self.n, r)]
-        basis = [self.spinor_blade(m).terms for m in masks]
-        coeffs = linalg.solve_in_span(basis, x.terms)
-        if coeffs is None:
-            raise ValueError("element is not in the spinor module")
-        return SpinorPolynomial.constant(self.n, dict(zip(masks, coeffs)))
 
 
 # cached frames: immutable after construction, safe to share
@@ -387,23 +362,11 @@ def detect_spin_convention(p):
     raise AssertionError("no conjugation convention reproduces the rotations")
 
 
-class CellLabel:
+class CellLabel(NamedTuple):
     """Cell S^r_s: r is the column (spinor grade), s the row."""
 
-    __slots__ = ("r", "s")
-
-    def __init__(self, r, s):
-        self.r = r
-        self.s = s
-
-    def __eq__(self, other):
-        return isinstance(other, CellLabel) and (self.r, self.s) == (other.r, other.s)
-
-    def __hash__(self):
-        return hash((self.r, self.s))
-
-    def __repr__(self):
-        return f"CellLabel(r={self.r}, s={self.s})"
+    r: int
+    s: int
 
 
 def valid_cell(p, r, s):
@@ -422,21 +385,6 @@ def cell_dim(p, r, s):
         return 0
     low = comb(2 * p, s - 2) if s >= 2 else 0
     return comb(2 * p, s) - low
-
-
-class CellBasis:
-    __slots__ = ("label", "vectors")
-
-    def __init__(self, label, vectors):
-        self.label = label
-        self.vectors = vectors
-
-    @property
-    def dim(self):
-        return len(self.vectors)
-
-    def __repr__(self):
-        return f"CellBasis({self.label!r}, dim={self.dim})"
 
 
 @cache
@@ -466,38 +414,6 @@ def cell_basis(p, r, s):
     reduced, _ = linalg.rref(
         vecs, key_order=[(zero, zero, m) for m in grade_masks(n, r)])
     return [SpinorPolynomial(n, row) for row in reduced]
-
-
-def cell_decompose(p):
-    """All cells of the triangle, as canonical bases, column-major order."""
-    return [CellBasis(lbl, cell_basis(p, lbl.r, lbl.s)) for lbl in cell_labels(p)]
-
-
-def project_to_cell(s, label):
-    """Orthogonal projection of a spinor value onto one cell span."""
-    p = s.n // 2
-    basis = cell_basis(p, label.r, label.s)
-    if not basis:
-        return type(s)(s.n)
-    gram_cols = []
-    for vj in basis:
-        col = {}
-        for i, vi in enumerate(basis):
-            val = spinor_inner(vi, vj)
-            if val:
-                col[i] = val
-        gram_cols.append(col)
-    rhs = {}
-    for i, vi in enumerate(basis):
-        val = spinor_inner(vi, s)
-        if val:
-            rhs[i] = val
-    coeffs = linalg.solve_in_span(gram_cols, rhs)
-    out = type(s)(s.n)
-    for c, v in zip(coeffs, basis):
-        if c:
-            out = out + v.scale(c)
-    return out
 
 
 def pq_scalars(p, r, s):

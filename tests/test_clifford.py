@@ -140,19 +140,3 @@ def test_norm_sq_is_real_and_definite(x):
         assert v != XS_ZERO
         assert float(Fraction(v.ar.numerator, v.ar.denominator)) \
             + float(Fraction(v.br.numerator, v.br.denominator)) * math.sqrt(2) > 0
-
-
-def test_k_vector_part_splits_grades():
-    x = CliffordElement.scalar(N, 5) + CliffordElement.blade(N, [1, 3], xs(2)) \
-        + CliffordElement.generator(N, 2)
-    assert x.k_vector_part(0) == CliffordElement.scalar(N, 5)
-    assert x.k_vector_part(2) == CliffordElement.blade(N, [1, 3], xs(2))
-    total = sum((x.k_vector_part(k) for k in range(N + 1)),
-                CliffordElement.zero(N))
-    assert total == x
-
-
-@given(elements())
-@settings(max_examples=30)
-def test_json_round_trip(x):
-    assert CliffordElement.from_json(x.to_json(), N) == x

@@ -220,7 +220,7 @@ def test_table_shares_sources_and_head_words():
         fac = fi.embedding_factor(alpha, p, a, b, r)
         assert fac.source == (r + dr, a + da, b + db)
         assert raw[0][0](p, a, b, r) == 1
-        assert fac.head_word() == raw[0][1]
+        assert fac.word == raw[0][1]
 
 
 def test_table_rendering_frozen():

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from quatcliff import fischer as fi
+from quatcliff import fischer as fi, witt
 from quatcliff.operators import apply, apply_word
 from quatcliff.poly import SpinorPolynomial, poly_dim, space_basis
 from quatcliff.scalars import XS_ONE, xs
@@ -130,6 +130,22 @@ def test_cells_structure(p):
     assert out["total_dim"] == 1 << (2 * p)
 
 
+def test_cells_check_rejects_a_dependent_column(monkeypatch):
+    # the right count of vectors is not a tiling: cell (1, 1) at p = 1
+    # holding one vector twice has dimension 2 but rank 1
+    real = witt.cell_basis
+
+    def doubled(p, r, s):
+        basis = real(p, r, s)
+        return [basis[0], basis[0]] if (p, r, s) == (1, 1, 1) else basis
+
+    monkeypatch.setattr(witt, "cell_basis", doubled)
+    out = fi.cells_check(1)
+    assert out["checks"]["dims"] is True
+    assert out["checks"]["column_tiling"] is False
+    assert out["passed"] is False
+
+
 # -------------------------------------------------------------- projections
 
 def _random_harmonic(p, a, b, rng):
@@ -233,7 +249,7 @@ def test_composite_projection_recovers_embedding_factor():
     src = fi.s_space(2, *fac.source)
     params = (2, 2, 1, 0)
     for v in src.vectors[:3]:
-        head = apply_word(fac.head_word(), v)
+        head = apply_word(fac.word, v)
         out = fi.composite_projection(head, params)
         assert out == fi._composite_projection_swapped(head, params)
 
@@ -256,7 +272,7 @@ def test_embedding_factor_out_of_range_source_is_empty():
 
 def test_embedding_factor_alpha0_is_identity():
     fac = fi.embedding_factor(0, 2, 2, 1, 1)
-    assert fac.head_word() == ()
+    assert fac.word == ()
     S = fi.s_space(2, 1, 2, 1)
     if S.dim:
         assert fac.apply(S.vectors[0]) == S.vectors[0]
@@ -265,7 +281,7 @@ def test_embedding_factor_alpha0_is_identity():
 def test_embedding_factor_alpha2_coefficients_frozen():
     fac = fi.embedding_factor(2, 2, 2, 1, 0)
     assert fac.source == (1, 2, 0)
-    assert fac.head_word() == ("mul_z_dagJ",)
+    assert fac.word == ("mul_z_dagJ",)
 
 
 def test_piece_activity_witnesses():
@@ -329,9 +345,9 @@ def test_tower_pieces_match_literal_powers(p, k):
             entry = fi.piece_activity(p, lab["a"], lab["b"], lab["r"])
             expect = []
             for w in entry[lab["alpha"]]["vecs"]:
-                w = fi._power("curlyE_dag", lab["t"], w)
-                w = fi._power("Q", lab["j"], w)
-                expect.append(fi._power("mul_r2", lab["l"], w))
+                w = apply_word(("curlyE_dag",) * lab["t"], w)
+                w = apply_word(("Q",) * lab["j"], w)
+                expect.append(apply_word(("mul_r2",) * lab["l"], w))
             assert vecs == expect, lab
             used.update(name for name in "tjl" if lab[name])
     if k >= 2:

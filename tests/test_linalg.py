@@ -100,7 +100,7 @@ def test_nullspace_annihilates(images):
 @given(vector_lists(), vectors())
 @settings(max_examples=40)
 def test_solve_round_trip(basis, target):
-    coeffs = linalg.solve_in_span(basis, target)
+    coeffs = linalg.Solver(basis).solve(target)
     if coeffs is None:
         # target really outside the span: rank must grow
         assert linalg.rank(basis + [target]) == linalg.rank(basis) + 1
@@ -115,13 +115,8 @@ def test_solve_round_trip(basis, target):
 @settings(max_examples=30)
 def test_solve_many_matches_one_by_one(basis, targets):
     batched = linalg.solve_many(basis, targets)
-    single = [linalg.solve_in_span(basis, t) for t in targets]
+    single = [linalg.Solver(basis).solve(t) for t in targets]
     assert batched == single
-
-
-def test_solve_in_span_empty_basis():
-    assert linalg.solve_in_span([], {}) == []
-    assert linalg.solve_in_span([], {0: XS_ONE}) is None
 
 
 def reference_solve_many(basis, targets):
@@ -219,7 +214,6 @@ def test_solver_matches_reference(system):
     solver = linalg.Solver(basis)
     assert [solver.solve(t) for t in targets] == expected
     assert linalg.solve_many(basis, targets) == expected
-    assert [linalg.solve_in_span(basis, t) for t in targets] == expected
 
 
 # ------------------------------------------------ rank certificate mod q

@@ -102,15 +102,6 @@ def test_bidegree_parts_partition(F):
     assert total == F
 
 
-@given(polys(2))
-@settings(max_examples=40)
-def test_value_grades_partition(F):
-    total = SpinorPolynomial.zero(F.n)
-    for r in F.value_grades():
-        total = total + F.value_grade_part(r)
-    assert total == F
-
-
 def test_zero_terms_dropped():
     F = SpinorPolynomial(2, {((1, 0), (0, 0), 0): xs(0)})
     assert F.is_zero() and not F

@@ -1,0 +1,87 @@
+"""Every function, class and method defined in src/ is referenced by name
+somewhere in src/ or perfbench/, so library code that only tests reach
+shows up here and is either wired in or deleted.
+
+src/ is parsed with ast: a name counts as referenced where it appears as
+an identifier, an attribute or a whole string constant, so names listed
+in __all__ count.  perfbench/ is read as text, every word of it a
+reference, which covers the names its tracer wraps.  A definition's own
+def line does not reference it, and dunder methods, which the language
+calls, are skipped.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src").rglob("*.py"))
+BENCH = sorted((ROOT / "perfbench").rglob("*.py"))
+
+# Definitions kept with no caller in src/ or perfbench/, and why.
+ALLOWED = {
+    # the Clifford-algebra oracle the spinor sign rules are tested against
+    "inner_product": "Hermitian pairing of the oracle, blade orthogonality",
+    "hermitian_conjugate": "oracle side of the pairing identity",
+    "scalar_part": "oracle side of the pairing identity",
+    "to_clifford": "maps a spinor value into the oracle algebra",
+    # paper claims still checked from the tests only, to become CLI checks
+    "dirac_dictionary_check": "the Witt-basis Dirac operators in real "
+                              "coordinates",
+    "detect_spin_convention": "the spin group elements realise the complex "
+                              "structures I and J",
+}
+
+
+def definitions(source):
+    return {node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+def references(source):
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def unreferenced(sources, texts=()):
+    """Names defined in `sources` that no source references and no word
+    of `texts` spells."""
+    defined, used = set(), set()
+    for source in sources:
+        defined |= definitions(source)
+        used |= references(source)
+    for text in texts:
+        used.update(re.findall(r"\w+", text))
+    return sorted(defined - used)
+
+
+def test_scanner_flags_only_unreferenced_definitions():
+    source = ("__all__ = ['exported']\n"
+              "def exported(): pass\n"
+              "def called(): pass\n"
+              "def traced(): pass\n"
+              "def orphan(): pass\n"
+              "class K:\n"
+              "    def __init__(self): self.method()\n"
+              "    def method(self): return getattr(self, 'by_string')\n"
+              "    def by_string(self): pass\n"
+              "    def unused(self): pass\n"
+              "called(K)\n")
+    texts = ["wrap('mod:K', ('traced',))"]
+    assert unreferenced([source], texts) == ["orphan", "unused"]
+    assert unreferenced([source]) == ["orphan", "traced", "unused"]
+
+
+def test_every_definition_is_referenced():
+    found = unreferenced([path.read_text() for path in SRC],
+                         [path.read_text() for path in BENCH])
+    assert found == sorted(ALLOWED)

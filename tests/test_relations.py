@@ -12,8 +12,7 @@ from quatcliff import relations
 from quatcliff.operators import REGISTRY
 from quatcliff.relations import (EUCLIDEAN_RULES, HERMITIAN_RULES, RULE_INDEX,
                                  RULES, SL2_TRIPLES, bidegrees_up_to,
-                                 cartan_weight_report,
-                                 rules_parity_consistent, verify_osp12_and_sl12,
+                                 cartan_weight_report, verify_osp12_and_sl12,
                                  verify_qmonogenic_equivalence,
                                  verify_qmonogenic_stability,
                                  verify_sl2_triples, verify_table)
@@ -31,9 +30,11 @@ def test_table_shape():
 
 
 def test_rule_parities():
-    # anticommutators only between odd operators, commutators otherwise;
-    # the checker returns the list of violations
-    assert rules_parity_consistent() == []
+    # anticommutators only between odd operators, commutators otherwise
+    for rule in list(RULES) + list(EUCLIDEAN_RULES) + list(HERMITIAN_RULES):
+        both_odd = (REGISTRY[rule.left].parity == "odd"
+                    and REGISTRY[rule.right].parity == "odd")
+        assert rule.kind == ("acomm" if both_odd else "comm"), rule.rule_id
 
 
 def test_sub_table_sizes():
@@ -136,10 +137,6 @@ def test_witness_on_forced_failure():
     assert report.witness is not None
 
 
-def test_worker_env_must_be_a_positive_integer(monkeypatch):
-    monkeypatch.setenv("QUATCLIFF_WORKERS", "abc")
-    with pytest.raises(ValueError):
-        verify_table(1, 0)
-    monkeypatch.delenv("QUATCLIFF_WORKERS")
+def test_worker_env_must_be_a_positive_integer():
     with pytest.raises(ValueError):
         verify_table(1, 0, workers=0)
