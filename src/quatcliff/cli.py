@@ -18,12 +18,13 @@ double as CLI flag values and report keys):
 The grid checks (thm5 to hermitian) share one label loop, `_walk`: a
 label whose space is over the dimension cap is reported as skipped with
 its needed dimension, and every other label is run.  relations caps its
-degree instead, and cells and example13 have no labels.
+degree instead, and writes the same skip record when even degree 0 is
+over the cap; cells and example13 have no labels.
 
-Check jobs are independent; with more than one worker they dispatch to
-a process pool and report assembly stays single threaded.  Emitted JSON
-is canonical (sorted keys), so identical configurations produce
-identical bytes apart from the timing block.
+The checks run one after another in this process; with more than one
+worker only the relation table spreads its bidegree blocks over a
+process pool.  Emitted JSON is canonical (sorted keys), so identical
+configurations produce identical bytes apart from the timing block.
 """
 
 import argparse
@@ -32,10 +33,9 @@ import sys
 import time
 from math import comb
 
-from . import fischer, linalg, relations
-from .env import env_int, parallel_map
+from . import fischer, relations
+from .env import env_int
 from .poly import SpinorPolynomial, poly_dim
-from .scalars import XS_ONE
 from .witt import cell_dim, cell_labels, pq_scalars
 
 SCHEMA_VERSION = 2
@@ -199,11 +199,14 @@ def _run_relations(config):
     spinor = 1 << (2 * p)
     degree = config.max_total_degree
     capped = False
-    while degree > 0 and any(
+    while degree >= 0 and any(
             poly_dim(p, a, b) * spinor > cap
             for a, b in relations.bidegrees_up_to(degree)):
         degree -= 1
         capped = True
+    if degree < 0:
+        return {"p": p, "rules": [], "skipped": "cap", "needed_dim": spinor,
+                "dim_cap": cap, "passed": True}
     reports = relations.verify_table(p, degree, workers=config.workers)
     out = {"p": p, "max_total_degree": degree,
            "rule_count": len(reports),
@@ -328,32 +331,21 @@ _RUNNERS = {
 CHECK_NAMES = tuple(_RUNNERS)
 
 
-def _check_job(args):
-    """One check, timed; in a worker process as well as in this one."""
-    name, fields = args
-    t0 = time.perf_counter()
-    result = _RUNNERS[name](RunConfig(**fields))
-    return name, result, time.perf_counter() - t0
-
-
 def run(config):
     """Execute the configured checks and return the report bundle.
 
-    Writes the JSON bundle to `config.output` when set.  With more than
-    one worker, several checks run in a process pool, each with its
-    inner parallelism pinned off, and a single check spreads its own
-    work instead.
+    The checks run one after another in `CHECK_NAMES` order, each timed
+    and each handed the same `config`; its `workers` reach the relation
+    table, whose bidegree blocks are the only work spread over
+    processes.  Writes the JSON bundle to `config.output` when set.
     """
     config.validate()
-    names = [name for name in CHECK_NAMES if name in set(config.checks)]
-    fields = {"p": config.p, "max_total_degree": config.max_total_degree,
-              "checks": config.checks, "dim_cap": config.dim_cap,
-              "workers": config.workers if len(names) == 1 else 1,
-              "label_filter": config.label_filter}
-    results = parallel_map(_check_job, [(name, fields) for name in names],
-                           config.workers)
-    reports = {name: result for name, result, _ in results}
-    timing = {name: seconds for name, _, seconds in results}
+    reports, timing = {}, {}
+    for name in CHECK_NAMES:
+        if name in config.checks:
+            t0 = time.perf_counter()
+            reports[name] = _RUNNERS[name](config)
+            timing[name] = time.perf_counter() - t0
     bundle = ReportBundle(config, reports, timing)
     if config.output:
         emit_report(bundle, config.output)
@@ -361,65 +353,6 @@ def run(config):
 
 
 # ---------------------------------------------------------------- JSON I/O
-
-def _is_int(x):
-    """An int that is not a bool (JSON true/false load as bools)."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def parse_polynomial(data, n=None):
-    """Turn the JSON term list into a SpinorPolynomial.
-
-    Schema: a list of {"alpha": [ints], "beta": [ints],
-    "spinor": [1-based indices], "coeff": scalar object}, where the
-    scalar object holds "num/den" strings (or integers) under the keys
-    a_re, a_im, b_re, b_im.  JSON true/false are not integers here.
-    Violations raise ValueError naming the term index and field.  An
-    empty list gives the zero polynomial (of rank `n` when provided).
-    """
-    if not isinstance(data, list):
-        raise ValueError("polynomial JSON must be a list of term objects")
-    terms = {}
-    for i, item in enumerate(data):
-        where = f"term {i}"
-        if not isinstance(item, dict):
-            raise ValueError(f"{where}: expected an object")
-        for field in ("alpha", "beta"):
-            val = item.get(field)
-            if (not isinstance(val, list)
-                    or not all(_is_int(e) and e >= 0 for e in val)):
-                raise ValueError(f"{where}, field '{field}': expected a list "
-                                 "of nonnegative integers")
-        if n is None:
-            n = len(item["alpha"])
-        if len(item["alpha"]) != n or len(item["beta"]) != n:
-            raise ValueError(f"{where}: alpha and beta must both have "
-                             f"length {n}")
-        spinor = item.get("spinor", [])
-        if (not isinstance(spinor, list)
-                or not all(_is_int(k) and 1 <= k <= n
-                           for k in spinor)
-                or len(set(spinor)) != len(spinor)):
-            raise ValueError(f"{where}, field 'spinor': expected distinct "
-                             f"indices in 1..{n}")
-        coeff = item.get("coeff")
-        if not isinstance(coeff, dict):
-            raise ValueError(f"{where}, field 'coeff': expected an object "
-                             "with keys a_re, a_im, b_re, b_im")
-        for key in ("a_re", "a_im", "b_re", "b_im"):
-            if key not in coeff:
-                raise ValueError(f"{where}, field 'coeff': missing '{key}'")
-            val = coeff[key]
-            if not (isinstance(val, str) or _is_int(val)):
-                raise ValueError(f"{where}, field 'coeff.{key}': expected a "
-                                 "\"num/den\" string or an integer")
-        try:
-            term = SpinorPolynomial.from_json([item], n=n)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"{where}: {exc}") from None
-        linalg.axpy(terms, term.terms, XS_ONE)
-    return SpinorPolynomial(0 if n is None else n, terms)
-
 
 def emit_report(bundle, path):
     """Write the bundle as canonical JSON (sorted keys, two-space
@@ -515,7 +448,7 @@ def main(argv=None):
             cap = RunConfig(p=args.p).validate().dim_cap
             with open(args.input) as fh:
                 data = json.load(fh)
-            F = parse_polynomial(data, n=2 * args.p)
+            F = SpinorPolynomial.from_json(data, n=2 * args.p)
             for A, B in F.bidegrees():
                 needed = poly_dim(args.p, A, B) * 4 ** args.p
                 if needed > cap:

@@ -22,13 +22,12 @@ from math import comb
 
 from . import linalg
 from .operators import apply, apply_word, joint_kernel
-from .poly import (SpinorPolynomial, poly_dim, space_basis, term_sort_key,
-                   value_basis)
+from .poly import SpinorPolynomial, poly_dim, space_basis, value_basis
 from .scalars import XS_ONE, xs
 from .witt import P_op, Q_op, beta, cell_dim, cell_labels, grade_masks, valid_cell
 
 __all__ = [
-    "SubspaceBasis", "DecompositionReport", "EmbeddingFactor",
+    "SubspaceBasis", "DecompositionReport",
     "kernel_space", "harmonic_space", "symplectic_harmonic_space",
     "qmonogenic_space", "s_space", "t_space", "harmonic_dim_oracle",
     "symplectic_harmonic_decomposition", "sl2_module_checks",
@@ -77,20 +76,10 @@ class SubspaceBasis:
         return f"SubspaceBasis(ambient={self.ambient!r}, dim={self.dim})"
 
 
-def _canonical_polys(n, dicts):
-    rows = [d for d in dicts if d]
-    if not rows:
-        return []
-    keys = sorted({k for row in rows for k in row}, key=term_sort_key)
-    reduced, _ = linalg.rref(rows, key_order=keys)
-    return [SpinorPolynomial(n, row) for row in reduced]
-
-
 def kernel_space(ops, p, a, b, value_space=("full",)):
     """Joint kernel of `ops` on P_{a,b} tensor the value space."""
-    kernel = joint_kernel(ops, space_basis(p, a, b, value_space))
     return SubspaceBasis((p, a, b, tuple(value_space)),
-                         _canonical_polys(2 * p, [v.terms for v in kernel]))
+                         joint_kernel(ops, space_basis(p, a, b, value_space)))
 
 
 @cache
@@ -395,43 +384,15 @@ _EMBEDDINGS = (
 )
 
 
-class EmbeddingFactor:
-    """One of the sixteen maps that embed a source S-space into the
-    symplectic harmonics with cell values at the target labels: the head
-    word followed by `composite_projection` at the target labels."""
-
-    __slots__ = ("alpha", "target", "source", "word")
-
-    def __init__(self, alpha, target, source, word):
-        self.alpha = alpha
-        self.target = target          # (p, a, b, r)
-        self.source = source          # (r', a', b')
-        self.word = word              # name tuple, None without a source
-
-    @property
-    def is_empty(self):
-        return self.word is None
-
-    def apply(self, F):
-        if self.word is None:
-            return SpinorPolynomial.zero(F.n)
-        return composite_projection(apply_word(self.word, F), self.target)
-
-    def rendered(self):
-        if self.word is None:
-            return "0"
-        return "proj " + (" ".join(self.word) or "1")
-
-    def __repr__(self):
-        return (f"EmbeddingFactor(alpha={self.alpha}, source={self.source}, "
-                f"word={self.word})")
-
-
 def embedding_factor(alpha, p, a, b, r):
-    """Build embedding factor `alpha` for target labels (p, a, b, r).
+    """Embedding factor `alpha` for target labels (p, a, b, r), as
+    (source, word).
 
+    The factor maps the S-space at source labels (r', a', b') into the
+    symplectic harmonics with cell values at the target: the head word
+    (a name tuple) followed by `composite_projection` at the target.
     Sources with negative degrees or a column outside 0..p give the
-    empty factor.
+    empty factor, whose word is None.
     """
     if alpha not in range(16):
         raise ValueError(f"alpha must be in 0..15, got {alpha}")
@@ -444,7 +405,7 @@ def embedding_factor(alpha, p, a, b, r):
     sr, sa, sb = source
     if not (0 <= sr <= p and sa >= sb >= 0):
         word = None
-    return EmbeddingFactor(alpha, (p, a, b, r), source, word)
+    return source, word
 
 
 def _tensor_scalar_value(h, v):
@@ -478,20 +439,21 @@ def piece_activity(p, a, b, r):
     """
     entries = []
     for alpha in range(16):
-        fac = embedding_factor(alpha, p, a, b, r)
-        entry = {"alpha": alpha, "source": fac.source, "factor": fac,
+        source, word = embedding_factor(alpha, p, a, b, r)
+        entry = {"alpha": alpha, "source": source, "word": word,
                  "src_vectors": [], "vecs": [], "src_dim": 0, "rank": 0,
                  "counted": False, "reason": None}
-        if fac.is_empty:
+        if word is None:
             entry["reason"] = "no source"
             entries.append(entry)
             continue
-        src = s_space(p, *fac.source)
+        src = s_space(p, *source)
         if src.dim == 0:
             entry["reason"] = "empty source"
             entries.append(entry)
             continue
-        vecs = [fac.apply(v) for v in src.vectors]
+        vecs = [composite_projection(apply_word(word, v), (p, a, b, r))
+                for v in src.vectors]
         rank = _span_rank([vecs])
         entry.update(src_vectors=list(src.vectors), vecs=vecs,
                      src_dim=src.dim, rank=rank)
@@ -544,7 +506,7 @@ def symplectic_harmonics_16_decomposition(p, a, b, r):
     exclusions = []
     for entry in piece_activity(p, a, b, r):
         alpha = entry["alpha"]
-        fac = entry["factor"]
+        word = entry["word"]
         comp = {"alpha": alpha, "source": list(entry["source"]),
                 "source_dim": entry["src_dim"], "rank": entry["rank"],
                 "counted": entry["counted"]}
@@ -566,14 +528,14 @@ def symplectic_harmonics_16_decomposition(p, a, b, r):
                                "source": list(entry["source"]),
                                "source_dim": entry["src_dim"],
                                "witness_source": str(entry["src_vectors"][0]),
-                               "factor": fac.rendered()})
+                               "factor": "proj " + (" ".join(word) or "1")})
         elif entry["reason"] == "coincides":
             comp["coincides_with"] = entry["coincides_with"]
             exclusions.append({"alpha": alpha, "reason": "coincides",
                                "source": list(entry["source"]),
                                **entry["coincides_with"]})
         for v, image in zip(entry["src_vectors"], vecs):
-            head = apply_word(fac.word, v)
+            head = apply_word(word, v)
             if (_composite_projection_swapped(head, params) - image).terms:
                 orders_agree = False
         components.append(comp)
@@ -795,8 +757,7 @@ def _degree_basis(p, d):
 @cache
 def _monogenic_basis(p, d):
     """Kernel of the Dirac operator on the degree-d spinor polynomials."""
-    kernel = joint_kernel(("dirac",), _degree_basis(p, d))
-    return _canonical_polys(2 * p, [v.terms for v in kernel])
+    return joint_kernel(("dirac",), _degree_basis(p, d))
 
 
 def euclidean_fischer_dims(m, k):

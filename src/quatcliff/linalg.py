@@ -173,7 +173,10 @@ def nullspace(images):
 
     `images` lists the images of the source basis vectors under some linear
     map, as key->coefficient dicts.  The result is a list of coordinate
-    vectors {j: coeff}, in reduced echelon form over the source indices.
+    vectors {j: coeff}, the free-variable basis: one vector per free index
+    f, with 1 at f and 0 at every other free index.  The free indices are
+    the non-pivot columns of the reduced constraints, so this basis
+    depends only on the kernel.
     """
     n = len(images)
     constraints = {}
@@ -193,8 +196,7 @@ def nullspace(images):
             if c is not None:
                 vec[key] = -c
         kernel.append(vec)
-    canon, _ = rref(kernel, key_order=list(range(n)))
-    return canon
+    return kernel
 
 
 class Solver:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import linalg
-from .poly import SpinorPolynomial, space_basis
+from .poly import SpinorPolynomial, space_basis, term_sort_key
 from .scalars import ExtendedScalar, XS_ONE, xs
 from .witt import P_terms, Q_terms, apply_terms, beta_terms
 
@@ -212,9 +212,10 @@ def joint_kernel(ops, basis):
     """Basis of the joint kernel of the operators `ops` on the span of the
     linearly independent polynomials `basis`.
 
-    The images under all operators are stacked into one linear map and
-    each canonical nullspace vector is recombined into a polynomial, so
-    the result depends only on the operators and the ordered basis.
+    The images under all operators are stacked into one linear map, and
+    its nullspace vectors are recombined into polynomials and brought to
+    reduced echelon form in `term_sort_key` order, so the result depends
+    only on the kernel.
     """
     ops = tuple(ops)
     images = []
@@ -224,13 +225,17 @@ def joint_kernel(ops, basis):
             for k, c in apply(name, F).terms.items():
                 stacked[(i, k)] = c
         images.append(stacked)
-    vecs = []
+    rows = []
     for combo in linalg.nullspace(images):
         acc = {}
         for j, c in combo.items():
             linalg.axpy(acc, basis[j].terms, c)
-        vecs.append(SpinorPolynomial(basis[0].n, acc))
-    return vecs
+        rows.append(acc)
+    if not rows:
+        return []
+    keys = sorted({k for row in rows for k in row}, key=term_sort_key)
+    reduced, _ = linalg.rref(rows, key_order=keys)
+    return [SpinorPolynomial(basis[0].n, row) for row in reduced]
 
 
 # ------------------------------------- real-coordinate Dirac reconstruction

@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from . import linalg
-from .scalars import ExtendedScalar, XS_ONE, xs
+from .scalars import ExtendedScalar, XS_ONE, XS_ZERO, xs
 from .witt import KEY_MOVES, grade_masks, mask_sort_key
 
 
@@ -185,19 +185,68 @@ class SpinorPolynomial:
 
     @classmethod
     def from_json(cls, data, n=None):
-        if n is None:
-            if not data:
-                raise ValueError("cannot infer rank from an empty polynomial")
-            n = len(data[0]["alpha"])
+        """The polynomial a JSON term list describes; repeated terms add.
+
+        Schema: a list of {"alpha": [ints], "beta": [ints],
+        "spinor": [1-based indices], "coeff": scalar object}, where the
+        scalar object holds "num/den" strings (or integers) under the
+        keys a_re, a_im, b_re, b_im.  JSON true/false are not integers
+        here.  The rank is `n`, or else the length of the first alpha;
+        an empty list needs `n`.  Violations raise ValueError naming the
+        term index and field.
+        """
+        if not isinstance(data, list):
+            raise ValueError("polynomial JSON must be a list of term objects")
+        if n is None and not data:
+            raise ValueError("cannot infer rank from an empty polynomial")
         terms = {}
-        for item in data:
-            mask = 0
-            for k in item.get("spinor", []):
-                mask |= 1 << (k - 1)
-            term = cls.monomial(n, item["alpha"], item["beta"], mask,
-                                ExtendedScalar.from_json(item["coeff"]))
-            linalg.axpy(terms, term.terms, XS_ONE)
+        for i, item in enumerate(data):
+            where = f"term {i}"
+            if not isinstance(item, dict):
+                raise ValueError(f"{where}: expected an object")
+            for field in ("alpha", "beta"):
+                val = item.get(field)
+                if (not isinstance(val, list)
+                        or not all(_is_int(e) and e >= 0 for e in val)):
+                    raise ValueError(f"{where}, field '{field}': expected a "
+                                     "list of nonnegative integers")
+            if n is None:
+                n = len(item["alpha"])
+            if len(item["alpha"]) != n or len(item["beta"]) != n:
+                raise ValueError(f"{where}: alpha and beta must both have "
+                                 f"length {n}")
+            spinor = item.get("spinor", [])
+            if (not isinstance(spinor, list)
+                    or not all(_is_int(k) and 1 <= k <= n for k in spinor)
+                    or len(set(spinor)) != len(spinor)):
+                raise ValueError(f"{where}, field 'spinor': expected "
+                                 f"distinct indices in 1..{n}")
+            coeff = item.get("coeff")
+            if not isinstance(coeff, dict):
+                raise ValueError(f"{where}, field 'coeff': expected an "
+                                 "object with keys a_re, a_im, b_re, b_im")
+            for key in ("a_re", "a_im", "b_re", "b_im"):
+                if key not in coeff:
+                    raise ValueError(f"{where}, field 'coeff': missing "
+                                     f"'{key}'")
+                val = coeff[key]
+                if not (isinstance(val, str) or _is_int(val)):
+                    raise ValueError(f"{where}, field 'coeff.{key}': "
+                                     "expected a \"num/den\" string or an "
+                                     "integer")
+            try:
+                c = ExtendedScalar.from_json(coeff)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            key = (tuple(item["alpha"]), tuple(item["beta"]),
+                   sum(1 << (k - 1) for k in spinor))
+            terms[key] = terms.get(key, XS_ZERO) + c
         return cls(n, terms)
+
+
+def _is_int(x):
+    """An int that is not a bool (JSON true/false load as bools)."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 # -------------------------------------------------------------- enumeration

@@ -385,24 +385,20 @@ def bidegrees_up_to(max_total_degree):
             for a in range(d, -1, -1)]
 
 
-def _check_block(p, a, b, rules):
-    """All rules at one bidegree, sharing one term-image cache.
+def _table_block_job(args):
+    """Every rule of `RULES` at one bidegree, sharing one term-image cache.
 
-    Returns {rule_id: (passed, witness-or-None)} with plain values only, so
-    the result can cross a process boundary.
+    Returns (a, b, {rule_id: (passed, witness-or-None)}) with plain values
+    only, so the result can cross a process boundary.
     """
+    p, a, b = args
     basis = space_basis(p, a, b)
     cache = {}
     out = {}
-    for rule in rules:
+    for rule in RULES:
         rep = verify_bracket(rule, p, a, b, cache=cache, basis=basis)
         out[rule.rule_id] = (rep.passed, rep.witness)
-    return out
-
-
-def _table_block_job(args):
-    p, a, b = args
-    return a, b, _check_block(p, a, b, RULES)
+    return a, b, out
 
 
 def verify_table(p, max_total_degree, workers=1):

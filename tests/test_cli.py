@@ -99,25 +99,22 @@ def good_term():
 
 
 def test_parse_single_witt_monomial():
-    F = cli.parse_polynomial([good_term()])
+    F = SpinorPolynomial.from_json([good_term()])
     assert F == SpinorPolynomial.monomial(4, (0, 1, 0, 0), (0, 0, 0, 0),
                                           0b0001)
 
 
 def test_parse_empty_list_is_zero():
-    assert cli.parse_polynomial([], n=4).is_zero()
-    assert cli.parse_polynomial([]).is_zero()
+    assert SpinorPolynomial.from_json([], n=4).is_zero()
 
 
-@pytest.mark.parametrize("parse", [
-    cli.parse_polynomial,
-    lambda data: SpinorPolynomial.from_json(data)], ids=["cli", "from_json"])
-def test_parse_sums_repeated_terms(parse):
+def test_parse_sums_repeated_terms():
     def term(alpha, re):
         return {"alpha": alpha, "beta": [0, 0, 0, 0], "spinor": [1],
                 "coeff": {"a_re": re, "a_im": 0, "b_re": 0, "b_im": 0}}
     x, y = [0, 1, 0, 0], [1, 0, 0, 0]
-    F = parse([term(x, 1), term(y, 2), term(x, "1/2"), term(y, -2)])
+    F = SpinorPolynomial.from_json([term(x, 1), term(y, 2), term(x, "1/2"),
+                                    term(y, -2)])
     assert F == SpinorPolynomial.monomial(4, x, (0, 0, 0, 0), 0b0001,
                                           xs("3/2"))
 
@@ -132,7 +129,7 @@ def test_parse_round_trip_random():
         mask = rng.randrange(1 << n)
         c = xs(rng.randint(-5, 5), rng.randint(-5, 5))
         F = F + SpinorPolynomial.monomial(n, alpha, beta, mask, c)
-    again = cli.parse_polynomial(F.to_json(), n=n)
+    again = SpinorPolynomial.from_json(F.to_json(), n=n)
     assert again == F
 
 
@@ -152,7 +149,7 @@ def test_parse_round_trip_random():
 ])
 def test_parse_schema_violations(mangle, needle):
     with pytest.raises(ValueError) as err:
-        cli.parse_polynomial(mangle(good_term()))
+        SpinorPolynomial.from_json(mangle(good_term()))
     assert needle in str(err.value)
 
 
@@ -225,7 +222,7 @@ def test_decompose_round_trip(tmp_path):
     lab = payload["components"][0]
     assert (lab["l"], lab["j"], lab["t"], lab["alpha"], lab["r"]) \
         == (1, 0, 0, 0, 0)
-    assert cli.parse_polynomial(lab["source"], n=2) \
+    assert SpinorPolynomial.from_json(lab["source"], n=2) \
         == SpinorPolynomial.monomial(2, (0, 0), (0, 0), 0)
 
 
@@ -315,21 +312,15 @@ def test_report_determinism(tmp_path):
     assert first == second
 
 
-def test_parallel_matches_sequential(monkeypatch):
-    # several checks share the pool with their inner workers pinned to 1;
-    # a single check keeps the workers and spreads its bidegrees
-    inner, spread = [], []
-
-    def check_spy(fn, jobs, workers):
-        inner.append((workers, sorted({job[1]["workers"] for job in jobs})))
-        return parallel_map(fn, jobs, workers)
+def test_one_pool_spreads_the_relation_table(monkeypatch):
+    # the checks run in this process, so the relation table gets the
+    # configured workers whether it runs alone or beside other checks
+    spread = []
 
     def table_spy(fn, jobs, workers):
-        # sees only the calls made in this process
         spread.append(workers)
         return parallel_map(fn, jobs, workers)
 
-    monkeypatch.setattr(cli, "parallel_map", check_spy)
     monkeypatch.setattr(relations, "parallel_map", table_spy)
     for checks in (("relations", "cells"), ("relations",)):
         cfg1 = cli.RunConfig(p=1, max_total_degree=1, checks=checks,
@@ -341,8 +332,7 @@ def test_parallel_matches_sequential(monkeypatch):
         r1 = json.dumps(b1.reports, sort_keys=True)
         r2 = json.dumps(b2.reports, sort_keys=True)
         assert b1.passed and b2.passed and r1 == r2
-    assert inner == [(1, [1]), (2, [1]), (1, [1]), (2, [2])]
-    assert spread == [1, 1, 2]
+    assert spread == [1, 2, 1, 2]
 
 
 # sha256 of the canonical report of `all` (every check, one worker, the
@@ -406,6 +396,17 @@ def test_relations_cap_truncates_degree():
     assert bundle.passed
     hits = walk(bundle.reports, [], "capped_at_degree")
     assert hits and hits[0]["capped_at_degree"] == 1
+
+
+def test_relations_over_cap_at_degree_0_is_skipped(monkeypatch):
+    # p=1: even degree 0 spans 4 dimensions, over a cap of 2
+    monkeypatch.setattr(relations, "verify_table", None)
+    bundle = cli.run(cli.RunConfig(p=1, checks=("relations",),
+                                   max_total_degree=3, dim_cap=2))
+    assert bundle.passed
+    assert bundle.reports["relations"] == {
+        "p": 1, "rules": [], "skipped": "cap", "needed_dim": 4,
+        "dim_cap": 2, "passed": True}
 
 
 def test_bundle_json_shape():

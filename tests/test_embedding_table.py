@@ -191,13 +191,14 @@ def compare(p, max_degree):
     differ = {}
     for a, b, r in tiling_labels(p, max_degree):
         for alpha in range(16):
-            fac = fi.embedding_factor(alpha, p, a, b, r)
-            if fac.is_empty:
+            source, word = fi.embedding_factor(alpha, p, a, b, r)
+            if word is None:
                 continue
             terms = table_terms(alpha, p, a, b, r)
-            for v in fi.s_space(p, *fac.source).vectors:
+            for v in fi.s_space(p, *source).vectors:
                 from_table = apply_terms(terms, v)
-                projected = fac.apply(v)
+                projected = fi.composite_projection(apply_word(word, v),
+                                                    (p, a, b, r))
                 if from_table != projected:
                     differ[(p, a, b, r, alpha)] = (in_kernels(from_table),
                                                    in_kernels(projected))
@@ -217,10 +218,10 @@ def test_table_agrees_with_projection_except_alpha15(p, max_degree):
 def test_table_shares_sources_and_head_words():
     p, a, b, r = 4, 4, 2, 2     # every source exists at these labels
     for alpha, ((dr, da, db), raw) in TABLE.items():
-        fac = fi.embedding_factor(alpha, p, a, b, r)
-        assert fac.source == (r + dr, a + da, b + db)
+        source, word = fi.embedding_factor(alpha, p, a, b, r)
+        assert source == (r + dr, a + da, b + db)
         assert raw[0][0](p, a, b, r) == 1
-        assert fac.word == raw[0][1]
+        assert word == raw[0][1]
 
 
 def test_table_rendering_frozen():

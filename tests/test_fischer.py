@@ -245,11 +245,11 @@ def test_projection_rejects_unknown_kind_and_order():
 
 
 def test_composite_projection_recovers_embedding_factor():
-    fac = fi.embedding_factor(2, 2, 2, 1, 0)
-    src = fi.s_space(2, *fac.source)
+    source, word = fi.embedding_factor(2, 2, 2, 1, 0)
+    src = fi.s_space(2, *source)
     params = (2, 2, 1, 0)
     for v in src.vectors[:3]:
-        head = apply_word(fac.word, v)
+        head = apply_word(word, v)
         out = fi.composite_projection(head, params)
         assert out == fi._composite_projection_swapped(head, params)
 
@@ -266,22 +266,23 @@ def test_embedding_factor_validation():
 
 
 def test_embedding_factor_out_of_range_source_is_empty():
-    fac = fi.embedding_factor(8, 1, 1, 1, 0)  # needs column r-2 < 0
-    assert fac.is_empty
+    _, word = fi.embedding_factor(8, 1, 1, 1, 0)  # needs column r-2 < 0
+    assert word is None
 
 
 def test_embedding_factor_alpha0_is_identity():
-    fac = fi.embedding_factor(0, 2, 2, 1, 1)
-    assert fac.word == ()
+    _, word = fi.embedding_factor(0, 2, 2, 1, 1)
+    assert word == ()
     S = fi.s_space(2, 1, 2, 1)
     if S.dim:
-        assert fac.apply(S.vectors[0]) == S.vectors[0]
+        assert fi.composite_projection(apply_word(word, S.vectors[0]),
+                                       (2, 2, 1, 1)) == S.vectors[0]
 
 
 def test_embedding_factor_alpha2_coefficients_frozen():
-    fac = fi.embedding_factor(2, 2, 2, 1, 0)
-    assert fac.source == (1, 2, 0)
-    assert fac.word == ("mul_z_dagJ",)
+    source, word = fi.embedding_factor(2, 2, 2, 1, 0)
+    assert source == (1, 2, 0)
+    assert word == ("mul_z_dagJ",)
 
 
 def test_piece_activity_witnesses():
