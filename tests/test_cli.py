@@ -108,13 +108,31 @@ def test_parse_empty_list_is_zero():
     assert SpinorPolynomial.from_json([], n=4).is_zero()
 
 
-def test_parse_sums_repeated_terms():
+def read_via_decompose(data, tmp_path):
+    """Read `data` the way the decompose command does: its components
+    sum back to the polynomial it parsed."""
+    inp = tmp_path / "in.json"
+    out = tmp_path / "out.json"
+    inp.write_text(json.dumps(data))
+    assert cli.main(["decompose", "--p", "2", "--input", str(inp),
+                     "--output", str(out)]) == 0
+    F = SpinorPolynomial.zero(4)
+    for comp in json.loads(out.read_text())["components"]:
+        F = F + SpinorPolynomial.from_json(comp["component"], n=4)
+    return F
+
+
+@pytest.mark.parametrize("parse", [
+    read_via_decompose,
+    lambda data, tmp_path: SpinorPolynomial.from_json(data)],
+    ids=["cli", "from_json"])
+def test_parse_sums_repeated_terms(parse, tmp_path):
     def term(alpha, re):
         return {"alpha": alpha, "beta": [0, 0, 0, 0], "spinor": [1],
                 "coeff": {"a_re": re, "a_im": 0, "b_re": 0, "b_im": 0}}
     x, y = [0, 1, 0, 0], [1, 0, 0, 0]
-    F = SpinorPolynomial.from_json([term(x, 1), term(y, 2), term(x, "1/2"),
-                                    term(y, -2)])
+    F = parse([term(x, 1), term(y, 2), term(x, "1/2"), term(y, -2)],
+              tmp_path)
     assert F == SpinorPolynomial.monomial(4, x, (0, 0, 0, 0), 0b0001,
                                           xs("3/2"))
 
