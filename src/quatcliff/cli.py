@@ -104,6 +104,9 @@ class RunConfig:
             if r is not None and not (isinstance(r, int)
                                       and 0 <= r <= self.p):
                 raise ValueError(f"label_filter r must be in 0..{self.p}")
+            if "prop9" in self.checks and a < b:
+                raise ValueError("prop9 is stated for a >= b only, "
+                                 f"got a = {a} < b = {b}")
         return self
 
     def to_json(self):

@@ -1,11 +1,14 @@
 """The named operators acting on spinor-valued polynomials, as term tables.
 
-A base operator is a list of (coefficient, word); a word is a tuple of
-moves (a name of witt.KEY_MOVES, argument) applied rightmost first, and
-witt.apply_terms sums coefficient * word(F).  A composite operator is an
-expression [(c0, c1, name), ...] meaning sum (c0 + c1*p) * name, the
-format of the relation right-hand sides; c0 may be a Gaussian scalar.
-Its coefficients are formed once per (expression, p).
+Every operator is one term table, a list of (coefficient, word); a word
+is a tuple of moves (a name of witt.KEY_MOVES, argument) applied
+rightmost first, and witt.apply_terms sums coefficient * word(F).  A base
+operator writes its table down.  A composite operator is an expression
+[(c0, c1, name), ...] meaning sum (c0 + c1*p) * name, the format of the
+relation right-hand sides; c0 may be a Gaussian scalar.  An expression is
+compiled once per (expression, n) into one table, its parts' words
+scaled and summed, so apply, apply_cached and apply_expression all make
+one pass of witt.apply_terms.
 The scalar move and the value move of a word commute; each word applies
 its scalar move first.  Conventions (k runs 1..n = 2p, j runs 1..p):
 
@@ -33,7 +36,7 @@ from functools import cache
 from . import linalg
 from .poly import SpinorPolynomial, space_basis, term_sort_key
 from .scalars import ExtendedScalar, XS_ONE, xs
-from .witt import P_terms, Q_terms, apply_terms, beta_terms
+from .witt import P_terms, Q_terms, apply_terms
 
 
 def _each_k(n, outer, inner, c=XS_ONE):
@@ -113,7 +116,8 @@ REGISTRY = {spec.name: spec for spec in (
                  lambda n: _twisted(n, "mul_zbar_var", "diff_z", -1)),
     OperatorSpec("P", "even", _SAME, P_terms),
     OperatorSpec("Q", "even", _SAME, Q_terms),
-    OperatorSpec("beta", "even", _SAME, beta_terms),
+    OperatorSpec("beta", "even", _SAME,
+                 lambda n: _each_k(n, "wedge", "contract")),
     OperatorSpec("laplace", "even", ((-1, -1),),
                  lambda n: _each_k(n, "diff_zbar", "diff_z", xs(4))),
     OperatorSpec("mul_r2", "even", ((1, 1),),
@@ -140,18 +144,34 @@ def resolve(name):
 
 @cache
 def term_table(name, n):
-    """The (coefficient, word) terms of a base operator over n variables."""
-    return tuple(REGISTRY[name].terms(n))
-
-
-def _apply(spec, F):
+    """The (coefficient, word) terms of any operator over n variables: a
+    base operator's own table or a composite's compiled expression."""
+    spec = resolve(name)
     if spec.expr is not None:
-        return apply_expression(spec.expr, F)
-    return apply_terms(term_table(spec.name, F.n), F)
+        return _compiled(spec.expr, n)
+    return tuple(spec.terms(n))
+
+
+@cache
+def _compiled(expr, n):
+    """The term table of an expression at p = n/2: each part's terms times
+    (c0 + c1*p), equal words summed, zero sums left out; `expr` is a tuple
+    of (c0, c1, name)."""
+    sums = {}
+    for c0, c1, name in expr:
+        c = Fraction(c1) * (n // 2)
+        if isinstance(c0, ExtendedScalar):
+            c = c0 + xs(c)
+        else:
+            c = xs(Fraction(c0) + c)
+        for t, word in term_table(name, n):
+            cur = sums.get(word)
+            sums[word] = c * t if cur is None else cur + c * t
+    return tuple((c, word) for word, c in sums.items() if c)
 
 
 def apply(op, F):
-    return _apply(resolve(op), F)
+    return apply_terms(term_table(op, F.n), F)
 
 
 def apply_word(word, F):
@@ -161,31 +181,9 @@ def apply_word(word, F):
     return F
 
 
-@cache
-def _expression_coefficients(expr, p):
-    """The (c0 + c1*p, name) pairs of an expression at p, zero ones left
-    out; `expr` is a tuple of (c0, c1, name)."""
-    out = []
-    for c0, c1, name in expr:
-        c = Fraction(c1) * p
-        if isinstance(c0, ExtendedScalar):
-            c = c0 + xs(c)
-        else:
-            c = xs(Fraction(c0) + c)
-        if c:
-            out.append((c, name))
-    return tuple(out)
-
-
-def apply_expression(expr, F, cache=None):
-    """Apply sum((c0 + c1*p) * op) given as [(c0, c1, name), ...].
-
-    With a `cache` each operator goes through apply_cached."""
-    out = {}
-    for c, name in _expression_coefficients(tuple(expr), F.n // 2):
-        img = apply(name, F) if cache is None else apply_cached(name, F, cache)
-        linalg.axpy(out, img.terms, c)
-    return SpinorPolynomial(F.n, out)
+def apply_expression(expr, F):
+    """Apply sum((c0 + c1*p) * op) given as [(c0, c1, name), ...]."""
+    return apply_terms(_compiled(tuple(expr), F.n), F)
 
 
 def apply_cached(op, F, cache):
@@ -194,13 +192,13 @@ def apply_cached(op, F, cache):
     `cache` is any dict; keys are (operator name, term key).  Images of single
     terms are tiny, so repeated applications over a whole basis get cheap.
     """
-    spec = resolve(op)
+    resolve(op)  # an unknown name raises even on the zero polynomial
     out = {}
     for key, c in F.terms.items():
-        ck = (spec.name, key)
+        ck = (op, key)
         img = cache.get(ck)
         if img is None:
-            img = _apply(spec, SpinorPolynomial(F.n, {key: XS_ONE})).terms
+            img = apply(op, SpinorPolynomial(F.n, {key: XS_ONE})).terms
             cache[ck] = img
         linalg.axpy(out, img, c)
     return SpinorPolynomial(F.n, out)

@@ -349,10 +349,8 @@ HERMITIAN_RULES = [
 
 # ------------------------------------------------------------ verification
 
-def bracket_image(rule, F, cache=None):
+def bracket_image(rule, F, cache):
     """Apply [left, right] (or {left, right}) to F."""
-    if cache is None:
-        cache = {}
     LR = apply_cached(rule.left, apply_cached(rule.right, F, cache), cache)
     RL = apply_cached(rule.right, apply_cached(rule.left, F, cache), cache)
     return LR + RL if rule.kind == "acomm" else LR - RL
@@ -360,15 +358,12 @@ def bracket_image(rule, F, cache=None):
 
 def verify_bracket(rule, p, a, b, cache=None, basis=None):
     """Check one rule exactly on all of P_{a,b} tensor the full spinor space."""
-    if isinstance(rule, str):
-        rule = RULE_INDEX[rule]
     if basis is None:
         basis = space_basis(p, a, b)
     if cache is None:
         cache = {}
     for F in basis:
-        diff = (bracket_image(rule, F, cache)
-                - apply_expression(rule.rhs, F, cache))
+        diff = bracket_image(rule, F, cache) - apply_expression(rule.rhs, F)
         if diff.terms:
             witness = {
                 "a": a, "b": b,
@@ -471,8 +466,9 @@ def verify_sl2_triples(p, a, b):
 
     triples = {}
     for tname, rule_ids in SL2_TRIPLES.items():
-        triples[tname] = {label: holds(rule_id) for label, rule_id
-                          in zip(("[e,f]=h", "[h,e]=2e", "[h,f]=-2f"), rule_ids)}
+        triples[tname] = {
+            label: holds(RULE_INDEX[rule_id]) for label, rule_id
+            in zip(("[e,f]=h", "[h,e]=2e", "[h,f]=-2f"), rule_ids)}
 
     names = sorted(SL2_TRIPLES)
     cross = {}
@@ -531,8 +527,8 @@ def _weight(h, gen, basis, cache):
     for F in basis:
         gF = apply_cached(gen, F, cache)
         gen_cols.append(gF.terms)
-        hF = apply_expression(h, F, cache)
-        brk.append((apply_expression(h, gF, cache)
+        hF = apply_expression(h, F)
+        brk.append((apply_expression(h, gF)
                     - apply_cached(gen, hF, cache)).terms)
     status, val = _proportionality(brk, gen_cols)
     if status == "ok":

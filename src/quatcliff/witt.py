@@ -23,14 +23,16 @@ An operator is a term table: a list of (coefficient, word), where a word is
 a tuple of moves (move name, argument) applied rightmost first, and
 apply_terms sums coefficient * word(x) in one pass per term of x: the key
 moves of the word run on the term's key, and the coefficient is multiplied
-once, by the product of their factors.  The value operators here are
+once, by the product of their factors.  The tables of the value operators
 
-  beta = sum fdag_k f_k        (grade counter on S)
   P    = sum f_{2j} f_{2j-1}   (column lowering, see cells below)
   Q    = sum fdag_{2j-1} fdag_{2j}
 
-and the cell triangle: column r holds the grade-r spinors, the bottom cell of
-column s is S^s_s = Ker P restricted to grade s, and S^{s+2k}_s = Q^k S^s_s.
+are written here because the cell triangle is built from them; like every
+other operator (the grade counter beta = sum fdag_k f_k among them) they
+are named and applied in operators.  Column r of the cell triangle holds
+the grade-r spinors, the bottom cell of column s is S^s_s = Ker P
+restricted to grade s, and S^{s+2k}_s = Q^k S^s_s.
 """
 
 from fractions import Fraction
@@ -172,11 +174,6 @@ def apply_terms(terms, x):
     return type(x)(x.n, out)
 
 
-def beta_terms(n):
-    """beta = sum_k fdag_k f_k; multiplies each grade-r component by r."""
-    return [(XS_ONE, (("wedge", k), ("contract", k))) for k in range(1, n + 1)]
-
-
 def P_terms(n):
     """P = sum_j f_{2j} f_{2j-1}; drops the spinor grade by two."""
     return [(XS_ONE, (("contract", 2 * j), ("contract", 2 * j - 1)))
@@ -187,18 +184,6 @@ def Q_terms(n):
     """Q = sum_j fdag_{2j-1} fdag_{2j}; raises the spinor grade by two."""
     return [(XS_ONE, (("wedge", 2 * j - 1), ("wedge", 2 * j)))
             for j in range(1, n // 2 + 1)]
-
-
-def beta(s):
-    return apply_terms(beta_terms(s.n), s)
-
-
-def P_op(s):
-    return apply_terms(P_terms(s.n), s)
-
-
-def Q_op(s):
-    return apply_terms(Q_terms(s.n), s)
 
 
 class WittFrame:
@@ -398,7 +383,8 @@ def cell_basis(p, r, s):
     zero = (0,) * n
     if r == s:
         masks = grade_masks(n, s)
-        images = [P_op(SpinorPolynomial.constant(n, {m: XS_ONE})).terms
+        images = [apply_terms(P_terms(n),
+                              SpinorPolynomial.constant(n, {m: XS_ONE})).terms
                   for m in masks]
         kernel = linalg.nullspace(images)
         vecs = [{(zero, zero, masks[j]): c for j, c in coords.items()}
@@ -409,7 +395,7 @@ def cell_basis(p, r, s):
         for base_vec in cell_basis(p, s, s):
             cur = base_vec
             for _ in range(k):
-                cur = Q_op(cur)
+                cur = apply_terms(Q_terms(n), cur)
             vecs.append(cur.terms)
     reduced, _ = linalg.rref(
         vecs, key_order=[(zero, zero, m) for m in grade_masks(n, r)])

@@ -52,6 +52,7 @@ def test_config_defaults_validate():
     {"p": 2, "label_filter": {"a": 1, "b": 0, "r": 3}},
     {"label_filter": {"a": 7, "b": 0}},
     {"label_filter": {"a": 4, "b": 3}},
+    {"checks": ("prop9",), "label_filter": {"a": 0, "b": 2}},
 ])
 def test_config_rejects(kwargs):
     with pytest.raises(ValueError):
@@ -212,6 +213,13 @@ def test_fischer_label_over_degree_bound_exits_2(capsys):
     assert rc == 2
     assert "error: label_filter a + b must be at most 6" in \
         capsys.readouterr().err
+
+
+def test_fischer_prop9_below_diagonal_exits_2(capsys):
+    rc = cli.main(["fischer", "--p", "1", "--a", "0", "--b", "2",
+                   "--check", "prop9"])
+    assert rc == 2
+    assert "a >= b" in capsys.readouterr().err
 
 
 def test_failing_check_exits_1(monkeypatch):

@@ -16,7 +16,8 @@ from quatcliff.operators import (REGISTRY, apply, apply_expression,
                                  apply_word, dirac_dictionary_check,
                                  term_table)
 from quatcliff.poly import SpinorPolynomial, space_basis
-from quatcliff.scalars import xs
+from quatcliff.relations import RULES
+from quatcliff.scalars import ExtendedScalar, xs
 from quatcliff.witt import apply_terms
 
 small = st.integers(min_value=-3, max_value=3)
@@ -151,13 +152,12 @@ def moves_one_by_one(terms, F):
     return out
 
 
-BASE_OPS = sorted(name for name, spec in REGISTRY.items() if spec.expr is None)
 # r^2 = z1 zbar1 + z2 zbar2 at p = 1: curlyE and curlyE_dag cancel it to 0
 _R2 = (SpinorPolynomial.monomial(2, (1, 0), (1, 0), 0b11)
        + SpinorPolynomial.monomial(2, (0, 1), (0, 1), 0b11))
 
 
-@pytest.mark.parametrize("name", BASE_OPS)
+@pytest.mark.parametrize("name", sorted(REGISTRY))
 @settings(max_examples=40, deadline=None)
 @given(F=st.one_of(mixed_polys(2), mixed_polys(4)))
 @example(F=_R2)
@@ -179,6 +179,44 @@ def test_one_pass_applier_drops_cancelled_terms():
 def test_resolve_unknown_name():
     with pytest.raises(KeyError):
         apply("not_an_operator", SpinorPolynomial.zero(2))
+    with pytest.raises(KeyError, match="unknown operator name 'nope'"):
+        apply_expression([(1, 0, "E_z"), (1, 0, "nope")],
+                         SpinorPolynomial.zero(2))
+
+
+# -------------------------------------------- composites and expressions
+
+def part_by_part(expr, F):
+    """sum (c0 + c1*p) * apply(name, F), one part at a time."""
+    p = F.n // 2
+    out = SpinorPolynomial.zero(F.n)
+    for c0, c1, name in expr:
+        c = (c0 if isinstance(c0, ExtendedScalar) else xs(c0)) + xs(c1 * p)
+        out = out + apply(name, F).scale(c)
+    return out
+
+
+COMPOSITES = sorted(name for name, spec in REGISTRY.items()
+                    if spec.expr is not None)
+RULE_RHS = {rule.rhs: rule.rule_id for rule in RULES if rule.rhs}
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("name", COMPOSITES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_composite_applies_as_its_expression(name, n, data):
+    F = data.draw(mixed_polys(n))
+    assert apply(name, F) == part_by_part(REGISTRY[name].expr, F)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_rule_right_hand_sides_apply_part_by_part(n, data):
+    F = data.draw(mixed_polys(n))
+    for rhs, rule_id in RULE_RHS.items():
+        assert apply_expression(rhs, F) == part_by_part(rhs, F), rule_id
 
 
 # -------------------------------------------------------- Fischer duality

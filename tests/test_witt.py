@@ -16,7 +16,8 @@ from quatcliff.clifford import CliffordElement, inner_product
 from quatcliff.poly import SpinorPolynomial
 from quatcliff.scalars import XS_ONE, XS_ZERO, xs
 from quatcliff import witt
-from quatcliff.witt import (P_op, Q_op, beta, cell_basis, cell_dim,
+from quatcliff.operators import apply
+from quatcliff.witt import (cell_basis, cell_dim,
                             cell_labels, conjugation_action,
                             detect_spin_convention, grade_masks, pq_scalars,
                             rotation_I, rotation_J, rotation_K, spin_elements,
@@ -101,9 +102,9 @@ def test_value_operators_match_clifford(s):
     for k in range(1, fr.n + 1):
         b_cl = b_cl + fr.fdag[k] * fr.f[k]
     x = fr.to_clifford(s)
-    assert fr.to_clifford(P_op(s)) == p_cl * x
-    assert fr.to_clifford(Q_op(s)) == q_cl * x
-    assert fr.to_clifford(beta(s)) == b_cl * x
+    assert fr.to_clifford(apply("P", s)) == p_cl * x
+    assert fr.to_clifford(apply("Q", s)) == q_cl * x
+    assert fr.to_clifford(apply("beta", s)) == b_cl * x
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -120,8 +121,8 @@ def test_blades_are_orthogonal_under_clifford_pairing(p):
 
 def test_beta_on_blades():
     s = SpinorPolynomial.constant(4, {0b0011: XS_ONE, 0b0100: xs(2)})
-    assert beta(s) == SpinorPolynomial.constant(4, {0b0011: xs(2),
-                                                    0b0100: xs(2)})
+    assert apply("beta", s) == SpinorPolynomial.constant(
+        4, {0b0011: xs(2), 0b0100: xs(2)})
 
 
 def test_grade_masks_order():
@@ -222,8 +223,8 @@ def test_pq_scalars_on_cells(p):
     for lbl in cell_labels(p):
         pq, qp = pq_scalars(p, lbl.r, lbl.s)
         for v in cell_basis(p, lbl.r, lbl.s):
-            assert P_op(Q_op(v)) == v.scale(pq)
-            assert Q_op(P_op(v)) == v.scale(qp)
+            assert apply("P", apply("Q", v)) == v.scale(pq)
+            assert apply("Q", apply("P", v)) == v.scale(qp)
         # symmetry of the PQ eigenvalue along the row
         k = (lbl.r - lbl.s) // 2
         k_mirror = p - lbl.s - k - 1
@@ -240,10 +241,9 @@ def test_ladder_injectivity_by_grade(p):
     from quatcliff import linalg
     for r in range(n + 1):
         masks = grade_masks(n, r)
-        p_images = [P_op(SpinorPolynomial.constant(n, {m: XS_ONE})).terms
-                    for m in masks]
-        q_images = [Q_op(SpinorPolynomial.constant(n, {m: XS_ONE})).terms
-                    for m in masks]
+        blades = [SpinorPolynomial.constant(n, {m: XS_ONE}) for m in masks]
+        p_images = [apply("P", v).terms for v in blades]
+        q_images = [apply("Q", v).terms for v in blades]
         ker_p = linalg.nullspace(p_images)
         ker_q = linalg.nullspace(q_images)
         if r > p:
