@@ -10,6 +10,7 @@ import pytest
 
 from quatcliff import relations
 from quatcliff.operators import REGISTRY
+from quatcliff.poly import space_basis
 from quatcliff.relations import (EUCLIDEAN_RULES, HERMITIAN_RULES, RULE_INDEX,
                                  RULES, SL2_TRIPLES, bidegrees_up_to,
                                  cartan_weight_report, verify_osp12_and_sl12,
@@ -97,6 +98,18 @@ def test_sl2_triples_read_the_rule_table(monkeypatch):
 def test_cartan_weights(p, a, b):
     out = cartan_weight_report(p, a, b)
     assert out["consistent"], out
+
+
+@pytest.mark.parametrize("h,gen,shown", [
+    ("h_total", "mul_z", "1"),                # [h, O] = O
+    ("P", "mul_z", "0"),                      # commute, O nonzero
+    ("P", "mul_z_dag", "not proportional"),   # [P, O] is another generator
+    ("h_total", "dz", None),                  # both sides vanish
+    ("mul_z", "dz", "not proportional"),      # O vanishes, bracket does not
+])
+def test_weight_outcomes(h, gen, shown):
+    basis = space_basis(1, 0, 0)
+    assert relations._weight(((1, 0, h),), gen, basis, {})[1] == shown
 
 
 @pytest.mark.parametrize("p,a,b", [(1, 1, 1), (1, 2, 1)])
