@@ -36,7 +36,6 @@ from math import comb
 from . import fischer, relations
 from .env import env_int
 from .poly import SpinorPolynomial, poly_dim
-from .witt import cell_dim, cell_labels, pq_scalars
 
 SCHEMA_VERSION = 2
 
@@ -220,18 +219,6 @@ def _run_relations(config):
     return out
 
 
-def _run_cells(config):
-    out = fischer.cells_check(config.p)
-    triangle = []
-    for lab in cell_labels(config.p):
-        pq, qp = pq_scalars(config.p, lab.r, lab.s)
-        triangle.append({"grade": lab.r, "row": lab.s,
-                         "dim": cell_dim(config.p, lab.r, lab.s),
-                         "pq": pq, "qp": qp})
-    out["triangle"] = triangle
-    return out
-
-
 def _run_thm5(config):
     p = config.p
 
@@ -321,7 +308,7 @@ def _run_example13(config):
 # The check table: a new check is one runner and one row here.
 _RUNNERS = {
     "relations": _run_relations,
-    "cells": _run_cells,
+    "cells": lambda config: fischer.cells_check(config.p),
     "thm5": _run_thm5,
     "prop8": _run_prop8,
     "prop9": _run_prop9,
@@ -453,6 +440,10 @@ def main(argv=None):
                 data = json.load(fh)
             F = SpinorPolynomial.from_json(data, n=2 * args.p)
             for A, B in F.bidegrees():
+                if A + B > MAX_TOTAL_DEGREE:
+                    raise ValueError(f"bidegree ({A},{B}) has total degree "
+                                     f"{A + B}, over the bound "
+                                     f"{MAX_TOTAL_DEGREE}")
                 needed = poly_dim(args.p, A, B) * 4 ** args.p
                 if needed > cap:
                     raise ValueError(f"bidegree ({A},{B}) needs dimension "

@@ -24,7 +24,7 @@ from . import linalg
 from .operators import apply, apply_word, joint_kernel
 from .poly import SpinorPolynomial, poly_dim, space_basis, value_basis
 from .scalars import XS_ONE, xs
-from .witt import cell_dim, cell_labels, grade_masks, valid_cell
+from .witt import cell_dim, cell_labels, grade_masks, pq_scalars, valid_cell
 
 __all__ = [
     "SubspaceBasis", "DecompositionReport",
@@ -227,26 +227,20 @@ def sl2_module_checks(p, a, b):
     d = a - b
     HS = symplectic_harmonic_space(p, a, b)
     HdS = symplectic_harmonic_space(p, b, a, dagger=True)
+    # down[t] = curlyE_dag^t(HS) for t <= d + 1 and up[t] = curlyE^t(HdS)
+    # for t <= d, each power one application to the one before
+    down, up = [HS.vectors], [HdS.vectors]
+    for t in range(d + 1):
+        down.append([apply("curlyE_dag", v) for v in down[t]])
+    for t in range(d):
+        up.append([apply("curlyE", v) for v in up[t]])
 
-    top_images = [apply_word(("curlyE_dag",) * d, v) for v in HS.vectors]
-    iso_rank = _span_rank([top_images])
-    iso_ok = (iso_rank == HS.dim == HdS.dim
-              and _spans_equal(top_images, HdS.vectors))
-
-    killed = all(not apply_word(("curlyE_dag",) * (d + 1), v).terms
-                 for v in HS.vectors)
-
-    ladder_ok = True
-    weight_dims = []
-    all_layers = []
-    for t in range(0, d + 1):
-        down = [apply_word(("curlyE_dag",) * t, v) for v in HS.vectors]
-        up = [apply_word(("curlyE",) * (d - t), v) for v in HdS.vectors]
-        if not _spans_equal(down, up):
-            ladder_ok = False
-        weight_dims.append(_span_rank([down]))
-        all_layers.append(down)
-    stack_rank = _span_rank(all_layers)
+    weight_dims = [_span_rank([down[t]]) for t in range(d + 1)]
+    iso_ok = (weight_dims[d] == HS.dim == HdS.dim
+              and _spans_equal(down[d], HdS.vectors))
+    killed = all(not v.terms for v in down[d + 1])
+    ladder_ok = all(_spans_equal(down[t], up[d - t]) for t in range(d + 1))
+    stack_rank = _span_rank(down[:d + 1])
     stack_ok = (sum(weight_dims) == stack_rank == (d + 1) * HS.dim)
 
     passed = iso_ok and killed and ladder_ok and stack_ok
@@ -874,8 +868,9 @@ def trivial_intersection_check(p, a, b):
 def cells_check(p):
     """Structure of the spinor cell triangle: dimension formulas, column
     tilings, the commutator of P and Q, the scalars PQ and QP take on
-    each cell, and the kernel facts at the bottom and top of a column."""
-    from .witt import pq_scalars
+    each cell, and the kernel facts at the bottom and top of a column.
+    The triangle itself, one entry per cell with its dimension formula
+    and ladder scalars, is reported under "triangle"."""
     n = 2 * p
     checks = {"dims": True, "column_tiling": True, "pq_commutator": True,
               "pq_scalars": True, "kernels": True}
@@ -883,13 +878,17 @@ def cells_check(p):
     labels = cell_labels(p)
     total = 0
     by_column = {}
+    triangle = []
     for lab in labels:
         vecs = value_basis(p, ("cell", lab.r, lab.s))
-        if len(vecs) != cell_dim(p, lab.r, lab.s):
+        dim = cell_dim(p, lab.r, lab.s)
+        if len(vecs) != dim:
             checks["dims"] = False
         total += len(vecs)
         by_column.setdefault(lab.r, []).extend(vecs)
         pq, qp = pq_scalars(p, lab.r, lab.s)
+        triangle.append({"grade": lab.r, "row": lab.s, "dim": dim,
+                         "pq": pq, "qp": qp})
         for v in vecs:
             if (apply_word(("P", "Q"), v) - v.scale(xs(pq))).terms:
                 checks["pq_scalars"] = False
@@ -912,10 +911,9 @@ def cells_check(p):
         for mask in grade_masks(n, r):
             v = SpinorPolynomial.constant(n, {mask: XS_ONE})
             lhs = apply_word(("P", "Q"), v) - apply_word(("Q", "P"), v)
-            rhs = v.scale(xs(p)) - apply("beta", v)
-            if (lhs - rhs).terms:
+            if (lhs - apply("h_spin", v)).terms:
                 checks["pq_commutator"] = False
 
     passed = all(checks.values())
     return {"p": p, "checks": checks, "cells": len(labels),
-            "total_dim": total, "passed": passed}
+            "total_dim": total, "triangle": triangle, "passed": passed}

@@ -11,7 +11,9 @@ table entry.  Blocks that simply commute get explicit zero right-hand
 sides, so the rule set can be audited for coverage entry by entry.  A rule
 is checked as an exact matrix identity on a monomial basis of the
 bihomogeneous spinor-valued polynomials; a failure carries the first
-offending basis monomial as a witness.
+offending basis monomial as a witness.  A bidegree block of the table is
+the list of its rules' witnesses, None where a rule holds, and a rule
+passes the table exactly when no block holds a witness for it.
 
 Right-hand sides are lists of (c0, c1, name) meaning (c0 + c1*p) * name,
 so one rule set serves every p.  A rule's kind is not written down: `_r`
@@ -28,16 +30,19 @@ systems are verified the same way: the Euclidean five-grading around
 identities they share with RULES as its entries and define only their own
 rules.  For the hermitian Cartan element there are two sign variants in
 circulation; the verifier asserts the one that gives the odd generators
-weight +-1 and only reports the weights of the other.
+weight +-1 and only reports the weights of the other.  Every weight is
+the exact solution w of [h, O] = w * O by `linalg.Solver`, over a whole
+basis at once.
 """
 
 from fractions import Fraction
 
 from .env import parallel_map
 from .fischer import kernel_space, qmonogenic_space
+from .linalg import Solver
 from .operators import REGISTRY, apply, apply_cached, apply_expression
 from .poly import space_basis
-from .scalars import XS_ZERO, xs
+from .scalars import xs
 
 __all__ = [
     "BracketRule", "VerificationReport", "RULES", "RULE_INDEX",
@@ -356,12 +361,10 @@ def bracket_image(rule, F, cache):
     return LR + RL if rule.kind == "acomm" else LR - RL
 
 
-def verify_bracket(rule, p, a, b, cache=None, basis=None):
-    """Check one rule exactly on all of P_{a,b} tensor the full spinor space."""
-    if basis is None:
-        basis = space_basis(p, a, b)
-    if cache is None:
-        cache = {}
+def verify_bracket(rule, p, a, b, cache, basis):
+    """Check one rule exactly on all of P_{a,b} tensor the full spinor
+    space, given as `basis` (space_basis(p, a, b)); `cache` is the term
+    image cache the bracket sides share."""
     for F in basis:
         diff = bracket_image(rule, F, cache) - apply_expression(rule.rhs, F)
         if diff.terms:
@@ -383,27 +386,26 @@ def bidegrees_up_to(max_total_degree):
 def _table_block_job(args):
     """Every rule of `RULES` at one bidegree, sharing one term-image cache.
 
-    Returns (a, b, {rule_id: (passed, witness-or-None)}) with plain values
-    only, so the result can cross a process boundary.
+    Returns the witness of each rule in `RULES` order, None where the
+    rule holds: plain values only, so the list can cross a process
+    boundary.
     """
     p, a, b = args
     basis = space_basis(p, a, b)
     cache = {}
-    out = {}
-    for rule in RULES:
-        rep = verify_bracket(rule, p, a, b, cache=cache, basis=basis)
-        out[rule.rule_id] = (rep.passed, rep.witness)
-    return a, b, out
+    return [verify_bracket(rule, p, a, b, cache, basis).witness
+            for rule in RULES]
 
 
 def verify_table(p, max_total_degree, workers=1):
     """Every rule on every bidegree with a+b <= max_total_degree.
 
     Returns one VerificationReport per rule, in table order, each listing
-    all bidegrees it was checked on and the first witness if it ever
-    failed.  Bidegrees are verified independently (in a pool of
-    `workers` processes when it is more than one) and merged in a fixed
-    order, so the outcome does not depend on scheduling.
+    all bidegrees it was checked on and its first witness in grid order;
+    a rule passes exactly when it has none.  Bidegrees are verified
+    independently (in a pool of `workers` processes when it is more than
+    one) and merged in a fixed order, so the outcome does not depend on
+    scheduling.
     """
     if not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
@@ -412,15 +414,11 @@ def verify_table(p, max_total_degree, workers=1):
                           workers)
 
     reports = []
-    for rule in RULES:
-        passed = True
-        witness = None
-        for a, b, block in blocks:
-            ok, wit = block[rule.rule_id]
-            if not ok and passed:
-                passed = False
-                witness = wit
-        reports.append(VerificationReport(rule.rule_id, p, grid, passed, witness))
+    for i, rule in enumerate(RULES):
+        witness = next((block[i] for block in blocks
+                        if block[i] is not None), None)
+        reports.append(VerificationReport(rule.rule_id, p, grid,
+                                          witness is None, witness))
     return reports
 
 
@@ -462,7 +460,7 @@ def verify_sl2_triples(p, a, b):
     cache = {}
 
     def holds(rule):
-        return verify_bracket(rule, p, a, b, cache=cache, basis=basis).passed
+        return verify_bracket(rule, p, a, b, cache, basis).passed
 
     triples = {}
     for tname, rule_ids in SL2_TRIPLES.items():
@@ -485,55 +483,30 @@ def verify_sl2_triples(p, a, b):
 
 # ------------------------------------------- weight labels of odd generators
 
-def _proportionality(cols_num, cols_den):
-    """Scalar c with cols_num = c * cols_den, if one exists.
-
-    Returns (status, value): status is "ok" (value a scalar), "zero" (both
-    sides vanish, c undetermined) or "none" (no such scalar).
-    """
-    c = None
-    for num, den in zip(cols_num, cols_den):
-        for k in sorted(set(num) | set(den)):
-            cn, cd = num.get(k), den.get(k)
-            if cd is None:
-                if cn is not None:
-                    return "none", None
-                continue
-            if cn is None:
-                if c is None:
-                    c = XS_ZERO
-                elif c != XS_ZERO:
-                    return "none", None
-                continue
-            ratio = cn / cd
-            if c is None:
-                c = ratio
-            elif c != ratio:
-                return "none", None
-    if c is None:
-        return "zero", None
-    return "ok", c
-
-
 def _weight(h, gen, basis, cache):
     """The scalar w with [h, gen] = w * gen on `basis`, where the Cartan
     element h is an operator expression.
 
-    Returns (w, shown): w is the scalar or None; shown is what a report
-    prints, str(w), None when both sides vanish (w undetermined) or
-    "not proportional" when no scalar exists.
+    gen(F) and [h, gen](F) over the basis are stacked into two vectors
+    keyed by (basis index, term key), and w solves the one-column system
+    `linalg.Solver([gen]).solve(bracket)`.  Returns (w, shown): w is the
+    scalar or None; shown is what a report prints, str(w), None when both
+    sides vanish (w undetermined) or "not proportional" when no scalar
+    exists.
     """
-    gen_cols, brk = [], []
-    for F in basis:
+    gen_col, brk = {}, {}
+    for i, F in enumerate(basis):
         gF = apply_cached(gen, F, cache)
-        gen_cols.append(gF.terms)
         hF = apply_expression(h, F)
-        brk.append((apply_expression(h, gF)
-                    - apply_cached(gen, hF, cache)).terms)
-    status, val = _proportionality(brk, gen_cols)
-    if status == "ok":
-        return val, str(val)
-    return None, (None if status == "zero" else "not proportional")
+        bF = apply_expression(h, gF) - apply_cached(gen, hF, cache)
+        gen_col.update(((i, k), c) for k, c in gF.terms.items())
+        brk.update(((i, k), c) for k, c in bF.terms.items())
+    if not gen_col and not brk:
+        return None, None
+    sol = Solver([gen_col]).solve(brk)
+    if sol is None:
+        return None, "not proportional"
+    return sol[0], str(sol[0])
 
 
 def cartan_weight_report(p, a, b):
@@ -574,9 +547,9 @@ def verify_osp12_and_sl12(p, a, b):
     hermitian Cartan variant."""
     basis = space_basis(p, a, b)
     cache = {}
-    euclidean = [verify_bracket(r, p, a, b, cache=cache, basis=basis)
+    euclidean = [verify_bracket(r, p, a, b, cache, basis)
                  for r in EUCLIDEAN_RULES]
-    hermitian = [verify_bracket(r, p, a, b, cache=cache, basis=basis)
+    hermitian = [verify_bracket(r, p, a, b, cache, basis)
                  for r in HERMITIAN_RULES]
 
     alt = {gen: _weight(_H_ALT, gen, basis, cache)[1]

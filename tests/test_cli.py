@@ -266,6 +266,20 @@ def test_decompose_honours_dim_cap(tmp_path, monkeypatch, degree, code):
     assert out.exists() == (code == 0)
 
 
+def test_decompose_honours_degree_bound(tmp_path, capsys):
+    # p=1: bidegree (4,3) spans only 5 * 4 * 4 = 80 dimensions, far under
+    # the cap, but its total degree 7 is over the bound every check obeys
+    inp = tmp_path / "in.json"
+    out = tmp_path / "out.json"
+    inp.write_text(json.dumps([{"alpha": [4, 0], "beta": [3, 0],
+                                "spinor": [], "coeff": coeff_one()}]))
+    rc = cli.main(["decompose", "--p", "1", "--input", str(inp),
+                   "--output", str(out)])
+    assert rc == 2
+    assert f"over the bound {cli.MAX_TOTAL_DEGREE}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("p", ["0", "-1", "5"])
 def test_decompose_rejects_p_out_of_range(tmp_path, capsys, p):
     inp = tmp_path / "in.json"

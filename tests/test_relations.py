@@ -145,7 +145,8 @@ def test_witness_on_forced_failure():
     # a deliberately wrong rule must fail with a concrete witness
     wrong = relations.BracketRule("test/wrong", "g1", "acomm", "dz",
                                   "dz_dag", ((1, 0, "laplace"),))
-    report = relations.verify_bracket(wrong, 1, 1, 1)
+    report = relations.verify_bracket(wrong, 1, 1, 1, {},
+                                      space_basis(1, 1, 1))
     assert not report.passed
     assert report.witness is not None
 
