@@ -5,6 +5,8 @@ binomial dimension formulas, and the variable/derivative actions against
 hand-expanded products on small monomials.
 """
 
+import hashlib
+import json
 from math import comb
 
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from quatcliff.poly import (SpinorPolynomial, exponent_tuples, monomial_keys,
                             poly_dim, space_basis, value_basis)
 from quatcliff.scalars import XS_ONE, xs
-from quatcliff.witt import cell_dim
+from quatcliff.witt import cell_dim, cell_labels
 
 small = st.integers(min_value=-3, max_value=3)
 
@@ -71,6 +73,24 @@ def test_value_basis_grade(p, r):
 def test_value_basis_cell(p, r, s):
     vals = value_basis(p, ("cell", r, s))
     assert len(vals) == cell_dim(p, r, s)
+
+
+# sha256 of the canonical JSON of [[r, s, basis], ...] over every cell
+# label, each basis as value_basis(p, ("cell", r, s)) in JSON term lists
+CELL_BASIS_GOLDEN = {
+    1: "1f0f7f7c0b8a04422f97ea3883ea63410daa8b3cf926981b227ae2664b4cecd0",
+    2: "2db0cd7e981fb7a3f7dd3b270887c7c518f23c51566a184a2c1c6f1b58077078",
+    3: "b5ba3e838e908eba433b1f60950c6d64c89d66b1719af443aa54c83f7e9a231a",
+}
+
+
+@pytest.mark.parametrize("p", sorted(CELL_BASIS_GOLDEN))
+def test_cell_bases_golden(p):
+    blob = json.dumps(
+        [[r, s, [v.to_json() for v in value_basis(p, ("cell", r, s))]]
+         for r, s in cell_labels(p)],
+        sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == CELL_BASIS_GOLDEN[p]
 
 
 # ----------------------------------------------------------------- algebra
