@@ -54,7 +54,9 @@ class RunConfig:
     positive integer raises ValueError.
     `label_filter` narrows the degree grid to one (a, b[, r]) label, under
     the same degree bound a + b <= MAX_TOTAL_DEGREE; the `fischer`
-    subcommand uses it, programmatic callers may too.
+    subcommand uses it, programmatic callers may too.  A filter field
+    that a selected check does not read (`_FILTER_FIELDS`) raises
+    ValueError rather than being ignored.
     """
 
     __slots__ = ("p", "max_total_degree", "checks", "output", "workers",
@@ -106,6 +108,12 @@ class RunConfig:
             if "prop9" in self.checks and a < b:
                 raise ValueError("prop9 is stated for a >= b only, "
                                  f"got a = {a} < b = {b}")
+            for check in self.checks:
+                unread = set(self.label_filter) - _FILTER_FIELDS.get(
+                    check, set())
+                if unread:
+                    raise ValueError(f"check {check} does not read the "
+                                     f"label_filter fields {sorted(unread)}")
         return self
 
     def to_json(self):
@@ -320,6 +328,11 @@ _RUNNERS = {
 
 CHECK_NAMES = tuple(_RUNNERS)
 
+# The label_filter fields each grid check reads; the other checks read none.
+_FILTER_FIELDS = {"thm5": {"a", "b"}, "prop8": {"a", "b", "r"},
+                  "prop9": {"a", "b", "r"}, "thm10": {"a", "b"},
+                  "hermitian": {"a", "b"}}
+
 
 def run(config):
     """Execute the configured checks and return the report bundle.
@@ -437,7 +450,11 @@ def main(argv=None):
         elif args.command == "decompose":
             cap = RunConfig(p=args.p).validate().dim_cap
             with open(args.input) as fh:
-                data = json.load(fh)
+                try:
+                    data = json.load(fh)
+                except RecursionError:
+                    raise ValueError(f"{args.input}: JSON nested too "
+                                     "deeply to read") from None
             F = SpinorPolynomial.from_json(data, n=2 * args.p)
             for A, B in F.bidegrees():
                 if A + B > MAX_TOTAL_DEGREE:

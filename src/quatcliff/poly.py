@@ -281,7 +281,7 @@ def value_basis(p, value_space):
 
     value_space is one of ("scalar",), ("full",), ("grade", r), ("cell", r, s).
     """
-    from .witt import cell_basis
+    from .operators import cell_basis
     n = 2 * p
     kind = value_space[0]
     if kind == "scalar":

@@ -17,31 +17,21 @@ Each of the seven primitive moves (multiplication by z_k or zbar_k, d/dz_k,
 d/dzbar_k, fdag_k, f_k and the Euler scalings) is written once, in
 KEY_MOVES, as a map on a single term key: (key, arg) -> (key', integer
 factor), or None when the image is zero.  The SpinorPolynomial move
-methods loop over a polynomial's terms with these maps.
+methods loop over a polynomial's terms with these maps; every operator is
+a term table over them, named and applied in operators.
 
-An operator is a term table: a list of (coefficient, word), where a word is
-a tuple of moves (move name, argument) applied rightmost first, and
-apply_terms sums coefficient * word(x) in one pass per term of x: the key
-moves of the word run on the term's key, and the coefficient is multiplied
-once, by the product of their factors.  The tables of the value operators
-
-  P    = sum f_{2j} f_{2j-1}   (column lowering, see cells below)
-  Q    = sum fdag_{2j-1} fdag_{2j}
-
-are written here because the cell triangle is built from them; like every
-other operator (the grade counter beta = sum fdag_k f_k among them) they
-are named and applied in operators.  Column r of the cell triangle holds
-the grade-r spinors, the bottom cell of column s is S^s_s = Ker P
-restricted to grade s, and S^{s+2k}_s = Q^k S^s_s.
+Column r of the cell triangle holds the grade-r spinors; the labels, the
+dimensions and the ladder scalars of its cells S^r_s are here, and their
+bases (S^s_s = Ker P on grade s, S^{s+2k}_s = Q^k S^s_s) are built in
+operators.cell_basis.
 """
 
 from fractions import Fraction
 from functools import cache, partial
 from typing import NamedTuple
 
-from . import linalg
 from .clifford import CliffordElement
-from .scalars import XS_ONE, xs
+from .scalars import xs
 
 
 def mask_sort_key(mask):
@@ -124,13 +114,6 @@ def _scale_by_euler(key, which):
     return (key, d) if d else None
 
 
-# c * factor is +-1 for 81% of the terms multiplied in
-# graded_tiling_check(2, 4) and 88% in verify_table(2, 2); a negation or
-# nothing in place of an exact product takes the former from 5.0 to 4.0 s
-# (CPU, median of 10 alternating runs, Python 3.11, 2-vCPU Linux)
-_MINUS_ONE = -XS_ONE
-_UNITS = {XS_ONE: XS_ONE, _MINUS_ONE: _MINUS_ONE}
-
 KEY_MOVES = {
     "mul_z_var": _mul_z_var, "mul_zbar_var": _mul_zbar_var,
     "diff_z": _diff_z, "diff_zbar": _diff_zbar,
@@ -138,52 +121,6 @@ KEY_MOVES = {
     "contract": partial(_value_move, dagger=False),
     "scale_by_euler": _scale_by_euler,
 }
-
-
-def apply_terms(terms, x):
-    """sum of c * word(x) over the (c, word) terms of an operator table.
-
-    x is a SpinorPolynomial.  Each term of x passes through the key moves
-    of a word, rightmost first, and its coefficient is multiplied once, by
-    c times the product of their factors (formed once per distinct
-    factor; +-1 costs a negation or nothing).  Entries that cancel are
-    dropped at the end.
-    """
-    out = {}
-    items = x.terms.items()
-    for c, word in terms:
-        moves = [(KEY_MOVES[move], arg) for move, arg in reversed(word)]
-        scaled = {}
-        for key, v in items:
-            f = 1
-            for move, arg in moves:
-                hit = move(key, arg)
-                if hit is None:
-                    break
-                key, g = hit
-                f *= g
-            else:
-                cf = scaled.get(f)
-                if cf is None:
-                    cf = c * f
-                    cf = scaled[f] = _UNITS.get(cf, cf)
-                if cf is not XS_ONE:
-                    v = -v if cf is _MINUS_ONE else v * cf
-                cur = out.get(key)
-                out[key] = v if cur is None else cur + v
-    return type(x)(x.n, out)
-
-
-def P_terms(n):
-    """P = sum_j f_{2j} f_{2j-1}; drops the spinor grade by two."""
-    return [(XS_ONE, (("contract", 2 * j), ("contract", 2 * j - 1)))
-            for j in range(1, n // 2 + 1)]
-
-
-def Q_terms(n):
-    """Q = sum_j fdag_{2j-1} fdag_{2j}; raises the spinor grade by two."""
-    return [(XS_ONE, (("wedge", 2 * j - 1), ("wedge", 2 * j)))
-            for j in range(1, n // 2 + 1)]
 
 
 class WittFrame:
@@ -370,36 +307,6 @@ def cell_dim(p, r, s):
         return 0
     low = comb(2 * p, s - 2) if s >= 2 else 0
     return comb(2 * p, s) - low
-
-
-@cache
-def cell_basis(p, r, s):
-    """Canonical basis of the cell S^r_s (empty list for invalid labels),
-    as spinor values."""
-    from .poly import SpinorPolynomial
-    n = 2 * p
-    if not valid_cell(p, r, s):
-        return []
-    zero = (0,) * n
-    if r == s:
-        masks = grade_masks(n, s)
-        images = [apply_terms(P_terms(n),
-                              SpinorPolynomial.constant(n, {m: XS_ONE})).terms
-                  for m in masks]
-        kernel = linalg.nullspace(images)
-        vecs = [{(zero, zero, masks[j]): c for j, c in coords.items()}
-                for coords in kernel]
-    else:
-        k = (r - s) // 2
-        vecs = []
-        for base_vec in cell_basis(p, s, s):
-            cur = base_vec
-            for _ in range(k):
-                cur = apply_terms(Q_terms(n), cur)
-            vecs.append(cur.terms)
-    reduced, _ = linalg.rref(
-        vecs, key_order=[(zero, zero, m) for m in grade_masks(n, r)])
-    return [SpinorPolynomial(n, row) for row in reduced]
 
 
 def pq_scalars(p, r, s):

@@ -53,6 +53,16 @@ def test_config_defaults_validate():
     {"label_filter": {"a": 7, "b": 0}},
     {"label_filter": {"a": 4, "b": 3}},
     {"checks": ("prop9",), "label_filter": {"a": 0, "b": 2}},
+    # a filter field that a selected check does not read
+    {"checks": ("thm10",), "label_filter": {"a": 1, "b": 0, "r": 1}},
+    {"checks": ("thm5",), "label_filter": {"a": 1, "b": 0, "r": 0}},
+    {"checks": ("hermitian",), "label_filter": {"a": 1, "b": 0, "r": 0}},
+    {"checks": ("relations", "euclidean"),
+     "label_filter": {"a": 0, "b": 0}},
+    {"checks": ("cells",), "label_filter": {"a": 0, "b": 0}},
+    {"checks": ("example13",), "label_filter": {"a": 0, "b": 0}},
+    {"checks": ("prop8", "thm10"), "label_filter": {"a": 1, "b": 0, "r": 0}},
+    {"checks": ("prop8",), "label_filter": {"a": 1, "b": 0, "x": 0}},
 ])
 def test_config_rejects(kwargs):
     with pytest.raises(ValueError):
@@ -76,6 +86,11 @@ def test_config_env_defaults(monkeypatch):
 @pytest.mark.parametrize("name,value", [
     ("QUATCLIFF_WORKERS", "abc"), ("QUATCLIFF_WORKERS", "0"),
     ("QUATCLIFF_DIM_CAP", "abc"), ("QUATCLIFF_DIM_CAP", "-5"),
+    # int() reads these, but only ASCII decimal digits are a count
+    ("QUATCLIFF_WORKERS", "1_0"), ("QUATCLIFF_WORKERS", "\u0663"),
+    ("QUATCLIFF_WORKERS", "+2"), ("QUATCLIFF_WORKERS", " 2 "),
+    pytest.param("QUATCLIFF_DIM_CAP", "9" * 5000,
+                 id="QUATCLIFF_DIM_CAP-5000-digits"),
 ])
 def test_bad_env_exits_2(monkeypatch, capsys, name, value):
     monkeypatch.setenv(name, value)
@@ -215,6 +230,16 @@ def test_fischer_label_over_degree_bound_exits_2(capsys):
         capsys.readouterr().err
 
 
+def test_fischer_unread_label_field_exits_2(tmp_path, capsys):
+    # thm10 reads the degree a + b only, so --r would be silently ignored
+    out = tmp_path / "f.json"
+    rc = cli.main(["fischer", "--p", "1", "--a", "1", "--b", "0",
+                   "--r", "1", "--check", "thm10", "--json", str(out)])
+    assert rc == 2
+    assert "['r']" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fischer_prop9_below_diagonal_exits_2(capsys):
     rc = cli.main(["fischer", "--p", "1", "--a", "0", "--b", "2",
                    "--check", "prop9"])
@@ -325,11 +350,15 @@ def test_decompose_bad_schema_exits_2(tmp_path):
 
 
 def test_decompose_malformed_json_exits_2(tmp_path):
+    # the second input nests deeper than the JSON reader can recurse
     inp = tmp_path / "in.json"
-    inp.write_text("{not json")
-    rc = cli.main(["decompose", "--p", "1", "--input", str(inp),
-                   "--output", str(tmp_path / "o.json")])
-    assert rc == 2
+    out = tmp_path / "o.json"
+    for text in ("{not json", "[" * 10000):
+        inp.write_text(text)
+        rc = cli.main(["decompose", "--p", "1", "--input", str(inp),
+                       "--output", str(out)])
+        assert rc == 2
+        assert not out.exists()
 
 
 def test_missing_input_file_exits_2(tmp_path):

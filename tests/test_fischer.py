@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from quatcliff import fischer as fi, witt
+from quatcliff import fischer as fi, operators
 from quatcliff.operators import apply, apply_word
 from quatcliff.poly import SpinorPolynomial, poly_dim, space_basis
 from quatcliff.scalars import XS_ONE, xs
@@ -133,13 +133,13 @@ def test_cells_structure(p):
 def test_cells_check_rejects_a_dependent_column(monkeypatch):
     # the right count of vectors is not a tiling: cell (1, 1) at p = 1
     # holding one vector twice has dimension 2 but rank 1
-    real = witt.cell_basis
+    real = operators.cell_basis
 
     def doubled(p, r, s):
         basis = real(p, r, s)
         return [basis[0], basis[0]] if (p, r, s) == (1, 1, 1) else basis
 
-    monkeypatch.setattr(witt, "cell_basis", doubled)
+    monkeypatch.setattr(operators, "cell_basis", doubled)
     out = fi.cells_check(1)
     assert out["checks"]["dims"] is True
     assert out["checks"]["column_tiling"] is False

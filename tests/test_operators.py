@@ -13,12 +13,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quatcliff.operators import (REGISTRY, apply, apply_expression,
-                                 apply_word, dirac_dictionary_check,
-                                 term_table)
+                                 apply_terms, apply_word,
+                                 dirac_dictionary_check, term_table)
 from quatcliff.poly import SpinorPolynomial, space_basis
 from quatcliff.relations import RULES
 from quatcliff.scalars import ExtendedScalar, xs
-from quatcliff.witt import apply_terms
 
 small = st.integers(min_value=-3, max_value=3)
 

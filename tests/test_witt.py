@@ -16,9 +16,8 @@ from quatcliff.clifford import CliffordElement, inner_product
 from quatcliff.poly import SpinorPolynomial
 from quatcliff.scalars import XS_ONE, XS_ZERO, xs
 from quatcliff import witt
-from quatcliff.operators import apply
-from quatcliff.witt import (cell_basis, cell_dim,
-                            cell_labels, conjugation_action,
+from quatcliff.operators import apply, cell_basis
+from quatcliff.witt import (cell_dim, cell_labels, conjugation_action,
                             detect_spin_convention, grade_masks, pq_scalars,
                             rotation_I, rotation_J, rotation_K, spin_elements,
                             valid_cell, witt_J_images)
