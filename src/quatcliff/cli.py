@@ -35,7 +35,7 @@ from math import comb
 
 from . import fischer, relations
 from .env import env_int
-from .poly import SpinorPolynomial, poly_dim
+from .poly import SpinorPolynomial, _is_int, poly_dim
 
 SCHEMA_VERSION = 2
 
@@ -75,9 +75,9 @@ class RunConfig:
         self.label_filter = label_filter
 
     def validate(self):
-        if not isinstance(self.p, int) or not 1 <= self.p <= 3:
+        if not _is_int(self.p) or not 1 <= self.p <= 3:
             raise ValueError(f"p must be an integer in 1..3, got {self.p!r}")
-        if (not isinstance(self.max_total_degree, int)
+        if (not _is_int(self.max_total_degree)
                 or not 0 <= self.max_total_degree <= MAX_TOTAL_DEGREE):
             raise ValueError("max_total_degree must be an integer in "
                              f"0..{MAX_TOTAL_DEGREE}, "
@@ -86,24 +86,22 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown checks {unknown}; "
                              f"valid names: {', '.join(CHECK_NAMES)}")
-        if not isinstance(self.workers, int) or self.workers < 1:
+        if not _is_int(self.workers) or self.workers < 1:
             raise ValueError(f"workers must be a positive integer, "
                              f"got {self.workers!r}")
-        if not isinstance(self.dim_cap, int) or self.dim_cap < 1:
+        if not _is_int(self.dim_cap) or self.dim_cap < 1:
             raise ValueError(f"dim_cap must be a positive integer, "
                              f"got {self.dim_cap!r}")
         if self.label_filter is not None:
             a = self.label_filter.get("a")
             b = self.label_filter.get("b")
             r = self.label_filter.get("r")
-            if not (isinstance(a, int) and a >= 0
-                    and isinstance(b, int) and b >= 0):
+            if not (_is_int(a) and a >= 0 and _is_int(b) and b >= 0):
                 raise ValueError("label_filter needs integer a >= 0, b >= 0")
             if a + b > MAX_TOTAL_DEGREE:
                 raise ValueError("label_filter a + b must be at most "
                                  f"{MAX_TOTAL_DEGREE}, got {a + b}")
-            if r is not None and not (isinstance(r, int)
-                                      and 0 <= r <= self.p):
+            if r is not None and not (_is_int(r) and 0 <= r <= self.p):
                 raise ValueError(f"label_filter r must be in 0..{self.p}")
             if "prop9" in self.checks and a < b:
                 raise ValueError("prop9 is stated for a >= b only, "

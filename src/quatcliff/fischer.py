@@ -21,7 +21,7 @@ from functools import cache
 from math import comb
 
 from . import linalg
-from .operators import apply, apply_word, joint_kernel
+from .operators import apply, apply_word, joint_kernel, shifts
 from .poly import SpinorPolynomial, poly_dim, space_basis, value_basis
 from .scalars import XS_ONE, xs
 from .witt import cell_dim, cell_labels, grade_masks, pq_scalars, valid_cell
@@ -355,27 +355,36 @@ def _composite_projection_swapped(T, params):
 
 # ------------------------------------------------------ embedding factors
 
-# alpha -> (source shift (dr, da, db), head word); words apply rightmost
-# factor first.  Factor alpha is its head word followed by the projection
-# onto Ker laplace, Ker P and Ker curlyE at the target labels.
+# alpha -> head word, applied rightmost factor first and followed by the
+# projection onto Ker laplace, Ker P and Ker curlyE at the target labels;
+# the source is the target minus the word's shift (_word_source).
 _EMBEDDINGS = (
-    ((0, 0, 0), ()),
-    ((1, -1, 0), ("mul_z",)),
-    ((1, 0, -1), ("mul_z_dagJ",)),
-    ((-1, 0, -1), ("mul_z_dag",)),
-    ((-1, -1, 0), ("mul_zJ",)),
-    ((0, -1, -1), ("mul_z", "mul_z_dag")),
-    ((0, -1, -1), ("mul_zJ", "mul_z_dagJ")),
-    ((2, -1, -1), ("mul_z", "mul_z_dagJ")),
-    ((-2, -1, -1), ("mul_zJ", "mul_z_dag")),
-    ((0, -2, 0), ("mul_z", "mul_zJ")),
-    ((0, 0, -2), ("mul_z_dag", "mul_z_dagJ")),
-    ((-1, -2, -1), ("mul_z", "mul_z_dag", "mul_zJ")),
-    ((1, -1, -2), ("mul_z", "mul_z_dag", "mul_z_dagJ")),
-    ((1, -2, -1), ("mul_z", "mul_zJ", "mul_z_dagJ")),
-    ((-1, -1, -2), ("mul_z_dag", "mul_zJ", "mul_z_dagJ")),
-    ((0, -2, -2), ("mul_z", "mul_z_dag", "mul_zJ", "mul_z_dagJ")),
+    (),
+    ("mul_z",),
+    ("mul_z_dagJ",),
+    ("mul_z_dag",),
+    ("mul_zJ",),
+    ("mul_z", "mul_z_dag"),
+    ("mul_zJ", "mul_z_dagJ"),
+    ("mul_z", "mul_z_dagJ"),
+    ("mul_zJ", "mul_z_dag"),
+    ("mul_z", "mul_zJ"),
+    ("mul_z_dag", "mul_z_dagJ"),
+    ("mul_z", "mul_z_dag", "mul_zJ"),
+    ("mul_z", "mul_z_dag", "mul_z_dagJ"),
+    ("mul_z", "mul_zJ", "mul_z_dagJ"),
+    ("mul_z_dag", "mul_zJ", "mul_z_dagJ"),
+    ("mul_z", "mul_z_dag", "mul_zJ", "mul_z_dagJ"),
 )
+
+
+def _word_source(word, a, b, r):
+    """(a, b, r) minus the shift of `word`, a product of operators with one
+    shift each: the label (a', b', r') the word maps into (a, b, r)."""
+    for name in word:
+        (da, db, dr), = shifts(name)
+        a, b, r = a - da, b - db, r - dr
+    return a, b, r
 
 
 def embedding_factor(alpha, p, a, b, r):
@@ -394,12 +403,11 @@ def embedding_factor(alpha, p, a, b, r):
         raise ValueError("target labels need a >= b")
     if not 0 <= r <= p:
         raise ValueError(f"target column must satisfy 0 <= r <= p, got {r}")
-    (dr, da, db), word = _EMBEDDINGS[alpha]
-    source = (r + dr, a + da, b + db)
-    sr, sa, sb = source
+    word = _EMBEDDINGS[alpha]
+    sa, sb, sr = _word_source(word, a, b, r)
     if not (0 <= sr <= p and sa >= sb >= 0):
         word = None
-    return source, word
+    return (sr, sa, sb), word
 
 
 def _tensor_scalar_value(h, v):
@@ -795,19 +803,15 @@ def _hermitian_words(a, b, r, n):
     j = 1
     while True:
         added = False
-        candidates = [
-            ("|z|^%d z" % (2 * (j - 1)),
-             ("mul_r2",) * (j - 1) + ("mul_z",), (a - j, b - j + 1, r + 1)),
-            ("|z|^%d zd" % (2 * (j - 1)),
-             ("mul_r2",) * (j - 1) + ("mul_z_dag",), (a - j + 1, b - j, r - 1)),
-        ]
+        head = ("mul_r2",) * (j - 1)
+        candidates = [("|z|^%d z" % (2 * j - 2), head + ("mul_z",)),
+                      ("|z|^%d zd" % (2 * j - 2), head + ("mul_z_dag",))]
         if r < n:
-            candidates.append(("(z zd)^%d" % j,
-                               ("mul_z", "mul_z_dag") * j, (a - j, b - j, r)))
+            candidates.append(("(z zd)^%d" % j, ("mul_z", "mul_z_dag") * j))
         if r > 0:
-            candidates.append(("(zd z)^%d" % j,
-                               ("mul_z_dag", "mul_z") * j, (a - j, b - j, r)))
-        for label, word, (sa, sb, sr) in candidates:
+            candidates.append(("(zd z)^%d" % j, ("mul_z_dag", "mul_z") * j))
+        for label, word in candidates:
+            sa, sb, sr = _word_source(word, a, b, r)
             if sa >= 0 and sb >= 0 and 0 <= sr <= n:
                 out.append((label, word, (sa, sb, sr)))
                 added = True

@@ -2,13 +2,14 @@
 
 Every operator is one term table, a list of (coefficient, word); a word
 is a tuple of moves (a name of witt.KEY_MOVES, argument) applied
-rightmost first, and apply_terms sums coefficient * word(F).  A base
-operator writes its table down.  A composite operator is an expression
-[(c0, c1, name), ...] meaning sum (c0 + c1*p) * name, the format of the
-relation right-hand sides; c0 may be a Gaussian scalar.  An expression is
-compiled once per (expression, n) into one table, its parts' words
-scaled and summed, so apply, apply_cached and apply_expression all make
-one pass of apply_terms.
+rightmost first, and apply_terms sums coefficient * word(F).  REGISTRY
+states each operator once: a base operator as the function of n that
+writes its table, a composite as an expression ((c0, c1, name), ...)
+meaning sum (c0 + c1*p) * name, the format of the relation right-hand
+sides (c0 may be a Gaussian scalar), compiled once per n into one table;
+so apply, apply_cached and apply_expression all make one pass of
+apply_terms.  The grading is read off the words by `shifts`: the changes
+(da, db, dr) of z-degree, zbar-degree and spinor grade, parity dr mod 2.
 The scalar move and the value move of a word commute; each word applies
 its scalar move first.  Conventions (k runs 1..n = 2p, j runs 1..p):
 
@@ -58,106 +59,83 @@ def _twisted(n, outer, inner, sign=1):
     return out
 
 
-class OperatorSpec:
-    """A named operator: its term table (a function of n) or its expression
-    over other operators, whether it is odd or even, and which bidegree
-    shifts (da, db) its images may occupy."""
-
-    __slots__ = ("name", "parity", "shifts", "terms", "expr")
-
-    def __init__(self, name, parity, shifts, terms=None, expr=None):
-        self.name = name
-        self.parity = parity
-        self.shifts = shifts
-        self.terms = terms
-        self.expr = expr
-
-    def __repr__(self):
-        return f"OperatorSpec({self.name!r}, parity={self.parity!r})"
-
-
-_DOWN, _DOWN_BAR = ((-1, 0),), ((0, -1),)
-_UP, _UP_BAR = ((1, 0),), ((0, 1),)
-_SAME = ((0, 0),)
-_DIRAC = ((-1, 0), (0, -1))
 _MINUS_2I = xs(0, -2)
 
-REGISTRY = {spec.name: spec for spec in (
-    OperatorSpec("dz", "odd", _DOWN,
-                 lambda n: _each_k(n, "wedge", "diff_z")),
-    OperatorSpec("dz_dag", "odd", _DOWN_BAR,
-                 lambda n: _each_k(n, "contract", "diff_zbar")),
-    OperatorSpec("dzJ", "odd", _DOWN,
-                 lambda n: _twisted(n, "contract", "diff_z")),
-    OperatorSpec("dz_dagJ", "odd", _DOWN_BAR,
-                 lambda n: _twisted(n, "wedge", "diff_zbar")),
-    OperatorSpec("mul_z", "odd", _UP,
-                 lambda n: _each_k(n, "contract", "mul_z_var")),
-    OperatorSpec("mul_z_dag", "odd", _UP_BAR,
-                 lambda n: _each_k(n, "wedge", "mul_zbar_var")),
-    OperatorSpec("mul_zJ", "odd", _UP,
-                 lambda n: _twisted(n, "wedge", "mul_z_var")),
-    OperatorSpec("mul_z_dagJ", "odd", _UP_BAR,
-                 lambda n: _twisted(n, "contract", "mul_zbar_var")),
-    OperatorSpec("dirac", "odd", _DIRAC,
-                 expr=((2, 0, "dz"), (-2, 0, "dz_dag"))),
-    OperatorSpec("dirac_I", "odd", _DIRAC,
-                 expr=((_MINUS_2I, 0, "dz"), (_MINUS_2I, 0, "dz_dag"))),
-    OperatorSpec("dirac_J", "odd", _DIRAC,
-                 expr=((2, 0, "dzJ"), (-2, 0, "dz_dagJ"))),
-    OperatorSpec("dirac_K", "odd", _DIRAC,
-                 expr=((_MINUS_2I, 0, "dzJ"), (_MINUS_2I, 0, "dz_dagJ"))),
-    OperatorSpec("mul_X", "odd", ((1, 0), (0, 1)),
-                 expr=((1, 0, "mul_z_dag"), (-1, 0, "mul_z"))),
-    OperatorSpec("id", "even", _SAME, lambda n: [(XS_ONE, ())]),
-    OperatorSpec("E_z", "even", _SAME,
-                 lambda n: [(XS_ONE, (("scale_by_euler", "z"),))]),
-    OperatorSpec("E_z_dag", "even", _SAME,
-                 lambda n: [(XS_ONE, (("scale_by_euler", "zbar"),))]),
-    OperatorSpec("curlyE", "even", ((1, -1),),
-                 lambda n: _twisted(n, "mul_z_var", "diff_zbar")),
-    OperatorSpec("curlyE_dag", "even", ((-1, 1),),
-                 lambda n: _twisted(n, "mul_zbar_var", "diff_z", -1)),
-    OperatorSpec("P", "even", _SAME, lambda n: [
-        (XS_ONE, (("contract", 2 * j), ("contract", 2 * j - 1)))
-        for j in range(1, n // 2 + 1)]),
-    OperatorSpec("Q", "even", _SAME, lambda n: [
-        (XS_ONE, (("wedge", 2 * j - 1), ("wedge", 2 * j)))
-        for j in range(1, n // 2 + 1)]),
-    OperatorSpec("beta", "even", _SAME,
-                 lambda n: _each_k(n, "wedge", "contract")),
-    OperatorSpec("laplace", "even", ((-1, -1),),
-                 lambda n: _each_k(n, "diff_zbar", "diff_z", xs(4))),
-    OperatorSpec("mul_r2", "even", ((1, 1),),
-                 lambda n: _each_k(n, "mul_zbar_var", "mul_z_var")),
-    OperatorSpec("h_total", "even", _SAME,
-                 expr=((1, 0, "E_z"), (1, 0, "E_z_dag"), (0, 2, "id"))),
-    OperatorSpec("h_diff", "even", _SAME,
-                 expr=((1, 0, "E_z"), (-1, 0, "E_z_dag"))),
-    OperatorSpec("h_spin", "even", _SAME,
-                 expr=((0, 1, "id"), (-1, 0, "beta"))),
+REGISTRY = {
+    "dz": lambda n: _each_k(n, "wedge", "diff_z"),
+    "dz_dag": lambda n: _each_k(n, "contract", "diff_zbar"),
+    "dzJ": lambda n: _twisted(n, "contract", "diff_z"),
+    "dz_dagJ": lambda n: _twisted(n, "wedge", "diff_zbar"),
+    "mul_z": lambda n: _each_k(n, "contract", "mul_z_var"),
+    "mul_z_dag": lambda n: _each_k(n, "wedge", "mul_zbar_var"),
+    "mul_zJ": lambda n: _twisted(n, "wedge", "mul_z_var"),
+    "mul_z_dagJ": lambda n: _twisted(n, "contract", "mul_zbar_var"),
+    "dirac": ((2, 0, "dz"), (-2, 0, "dz_dag")),
+    "dirac_I": ((_MINUS_2I, 0, "dz"), (_MINUS_2I, 0, "dz_dag")),
+    "dirac_J": ((2, 0, "dzJ"), (-2, 0, "dz_dagJ")),
+    "dirac_K": ((_MINUS_2I, 0, "dzJ"), (_MINUS_2I, 0, "dz_dagJ")),
+    "mul_X": ((1, 0, "mul_z_dag"), (-1, 0, "mul_z")),
+    "id": lambda n: [(XS_ONE, ())],
+    "E_z": lambda n: [(XS_ONE, (("scale_by_euler", "z"),))],
+    "E_z_dag": lambda n: [(XS_ONE, (("scale_by_euler", "zbar"),))],
+    "curlyE": lambda n: _twisted(n, "mul_z_var", "diff_zbar"),
+    "curlyE_dag": lambda n: _twisted(n, "mul_zbar_var", "diff_z", -1),
+    "P": lambda n: [(XS_ONE, (("contract", 2 * j), ("contract", 2 * j - 1)))
+                    for j in range(1, n // 2 + 1)],
+    "Q": lambda n: [(XS_ONE, (("wedge", 2 * j - 1), ("wedge", 2 * j)))
+                    for j in range(1, n // 2 + 1)],
+    "beta": lambda n: _each_k(n, "wedge", "contract"),
+    "laplace": lambda n: _each_k(n, "diff_zbar", "diff_z", xs(4)),
+    "mul_r2": lambda n: _each_k(n, "mul_zbar_var", "mul_z_var"),
+    "h_total": ((1, 0, "E_z"), (1, 0, "E_z_dag"), (0, 2, "id")),
+    "h_diff": ((1, 0, "E_z"), (-1, 0, "E_z_dag")),
+    "h_spin": ((0, 1, "id"), (-1, 0, "beta")),
     # Cartan element completing gl(2) in the hermitian reduction
-    OperatorSpec("h_herm", "even", _SAME,
-                 expr=((1, 0, "E_z_dag"), (-1, 0, "E_z"), (0, 2, "id"),
-                       (-2, 0, "beta"))),
-)}
-
-
-def resolve(name):
-    try:
-        return REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown operator name {name!r}") from None
+    "h_herm": ((1, 0, "E_z_dag"), (-1, 0, "E_z"), (0, 2, "id"),
+               (-2, 0, "beta")),
+}
 
 
 @cache
 def term_table(name, n):
     """The (coefficient, word) terms of any operator over n variables: a
     base operator's own table or a composite's compiled expression."""
-    spec = resolve(name)
-    if spec.expr is not None:
-        return _compiled(spec.expr, n)
-    return tuple(spec.terms(n))
+    try:
+        entry = REGISTRY[name]
+    except KeyError:
+        raise KeyError(f"unknown operator name {name!r}") from None
+    if isinstance(entry, tuple):
+        return _compiled(entry, n)
+    return tuple(entry(n))
+
+
+# (da, db, dr) of each key move: its change of z-degree, zbar-degree and
+# spinor grade
+_MOVE_SHIFTS = {
+    "mul_z_var": (1, 0, 0), "mul_zbar_var": (0, 1, 0),
+    "diff_z": (-1, 0, 0), "diff_zbar": (0, -1, 0),
+    "wedge": (0, 0, 1), "contract": (0, 0, -1), "scale_by_euler": (0, 0, 0),
+}
+
+
+@cache
+def shifts(name):
+    """The (da, db, dr) shifts of z-degree, zbar-degree and spinor grade
+    that an operator's words make, read off its table at n = 2; a
+    composite's set is the union of its parts' sets.  The parity is dr
+    mod 2, and an operator whose words disagree on it raises ValueError."""
+    entry = REGISTRY.get(name)
+    if isinstance(entry, tuple):
+        out = frozenset().union(*(shifts(part) for _, _, part in entry))
+    else:
+        # a word shifts by the sum of its moves' shifts; (0, 0, 0) seeds
+        # the sum, so the empty word of id shifts by nothing
+        out = frozenset(
+            tuple(map(sum, zip((0, 0, 0), *(_MOVE_SHIFTS[m] for m, _ in w))))
+            for _, w in term_table(name, 2))
+    if len({dr % 2 for _, _, dr in out}) > 1:
+        raise ValueError(f"operator {name!r} mixes odd and even words")
+    return out
 
 
 @cache
@@ -242,7 +220,7 @@ def apply_cached(op, F, cache):
     `cache` is any dict; keys are (operator name, term key).  Images of single
     terms are tiny, so repeated applications over a whole basis get cheap.
     """
-    resolve(op)  # an unknown name raises even on the zero polynomial
+    term_table(op, F.n)  # an unknown name raises even on the zero polynomial
     out = {}
     for key, c in F.terms.items():
         ck = (op, key)

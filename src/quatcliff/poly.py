@@ -189,11 +189,12 @@ class SpinorPolynomial:
 
         Schema: a list of {"alpha": [ints], "beta": [ints],
         "spinor": [1-based indices], "coeff": scalar object}, where the
-        scalar object holds "num/den" strings (or integers) under the
-        keys a_re, a_im, b_re, b_im.  JSON true/false are not integers
-        here.  The rank is `n`, or else the length of the first alpha;
-        an empty list needs `n`.  Violations raise ValueError naming the
-        term index and field.
+        scalar object holds integers or "-?digits[/digits]" strings
+        under the keys a_re, a_im, b_re, b_im.  No other key is allowed
+        in a term or a scalar object; a missing "spinor" means [].  JSON
+        true/false are not integers here.  The rank is `n`, or else the
+        length of the first alpha; an empty list needs `n`.  Violations
+        raise ValueError naming the term index and field or key.
         """
         if not isinstance(data, list):
             raise ValueError("polynomial JSON must be a list of term objects")
@@ -204,6 +205,9 @@ class SpinorPolynomial:
             where = f"term {i}"
             if not isinstance(item, dict):
                 raise ValueError(f"{where}: expected an object")
+            extra = sorted(set(item) - {"alpha", "beta", "spinor", "coeff"})
+            if extra:
+                raise ValueError(f"{where}: unknown keys {extra}")
             for field in ("alpha", "beta"):
                 val = item.get(field)
                 if (not isinstance(val, list)
@@ -225,6 +229,10 @@ class SpinorPolynomial:
             if not isinstance(coeff, dict):
                 raise ValueError(f"{where}, field 'coeff': expected an "
                                  "object with keys a_re, a_im, b_re, b_im")
+            extra = sorted(set(coeff) - {"a_re", "a_im", "b_re", "b_im"})
+            if extra:
+                raise ValueError(f"{where}, field 'coeff': unknown keys "
+                                 f"{extra}")
             for key in ("a_re", "a_im", "b_re", "b_im"):
                 if key not in coeff:
                     raise ValueError(f"{where}, field 'coeff': missing "
@@ -236,7 +244,7 @@ class SpinorPolynomial:
                                      "integer")
             try:
                 c = ExtendedScalar.from_json(coeff)
-            except (ValueError, ZeroDivisionError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
             key = (tuple(item["alpha"]), tuple(item["beta"]),
                    sum(1 << (k - 1) for k in spinor))

@@ -17,7 +17,7 @@ passes the table exactly when no block holds a witness for it.
 
 Right-hand sides are lists of (c0, c1, name) meaning (c0 + c1*p) * name,
 so one rule set serves every p.  A rule's kind is not written down: `_r`
-reads it off the operand parities in operators.REGISTRY, the
+reads it off the operand parities of operators.shifts, the
 anticommutator exactly when both operands are odd.
 
 RULES is the only place a bracket identity is written; every other rule
@@ -40,7 +40,7 @@ from fractions import Fraction
 from .env import parallel_map
 from .fischer import kernel_space, qmonogenic_space
 from .linalg import Solver
-from .operators import REGISTRY, apply, apply_cached, apply_expression
+from .operators import apply, apply_cached, apply_expression, shifts
 from .poly import space_basis
 from .scalars import xs
 
@@ -117,7 +117,7 @@ class VerificationReport:
 def _r(block, left, right, *rhs):
     """The rule [left, right] = rhs, or {left, right} = rhs when both
     operands are odd."""
-    odd = REGISTRY[left].parity == REGISTRY[right].parity == "odd"
+    odd = {dr % 2 for name in (left, right) for *_, dr in shifts(name)} == {1}
     return BracketRule(f"{block}:{left},{right}", block,
                        "acomm" if odd else "comm", left, right, rhs)
 

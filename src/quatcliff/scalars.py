@@ -16,11 +16,14 @@ in spin group elements.
 The rationals are stdlib fractions.Fraction; BACKEND_NAME names them.
 """
 
+import re
 from fractions import Fraction
 
 BACKEND_NAME = "fraction"
 
 _RATIONALS = (int, Fraction)
+
+_RATIONAL_STR = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _integral(q):
@@ -34,12 +37,16 @@ def _div(x, y):
 
 
 def to_rat(x):
-    """Coerce an int, Fraction or 'num/den' string to an exact rational:
-    a plain int when integral, a Fraction otherwise."""
+    """Coerce an int, Fraction or string to an exact rational: a plain int
+    when integral, a Fraction otherwise.  A string is ASCII '-?digits' or
+    '-?digits/digits' with a nonzero denominator; else ValueError."""
     if type(x) is int:
         return x
     if isinstance(x, str):
         num, _, den = x.partition("/")
+        if not _RATIONAL_STR.fullmatch(x) or not int(den or 1):
+            raise ValueError(f"{x!r} is not '-?digits' or '-?digits/digits' "
+                             "with a nonzero denominator")
         x = Fraction(int(num), int(den or 1))
     elif not isinstance(x, int):
         x = Fraction(x)

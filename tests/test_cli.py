@@ -63,6 +63,11 @@ def test_config_defaults_validate():
     {"checks": ("example13",), "label_filter": {"a": 0, "b": 0}},
     {"checks": ("prop8", "thm10"), "label_filter": {"a": 1, "b": 0, "r": 0}},
     {"checks": ("prop8",), "label_filter": {"a": 1, "b": 0, "x": 0}},
+    # booleans are not integers
+    {"p": True, "checks": ("cells",)}, {"max_total_degree": True},
+    {"workers": True}, {"dim_cap": True},
+    {"label_filter": {"a": True, "b": False}},
+    {"checks": ("prop8",), "label_filter": {"a": 1, "b": 0, "r": True}},
 ])
 def test_config_rejects(kwargs):
     with pytest.raises(ValueError):
@@ -112,6 +117,12 @@ def coeff_one():
 def good_term():
     return {"alpha": [0, 1, 0, 0], "beta": [0, 0, 0, 0],
             "spinor": [1], "coeff": coeff_one()}
+
+
+def test_parse_missing_spinor_is_the_vacuum():
+    term = {k: v for k, v in good_term().items() if k != "spinor"}
+    assert SpinorPolynomial.from_json([term]) == SpinorPolynomial.monomial(
+        4, (0, 1, 0, 0), (0, 0, 0, 0), 0, xs(1))
 
 
 def test_parse_single_witt_monomial():
@@ -180,6 +191,20 @@ def test_parse_round_trip_random():
     (lambda t: [dict(t, coeff=dict(coeff_one(), b_im=1.5))],
      "field 'coeff.b_im'"),
     (lambda t: [dict(t, coeff=dict(coeff_one(), a_re="1/0"))], "term 0"),
+    (lambda t: [dict(t, coeff=dict(coeff_one(), a_re="1_0"))],
+     "term 0: '1_0' is not"),
+    (lambda t: [dict(t, coeff=dict(coeff_one(), a_im="\u0663"))],
+     "term 0: '\u0663' is not"),
+    (lambda t: [dict(t, coeff=dict(coeff_one(), b_re=" +2 "))],
+     "term 0: ' +2 ' is not"),
+    (lambda t: [dict(t, coeff=dict(coeff_one(), a_re="1/ 2"))],
+     "term 0: '1/ 2' is not"),
+    (lambda t: [dict(t, coeff=dict(coeff_one(), a_re="1/0_3"))],
+     "term 0: '1/0_3' is not"),
+    (lambda t: [t, {k: v for k, v in t.items() if k != "spinor"}
+                | {"spinors": [1]}], "term 1: unknown keys ['spinors']"),
+    (lambda t: [dict(t, coeff=dict(coeff_one(), c_re=0))],
+     "term 0, field 'coeff': unknown keys ['c_re']"),
 ])
 def test_parse_schema_violations(mangle, needle):
     with pytest.raises(ValueError) as err:

@@ -1,7 +1,8 @@
 """Named operators on spinor-valued polynomials.
 
 Oracles: the real-coordinate dictionary rebuild for the Dirac family,
-declared bidegree shifts against observed image bidegrees, and Fischer
+a literal table of the shifts each operator makes against the shifts
+read off its words and against observed image labels, and Fischer
 duality (adjointness of multiplication and differentiation) checked as
 exact matrix transposes on full monomial bases.
 """
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from quatcliff.operators import (REGISTRY, apply, apply_expression,
                                  apply_terms, apply_word,
-                                 dirac_dictionary_check, term_table)
+                                 dirac_dictionary_check, shifts, term_table)
 from quatcliff.poly import SpinorPolynomial, space_basis
 from quatcliff.relations import RULES
 from quatcliff.scalars import ExtendedScalar, xs
@@ -39,24 +40,50 @@ def polys(n, max_deg=2, max_terms=3):
 
 # ------------------------------------------------------------ bookkeeping
 
+# (da, db, dr): the changes of z-degree, zbar-degree and spinor grade
+_SAME = {(0, 0, 0)}
+SHIFTS = {
+    "dz": {(-1, 0, 1)}, "dz_dag": {(0, -1, -1)},
+    "dzJ": {(-1, 0, -1)}, "dz_dagJ": {(0, -1, 1)},
+    "mul_z": {(1, 0, -1)}, "mul_z_dag": {(0, 1, 1)},
+    "mul_zJ": {(1, 0, 1)}, "mul_z_dagJ": {(0, 1, -1)},
+    "dirac": {(-1, 0, 1), (0, -1, -1)}, "dirac_I": {(-1, 0, 1), (0, -1, -1)},
+    "dirac_J": {(-1, 0, -1), (0, -1, 1)}, "dirac_K": {(-1, 0, -1), (0, -1, 1)},
+    "mul_X": {(1, 0, -1), (0, 1, 1)},
+    "id": _SAME, "E_z": _SAME, "E_z_dag": _SAME,
+    "curlyE": {(1, -1, 0)}, "curlyE_dag": {(-1, 1, 0)},
+    "P": {(0, 0, -2)}, "Q": {(0, 0, 2)}, "beta": _SAME,
+    "laplace": {(-1, -1, 0)}, "mul_r2": {(1, 1, 0)},
+    "h_total": _SAME, "h_diff": _SAME, "h_spin": _SAME, "h_herm": _SAME,
+}
+
+
+def test_shifts_read_off_the_words():
+    assert {name: shifts(name) for name in REGISTRY} == SHIFTS
+
+
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_declared_shifts_hold(name):
-    spec = REGISTRY[name]
-    if spec.shifts is None:
-        return
-    for a, b in [(1, 0), (1, 1), (2, 1)]:
-        for F in space_basis(1, a, b):
-            image = apply(name, F)
-            for ia, ib in image.bidegrees():
-                assert (ia - a, ib - b) in spec.shifts, (
-                    f"{name} sent ({a},{b}) to ({ia},{ib})")
+    for p, a, b in [(1, 1, 0), (1, 1, 1), (1, 2, 1), (2, 1, 0), (2, 1, 1)]:
+        for F in space_basis(p, a, b):
+            (_, _, mask), = F.terms
+            for alpha, beta, m in apply(name, F).terms:
+                shift = (sum(alpha) - a, sum(beta) - b,
+                         m.bit_count() - mask.bit_count())
+                assert shift in SHIFTS[name], (name, p, a, b, shift)
 
 
 def test_parities_cover_registry():
-    assert all(spec.parity in ("odd", "even") for spec in REGISTRY.values())
-    odd = {n for n, s in REGISTRY.items() if s.parity == "odd"}
+    odd = {n for n in REGISTRY if {dr % 2 for *_, dr in shifts(n)} == {1}}
     assert {"dz", "dirac", "mul_z", "mul_X"} <= odd
     assert {"laplace", "mul_r2", "P", "Q", "curlyE"} & odd == set()
+
+
+def test_mixed_parity_raises(monkeypatch):
+    monkeypatch.setitem(REGISTRY, "odd_plus_even",
+                        ((1, 0, "dz"), (1, 0, "E_z")))
+    with pytest.raises(ValueError, match="mixes odd and even"):
+        shifts("odd_plus_even")
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -195,8 +222,8 @@ def part_by_part(expr, F):
     return out
 
 
-COMPOSITES = sorted(name for name, spec in REGISTRY.items()
-                    if spec.expr is not None)
+COMPOSITES = sorted(name for name, entry in REGISTRY.items()
+                    if isinstance(entry, tuple))
 RULE_RHS = {rule.rhs: rule.rule_id for rule in RULES if rule.rhs}
 
 
@@ -206,7 +233,7 @@ RULE_RHS = {rule.rhs: rule.rule_id for rule in RULES if rule.rhs}
 @given(data=st.data())
 def test_composite_applies_as_its_expression(name, n, data):
     F = data.draw(mixed_polys(n))
-    assert apply(name, F) == part_by_part(REGISTRY[name].expr, F)
+    assert apply(name, F) == part_by_part(REGISTRY[name], F)
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -256,7 +283,7 @@ def fischer_weight(key):
 def test_fischer_adjoint_is_exact_conjugate_transpose(p, op, adjoint, scale):
     # <op x, y> = <x, adjoint y> on every pair of basis monomials, i.e.
     # conj(op[y, x]) * w(y) == scale * adjoint[x, y] * w(x)
-    (da, db), = REGISTRY[op].shifts
+    (da, db, _), = shifts(op)
     for d in range(4 - p):
         for a in range(d + 1):
             b = d - a

@@ -30,11 +30,14 @@ def test_table_shape():
             assert name in REGISTRY
 
 
+ODD = {"dz", "dz_dag", "dzJ", "dz_dagJ", "mul_z", "mul_z_dag", "mul_zJ",
+       "mul_z_dagJ", "dirac", "dirac_I", "dirac_J", "dirac_K", "mul_X"}
+
+
 def test_rule_parities():
     # anticommutators only between odd operators, commutators otherwise
     for rule in list(RULES) + list(EUCLIDEAN_RULES) + list(HERMITIAN_RULES):
-        both_odd = (REGISTRY[rule.left].parity == "odd"
-                    and REGISTRY[rule.right].parity == "odd")
+        both_odd = rule.left in ODD and rule.right in ODD
         assert rule.kind == ("acomm" if both_odd else "comm"), rule.rule_id
 
 
