@@ -1,7 +1,7 @@
 """Exact operator algebra on spinor-valued polynomials over quaternionic space.
 
-Everything is computed over the field Q(i, sqrt2) with exact rational
-arithmetic in stdlib Fractions (scalars.BACKEND_NAME).
+Everything is computed exactly over the field Q(i, sqrt2), each scalar
+stored as four ints over one common denominator (scalars.ExtendedScalar).
 """
 
 from .scalars import BACKEND_NAME, ExtendedScalar, xs

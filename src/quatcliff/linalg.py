@@ -13,8 +13,9 @@ product; `solve_many` is one `Solver` replayed on its targets.
 
 `rank` first tries a rank-only certificate modulo the prime _Q: it maps
 every entry to F_q by i -> zeta**2, sqrt2 -> zeta + 1/zeta (zeta a
-primitive 8th root of unity mod _Q) and rationals num/den -> num * den**-1.
-That is a ring map on Z[1/d][i, sqrt2] when _Q does not divide d, so every
+primitive 8th root of unity mod _Q) and a scalar N / d (N in Z[i, sqrt2],
+d the lcm of its component denominators) to image(N) * d**-1.  That is a
+ring map on Z[1/d][i, sqrt2] when _Q does not divide d, so every
 minor of the image is the image of a minor of the exact rows, and
     rank mod q <= exact rank <= min(rows, distinct keys).
 When the image reaches that bound, the bound is the exact rank.  Any other
@@ -113,18 +114,13 @@ _SQRT2_Q = (_ZETA + pow(_ZETA, -1, _Q)) % _Q
 
 
 def _mod_q(c):
-    """Image of the scalar c in F_q, or None when _Q divides a
-    denominator of c."""
-    parts = []
-    for x in (c.ar, c.ai, c.br, c.bi):
-        if type(x) is not int:
-            d = x.denominator % _Q
-            if not d:
-                return None
-            x = x.numerator * pow(d, -1, _Q)
-        parts.append(x)
-    ar, ai, br, bi = parts
-    return (ar + ai * _I_Q + (br + bi * _I_Q) * _SQRT2_Q) % _Q
+    """Image of the scalar c in F_q, or None when _Q divides its
+    denominator."""
+    v = (c.w + c.x * _I_Q + (c.y + c.z * _I_Q) * _SQRT2_Q) % _Q
+    if c.d == 1:
+        return v
+    d = c.d % _Q
+    return v * pow(d, -1, _Q) % _Q if d else None
 
 
 def _certified_rank(rows):

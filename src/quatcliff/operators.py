@@ -158,8 +158,9 @@ def _compiled(expr, n):
 
 # c * factor is +-1 for 81% of the terms multiplied in
 # graded_tiling_check(2, 4) and 88% in verify_table(2, 2); a negation or
-# nothing in place of an exact product takes the former from 5.0 to 4.0 s
-# (CPU, median of 10 alternating runs, Python 3.11, 2-vCPU Linux)
+# nothing in place of an exact product takes the former from 1.80 to
+# 1.72 s and leaves the latter at 6.36 s (CPU, medians of 10 and 8
+# alternating runs, Python 3.11, 2-vCPU Linux)
 _MINUS_ONE = -XS_ONE
 _UNITS = {XS_ONE: XS_ONE, _MINUS_ONE: _MINUS_ONE}
 

@@ -2,44 +2,38 @@
 
 Every coefficient in this package is an ExtendedScalar
 
-    (ar + ai*i) + (br + bi*i)*sqrt2
+    (w + x*i + (y + z*i)*sqrt2) / d
 
-with the four components kept as exact rationals.  A component is a plain
-int whenever it is integral and a rational (in lowest terms) only after a
-division has made it fractional: the operators have integer coefficients
-in the Witt basis, so operator images and brackets stay on small plain
-ints.  Sums and products of rational components may stay rationals even
-when integral; they compare and hash equal to the int.  Plain Gaussian
-numbers (br = bi = 0) cover almost everything; the sqrt2 part only shows up
-in spin group elements.
+stored as five Python ints with d > 0 and gcd(w, x, y, z, d) = 1, so
+equal values are equal 5-tuples and hash alike.  The operators have
+integer coefficients in the Witt basis, so operator images and brackets
+stay at d = 1, where sums and products are a few int operations and no
+gcd.  A division brings in d > 1; each result is then reduced by one
+gcd.  Plain Gaussian numbers (y = z = 0) cover almost everything; the
+sqrt2 part only shows up in spin group elements.
 
-The rationals are stdlib fractions.Fraction; BACKEND_NAME names them.
+The four rational components (ar + ai*i) + (br + bi*i)*sqrt2 are read
+through properties: a plain int when integral, a stdlib
+fractions.Fraction in lowest terms otherwise.  BACKEND_NAME names that
+rational type.
 """
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 BACKEND_NAME = "fraction"
 
-_RATIONALS = (int, Fraction)
-
 _RATIONAL_STR = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
-
-def _integral(q):
-    """q as a plain int when it is integral."""
-    return int(q.numerator) if q.denominator == 1 else q
-
-
-def _div(x, y):
-    """x / y exactly, as an int when the quotient is integral."""
-    return _integral(Fraction(x) / y)
+_new = object.__new__
 
 
 def to_rat(x):
     """Coerce an int, Fraction or string to an exact rational: a plain int
     when integral, a Fraction otherwise.  A string is ASCII '-?digits' or
-    '-?digits/digits' with a nonzero denominator; else ValueError."""
+    '-?digits/digits' with a nonzero denominator; else ValueError.  Any
+    other type, bool and float among them, raises TypeError."""
     if type(x) is int:
         return x
     if isinstance(x, str):
@@ -48,9 +42,10 @@ def to_rat(x):
             raise ValueError(f"{x!r} is not '-?digits' or '-?digits/digits' "
                              "with a nonzero denominator")
         x = Fraction(int(num), int(den or 1))
-    elif not isinstance(x, int):
-        x = Fraction(x)
-    return _integral(x)
+    elif isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise TypeError(f"{type(x).__name__} is not an exact rational "
+                        "(int, Fraction or 'n/d' string)")
+    return x.numerator if x.denominator == 1 else x
 
 
 def rat_str(q):
@@ -58,111 +53,164 @@ def rat_str(q):
     return f"{q.numerator}/{q.denominator}"
 
 
-class ExtendedScalar:
-    """An element of Q(i, sqrt2), stored as four exact rationals (ints
-    when integral)."""
+def _part(n, d):
+    """n / d as an int when integral, else a Fraction in lowest terms."""
+    if d == 1:
+        return n
+    q = Fraction(n, d)
+    return q.numerator if q.denominator == 1 else q
 
-    __slots__ = ("ar", "ai", "br", "bi")
+
+def _reduced(w, x, y, z, d):
+    """The scalar (w + x i + (y + z i) sqrt2) / d for d > 0, in lowest
+    terms."""
+    g = gcd(w, x, y, z, d)
+    r = _new(ExtendedScalar)
+    if g == 1:
+        r.w, r.x, r.y, r.z, r.d = w, x, y, z, d
+    else:
+        r.w, r.x, r.y, r.z, r.d = w // g, x // g, y // g, z // g, d // g
+    return r
+
+
+class ExtendedScalar:
+    """An element of Q(i, sqrt2): (w + x i + (y + z i) sqrt2) / d over
+    ints, d > 0, gcd(w, x, y, z, d) = 1."""
+
+    __slots__ = ("w", "x", "y", "z", "d")
 
     def __init__(self, ar=0, ai=0, br=0, bi=0):
-        self.ar = to_rat(ar)
-        self.ai = to_rat(ai)
-        self.br = to_rat(br)
-        self.bi = to_rat(bi)
+        parts = [to_rat(q) for q in (ar, ai, br, bi)]
+        # d is the lcm of the reduced denominators, so the tuple is reduced
+        d = lcm(*(q.denominator for q in parts))
+        self.w, self.x, self.y, self.z = (q.numerator * (d // q.denominator)
+                                          for q in parts)
+        self.d = d
 
-    @classmethod
-    def _raw(cls, ar, ai, br, bi):
-        # bypasses coercion; callers guarantee ints or Fractions
-        self = object.__new__(cls)
-        self.ar = ar
-        self.ai = ai
-        self.br = br
-        self.bi = bi
-        return self
+    # the rational components, read-only
+    ar = property(lambda self: _part(self.w, self.d))
+    ai = property(lambda self: _part(self.x, self.d))
+    br = property(lambda self: _part(self.y, self.d))
+    bi = property(lambda self: _part(self.z, self.d))
 
     def is_zero(self):
-        return not (self.ar or self.ai or self.br or self.bi)
+        return not self
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.w or self.x or self.y or self.z)
 
     def __add__(self, other):
         if not isinstance(other, ExtendedScalar):
             return NotImplemented
-        return ExtendedScalar._raw(self.ar + other.ar, self.ai + other.ai,
-                                   self.br + other.br, self.bi + other.bi)
+        if self.d * other.d == 1:
+            r = _new(ExtendedScalar)
+            r.w = self.w + other.w
+            r.x = self.x + other.x
+            r.y = self.y + other.y
+            r.z = self.z + other.z
+            r.d = 1
+            return r
+        d, e = self.d, other.d
+        return _reduced(self.w * e + other.w * d, self.x * e + other.x * d,
+                        self.y * e + other.y * d, self.z * e + other.z * d,
+                        d * e)
 
     def __sub__(self, other):
         if not isinstance(other, ExtendedScalar):
             return NotImplemented
-        return ExtendedScalar._raw(self.ar - other.ar, self.ai - other.ai,
-                                   self.br - other.br, self.bi - other.bi)
+        if self.d * other.d == 1:
+            r = _new(ExtendedScalar)
+            r.w = self.w - other.w
+            r.x = self.x - other.x
+            r.y = self.y - other.y
+            r.z = self.z - other.z
+            r.d = 1
+            return r
+        return self + -other
 
     def __neg__(self):
-        return ExtendedScalar._raw(-self.ar, -self.ai, -self.br, -self.bi)
+        r = _new(ExtendedScalar)
+        r.w = -self.w
+        r.x = -self.x
+        r.y = -self.y
+        r.z = -self.z
+        r.d = self.d
+        return r
 
     def __mul__(self, other):
         if isinstance(other, ExtendedScalar):
-            ar, ai, br, bi = self.ar, self.ai, self.br, self.bi
-            cr, ci, dr, di = other.ar, other.ai, other.br, other.bi
-            if not (br or bi or dr or di):
+            w, x, y, z = self.w, self.x, self.y, self.z
+            a, b, c, e = other.w, other.x, other.y, other.z
+            d = self.d * other.d
+            if not (y or z or c or e):
                 # plain Gaussian numbers, the common case
-                return ExtendedScalar._raw(ar * cr - ai * ci, ar * ci + ai * cr,
-                                           0, 0)
-            # (a + b s)(c + d s) = (ac + 2bd) + (ad + bc) s   with s*s = 2
-            er = ar * cr - ai * ci + 2 * (br * dr - bi * di)
-            ei = ar * ci + ai * cr + 2 * (br * di + bi * dr)
-            fr = ar * dr - ai * di + br * cr - bi * ci
-            fi = ar * di + ai * dr + br * ci + bi * cr
-            return ExtendedScalar._raw(er, ei, fr, fi)
-        if isinstance(other, _RATIONALS):
-            q = to_rat(other)
-            return ExtendedScalar._raw(self.ar * q, self.ai * q,
-                                       self.br * q, self.bi * q)
-        return NotImplemented
+                if d == 1:
+                    r = _new(ExtendedScalar)
+                    r.w = w * a - x * b
+                    r.x = w * b + x * a
+                    r.y = r.z = 0
+                    r.d = 1
+                    return r
+                return _reduced(w * a - x * b, w * b + x * a, 0, 0, d)
+            # (u + v s)(u' + v' s) = (u u' + 2 v v') + (u v' + v u') s, s*s = 2
+            return _reduced(w * a - x * b + 2 * (y * c - z * e),
+                            w * b + x * a + 2 * (y * e + z * c),
+                            w * c - x * e + y * a - z * b,
+                            w * e + x * c + y * b + z * a, d)
+        if type(other) is int:
+            if self.d == 1:
+                r = _new(ExtendedScalar)
+                r.w = self.w * other
+                r.x = self.x * other
+                r.y = self.y * other
+                r.z = self.z * other
+                r.d = 1
+                return r
+        elif not isinstance(other, Fraction):
+            return NotImplemented
+        n, m = other.numerator, other.denominator
+        return _reduced(self.w * n, self.x * n, self.y * n, self.z * n,
+                        self.d * m)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Exact inverse.  x = a + b*sqrt2 with a, b Gaussian rational;
-        x * (a - b*sqrt2) = a^2 - 2 b^2 lands in Q(i), which inverts by the
-        usual conjugate trick."""
+        """Exact inverse.  With a = w + x i and b = y + z i the value is
+        (a + b sqrt2) / d, and (a + b sqrt2)(a - b sqrt2) = g = a^2 - 2 b^2
+        is a Gaussian int, so the inverse is
+        d (a - b sqrt2) conj(g) / |g|^2."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero ExtendedScalar")
-        ar, ai, br, bi = self.ar, self.ai, self.br, self.bi
-        # g = a^2 - 2 b^2  (Gaussian rational)
-        gr = ar * ar - ai * ai - 2 * (br * br - bi * bi)
-        gi = 2 * (ar * ai - 2 * br * bi)
+        w, x, y, z, d = self.w, self.x, self.y, self.z, self.d
+        gr = w * w - x * x - 2 * (y * y - z * z)
+        gi = 2 * (w * x - 2 * y * z)
         norm = gr * gr + gi * gi
         if not norm:
             raise ZeroDivisionError("inverse hit a zero norm; input not in the field?")
-        hr, hi = _div(gr, norm), _div(-gi, norm)  # h = 1/g
-        # 1/x = (a - b*sqrt2) * h
-        return _integral_scalar(ar * hr - ai * hi, ar * hi + ai * hr,
-                                -(br * hr - bi * hi), -(br * hi + bi * hr))
+        return _reduced(d * (w * gr + x * gi), d * (x * gr - w * gi),
+                        -d * (y * gr + z * gi), -d * (z * gr - y * gi), norm)
 
     def __truediv__(self, other):
-        if isinstance(other, _RATIONALS):
-            q = to_rat(other)
-            return ExtendedScalar._raw(_div(self.ar, q), _div(self.ai, q),
-                                       _div(self.br, q), _div(self.bi, q))
         if isinstance(other, ExtendedScalar):
-            q = self * other.inverse()
-            return _integral_scalar(q.ar, q.ai, q.br, q.bi)
+            return self * other.inverse()
+        if type(other) is int or isinstance(other, Fraction):
+            return self * (1 / Fraction(other))
         return NotImplemented
 
     def conjugate(self):
         """Complex conjugation: i -> -i, sqrt2 fixed."""
-        return ExtendedScalar._raw(self.ar, -self.ai, self.br, -self.bi)
+        r = _new(ExtendedScalar)
+        r.w, r.x, r.y, r.z, r.d = self.w, -self.x, self.y, -self.z, self.d
+        return r
 
     def __eq__(self, other):
         if not isinstance(other, ExtendedScalar):
             return NotImplemented
-        return (self.ar == other.ar and self.ai == other.ai
-                and self.br == other.br and self.bi == other.bi)
+        return (self.w == other.w and self.x == other.x and self.y == other.y
+                and self.z == other.z and self.d == other.d)
 
     def __hash__(self):
-        return hash((self.ar, self.ai, self.br, self.bi))
+        return hash((self.w, self.x, self.y, self.z, self.d))
 
     def __str__(self):
         parts = []
@@ -193,16 +241,10 @@ class ExtendedScalar:
                    to_rat(obj["b_re"]), to_rat(obj["b_im"]))
 
 
-def _integral_scalar(ar, ai, br, bi):
-    """The scalar with these components, integral ones turned into ints."""
-    return ExtendedScalar._raw(_integral(ar), _integral(ai),
-                               _integral(br), _integral(bi))
-
-
-XS_ZERO = ExtendedScalar._raw(0, 0, 0, 0)
-XS_ONE = ExtendedScalar._raw(1, 0, 0, 0)
-XS_I = ExtendedScalar._raw(0, 1, 0, 0)
-XS_SQRT2 = ExtendedScalar._raw(0, 0, 1, 0)
+XS_ZERO = ExtendedScalar()
+XS_ONE = ExtendedScalar(1)
+XS_I = ExtendedScalar(0, 1)
+XS_SQRT2 = ExtendedScalar(0, 0, 1)
 
 
 def xs(ar=0, ai=0, br=0, bi=0):

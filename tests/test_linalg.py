@@ -260,6 +260,29 @@ def test_mod_q_is_a_ring_map_on_the_basis():
     assert linalg._mod_q(xs(Fraction(1, Q))) is None
 
 
+# a component with a small numerator over a small denominator or one
+# divisible by Q
+mod_q_component = st.builds(
+    Fraction, st.integers(min_value=-6, max_value=6),
+    st.sampled_from([1, 2, 3, 7, 12, Q, 2 * Q, 3 * Q * Q]))
+
+
+@given(st.tuples(*[mod_q_component] * 4))
+@example((Fraction(1, 2), 0, 0, Fraction(1, Q)))
+@example((Fraction(Q, 3), Fraction(0, Q), 0, 0))
+def test_mod_q_matches_the_per_component_formula(parts):
+    """The image is sum of num * den**-1 times the image of 1, i, sqrt2,
+    i*sqrt2, and None exactly when Q divides a component's denominator."""
+    basis = (1, linalg._I_Q, linalg._SQRT2_Q, linalg._I_Q * linalg._SQRT2_Q)
+    got = linalg._mod_q(xs(*parts))
+    if any(q.denominator % Q == 0 for q in parts):
+        assert got is None
+        return
+    want = sum(q.numerator * pow(q.denominator, -1, Q) * u
+               for q, u in zip(parts, basis)) % Q
+    assert got == want
+
+
 def test_rank_lost_mod_q_falls_back_to_exact():
     rows = [{0: xs(1), 1: xs(1)}, {0: xs(1), 1: xs(1 + Q)}]
     assert linalg._certified_rank(rows) is None

@@ -1,6 +1,7 @@
 """Field arithmetic in Q(i, sqrt2)."""
 
 import json
+import math
 import pickle
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ parts = st.tuples(component, component, component, component)
 
 
 def test_backend_reports_a_name():
-    assert BACKEND_NAME in ("gmpy2", "fraction")
+    assert BACKEND_NAME == "fraction"
 
 
 def test_constants():
@@ -39,6 +40,21 @@ def test_string_coercion():
     assert to_rat("3/4") == to_rat(Fraction(3, 4))
     assert rat_str(to_rat("3/4")) == "3/4"
     assert xs("1/2", "-2/3") == xs(Fraction(1, 2), Fraction(-2, 3))
+
+
+@pytest.mark.parametrize("bad", [0.5, True, False, None, 1 + 2j])
+def test_inexact_and_non_numbers_are_rejected(bad):
+    """No float, bool or other non-rational enters the field."""
+    with pytest.raises(TypeError, match=type(bad).__name__):
+        to_rat(bad)
+    with pytest.raises(TypeError, match=type(bad).__name__):
+        xs(bad)
+    with pytest.raises(TypeError):
+        XS_ONE * bad
+    with pytest.raises(TypeError):
+        bad * XS_ONE
+    with pytest.raises(TypeError):
+        XS_ONE / bad
 
 
 @given(scalars(), scalars(), scalars())
@@ -142,40 +158,54 @@ def as_fractions(x):
     return tuple(Fraction(q) for q in fields(x))
 
 
+def layout(x):
+    return (x.w, x.x, x.y, x.z, x.d)
+
+
 def assert_integral_ints(x):
-    """Every integral component is a plain int."""
+    """Every integral component is a plain int, every other one a Fraction
+    in lowest terms."""
     for q in fields(x):
-        assert type(q) is int or q.denominator != 1, fields(x)
+        if q.denominator == 1:
+            assert type(q) is int, fields(x)
+        else:
+            assert type(q) is Fraction, fields(x)
+            assert math.gcd(q.numerator, q.denominator) == 1, fields(x)
+
+
+def assert_matches(got, want):
+    """`got` has the oracle's value `want`, is stored reduced (d > 0,
+    gcd(w, x, y, z, d) = 1) and reads back ints when integral."""
+    assert as_fractions(got) == want
+    assert got.d > 0 and math.gcd(*layout(got)) == 1, layout(got)
+    assert_integral_ints(got)
 
 
 @given(parts, parts)
 def test_mixed_components_match_fraction_oracle(u, v):
     x, y = xs(*u), xs(*v)
     fu, fv = tuple(map(Fraction, u)), tuple(map(Fraction, v))
-    assert as_fractions(x) == fu
-    assert as_fractions(x + y) == ref_add(fu, fv)
-    assert as_fractions(x - y) == ref_add(fu, ref_neg(fv))
-    assert as_fractions(-x) == ref_neg(fu)
-    assert as_fractions(x * y) == ref_mul(fu, fv)
-    assert as_fractions(x.conjugate()) == ref_conj(fu)
+    assert_matches(x, fu)
+    assert_matches(x + y, ref_add(fu, fv))
+    assert_matches(x - y, ref_add(fu, ref_neg(fv)))
+    assert_matches(-x, ref_neg(fu))
+    assert_matches(x * y, ref_mul(fu, fv))
+    assert_matches(x.conjugate(), ref_conj(fu))
     if y.is_zero():
         with pytest.raises(ZeroDivisionError):
             y.inverse()
         return
-    for got, want in ((y.inverse(), ref_inverse(fv)),
-                      (x / y, ref_mul(fu, ref_inverse(fv)))):
-        assert as_fractions(got) == want
-        assert_integral_ints(got)
+    assert_matches(y.inverse(), ref_inverse(fv))
+    assert_matches(x / y, ref_mul(fu, ref_inverse(fv)))
 
 
 @given(parts, component)
 def test_mixed_components_scale_by_rationals(u, q):
     x, fu = xs(*u), tuple(map(Fraction, u))
-    assert as_fractions(x * q) == tuple(a * q for a in fu)
-    assert as_fractions(q * x) == tuple(a * q for a in fu)
+    assert_matches(x * q, tuple(a * q for a in fu))
+    assert_matches(q * x, tuple(a * q for a in fu))
     if q:
-        assert as_fractions(x / q) == tuple(a / q for a in fu)
-        assert_integral_ints(x / q)
+        assert_matches(x / q, tuple(a / q for a in fu))
 
 
 def test_integral_components_are_ints():
@@ -183,6 +213,9 @@ def test_integral_components_are_ints():
     assert type(xs("6/3").ar) is int
     assert type(xs(2).inverse().inverse().ar) is int
     assert all(type(q) is int for q in fields(xs(1, 2, 3, 4)))
+    half = xs(Fraction(1, 2), Fraction(-1, 2))
+    assert fields(half) == (Fraction(1, 2), Fraction(-1, 2), 0, 0)
+    assert type(half.br) is int and type(half.bi) is int
 
 
 def test_int_and_fraction_components_agree():
@@ -203,4 +236,36 @@ def test_pickle_round_trip_keeps_value(u):
     x = xs(*u)
     y = pickle.loads(pickle.dumps(x))
     assert y == x and hash(y) == hash(x)
+    assert layout(y) == layout(x)
     assert_integral_ints(y)
+
+
+# ------------------------------------------- the five-int layout
+
+def test_layout_examples():
+    assert layout(xs(Fraction(1, 2), Fraction(1, 3))) == (3, 2, 0, 0, 6)
+    assert layout(xs(0, 0, Fraction(-2, 4))) == (0, 0, -1, 0, 2)
+    assert layout(xs(1, 0, 1, 0).inverse()) == (-1, 0, 1, 0, 1)
+    assert layout(xs(3).inverse()) == (1, 0, 0, 0, 3)
+
+
+def test_zero_layout():
+    assert layout(XS_ZERO) == (0, 0, 0, 0, 1)
+    a = xs(Fraction(1, 3), 2, Fraction(-5, 6), 1)
+    for zero in (a - a, a * 0, a * XS_ZERO, a + (-a), xs(Fraction(0, 7))):
+        assert layout(zero) == (0, 0, 0, 0, 1)
+        assert zero == XS_ZERO and hash(zero) == hash(XS_ZERO)
+
+
+@given(parts, parts)
+def test_values_equal_under_the_oracle_have_equal_fields(u, v):
+    x, y = xs(*u), xs(*v)
+    fu, fv = tuple(map(Fraction, u)), tuple(map(Fraction, v))
+    routes = [x, (x + y) - y, x * XS_ONE, -(-x), x.conjugate().conjugate(),
+              x * 6 / 6, xs(*fu)]
+    if not y.is_zero():
+        routes += [(x * y) / y, (x / y) * y]
+    for r in routes:
+        assert layout(r) == layout(x) and hash(r) == hash(x)
+    assert (layout(x) == layout(y)) == (fu == fv)
+    assert (x == y) == (fu == fv)
