@@ -156,23 +156,13 @@ def _compiled(expr, n):
     return tuple((c, word) for word, c in sums.items() if c)
 
 
-# c * factor is +-1 for 81% of the terms multiplied in
-# graded_tiling_check(2, 4) and 88% in verify_table(2, 2); a negation or
-# nothing in place of an exact product takes the former from 1.80 to
-# 1.72 s and leaves the latter at 6.36 s (CPU, medians of 10 and 8
-# alternating runs, Python 3.11, 2-vCPU Linux)
-_MINUS_ONE = -XS_ONE
-_UNITS = {XS_ONE: XS_ONE, _MINUS_ONE: _MINUS_ONE}
-
-
 def apply_terms(terms, x):
     """sum of c * word(x) over the (c, word) terms of an operator table.
 
     x is a SpinorPolynomial.  Each term of x passes through the key moves
     of a word, rightmost first, and its coefficient is multiplied once, by
     c times the product of their factors (formed once per distinct
-    factor; +-1 costs a negation or nothing).  Entries that cancel are
-    dropped at the end.
+    factor).  Entries that cancel are dropped at the end.
     """
     out = {}
     items = x.terms.items()
@@ -190,10 +180,8 @@ def apply_terms(terms, x):
             else:
                 cf = scaled.get(f)
                 if cf is None:
-                    cf = c * f
-                    cf = scaled[f] = _UNITS.get(cf, cf)
-                if cf is not XS_ONE:
-                    v = -v if cf is _MINUS_ONE else v * cf
+                    cf = scaled[f] = c * f
+                v = v * cf
                 cur = out.get(key)
                 out[key] = v if cur is None else cur + v
     return type(x)(x.n, out)

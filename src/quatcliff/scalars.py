@@ -7,10 +7,10 @@ Every coefficient in this package is an ExtendedScalar
 stored as five Python ints with d > 0 and gcd(w, x, y, z, d) = 1, so
 equal values are equal 5-tuples and hash alike.  The operators have
 integer coefficients in the Witt basis, so operator images and brackets
-stay at d = 1, where sums and products are a few int operations and no
-gcd.  A division brings in d > 1; each result is then reduced by one
-gcd.  Plain Gaussian numbers (y = z = 0) cover almost everything; the
-sqrt2 part only shows up in spin group elements.
+stay at d = 1.  A division brings in d > 1.  Every result is reduced by
+one math.gcd, which does no gcd work when d = 1.  Plain Gaussian numbers
+(y = z = 0) cover almost everything; the sqrt2 part only shows up in
+spin group elements.
 
 The four rational components (ar + ai*i) + (br + bi*i)*sqrt2 are read
 through properties: a plain int when integral, a stdlib
@@ -63,8 +63,9 @@ def _part(n, d):
 
 def _reduced(w, x, y, z, d):
     """The scalar (w + x i + (y + z i) sqrt2) / d for d > 0, in lowest
-    terms."""
-    g = gcd(w, x, y, z, d)
+    terms.  d goes first: math.gcd stops computing once it holds 1, so
+    d = 1 costs no gcd."""
+    g = gcd(d, w, x, y, z)
     r = _new(ExtendedScalar)
     if g == 1:
         r.w, r.x, r.y, r.z, r.d = w, x, y, z, d
@@ -102,14 +103,6 @@ class ExtendedScalar:
     def __add__(self, other):
         if not isinstance(other, ExtendedScalar):
             return NotImplemented
-        if self.d * other.d == 1:
-            r = _new(ExtendedScalar)
-            r.w = self.w + other.w
-            r.x = self.x + other.x
-            r.y = self.y + other.y
-            r.z = self.z + other.z
-            r.d = 1
-            return r
         d, e = self.d, other.d
         return _reduced(self.w * e + other.w * d, self.x * e + other.x * d,
                         self.y * e + other.y * d, self.z * e + other.z * d,
@@ -118,15 +111,10 @@ class ExtendedScalar:
     def __sub__(self, other):
         if not isinstance(other, ExtendedScalar):
             return NotImplemented
-        if self.d * other.d == 1:
-            r = _new(ExtendedScalar)
-            r.w = self.w - other.w
-            r.x = self.x - other.x
-            r.y = self.y - other.y
-            r.z = self.z - other.z
-            r.d = 1
-            return r
-        return self + -other
+        d, e = self.d, other.d
+        return _reduced(self.w * e - other.w * d, self.x * e - other.x * d,
+                        self.y * e - other.y * d, self.z * e - other.z * d,
+                        d * e)
 
     def __neg__(self):
         r = _new(ExtendedScalar)
@@ -144,29 +132,13 @@ class ExtendedScalar:
             d = self.d * other.d
             if not (y or z or c or e):
                 # plain Gaussian numbers, the common case
-                if d == 1:
-                    r = _new(ExtendedScalar)
-                    r.w = w * a - x * b
-                    r.x = w * b + x * a
-                    r.y = r.z = 0
-                    r.d = 1
-                    return r
                 return _reduced(w * a - x * b, w * b + x * a, 0, 0, d)
             # (u + v s)(u' + v' s) = (u u' + 2 v v') + (u v' + v u') s, s*s = 2
             return _reduced(w * a - x * b + 2 * (y * c - z * e),
                             w * b + x * a + 2 * (y * e + z * c),
                             w * c - x * e + y * a - z * b,
                             w * e + x * c + y * b + z * a, d)
-        if type(other) is int:
-            if self.d == 1:
-                r = _new(ExtendedScalar)
-                r.w = self.w * other
-                r.x = self.x * other
-                r.y = self.y * other
-                r.z = self.z * other
-                r.d = 1
-                return r
-        elif not isinstance(other, Fraction):
+        if type(other) is not int and not isinstance(other, Fraction):
             return NotImplemented
         n, m = other.numerator, other.denominator
         return _reduced(self.w * n, self.x * n, self.y * n, self.z * n,
@@ -193,9 +165,15 @@ class ExtendedScalar:
     def __truediv__(self, other):
         if isinstance(other, ExtendedScalar):
             return self * other.inverse()
-        if type(other) is int or isinstance(other, Fraction):
-            return self * (1 / Fraction(other))
-        return NotImplemented
+        if type(other) is not int and not isinstance(other, Fraction):
+            return NotImplemented
+        n, m = other.numerator, other.denominator
+        if not n:
+            raise ZeroDivisionError("ExtendedScalar division by zero")
+        if n < 0:
+            n, m = -n, -m
+        return _reduced(self.w * m, self.x * m, self.y * m, self.z * m,
+                        self.d * n)
 
     def conjugate(self):
         """Complex conjugation: i -> -i, sqrt2 fixed."""

@@ -206,6 +206,9 @@ def test_mixed_components_scale_by_rationals(u, q):
     assert_matches(q * x, tuple(a * q for a in fu))
     if q:
         assert_matches(x / q, tuple(a / q for a in fu))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / q
 
 
 def test_integral_components_are_ints():
