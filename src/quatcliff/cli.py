@@ -35,7 +35,7 @@ from math import comb
 
 from . import fischer, relations
 from .env import env_int
-from .poly import SpinorPolynomial, _is_int, poly_dim
+from .poly import SpinorPolynomial, _is_int, poly_dim, require_int
 
 SCHEMA_VERSION = 2
 
@@ -86,12 +86,8 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown checks {unknown}; "
                              f"valid names: {', '.join(CHECK_NAMES)}")
-        if not _is_int(self.workers) or self.workers < 1:
-            raise ValueError(f"workers must be a positive integer, "
-                             f"got {self.workers!r}")
-        if not _is_int(self.dim_cap) or self.dim_cap < 1:
-            raise ValueError(f"dim_cap must be a positive integer, "
-                             f"got {self.dim_cap!r}")
+        require_int("workers", self.workers, 1)
+        require_int("dim_cap", self.dim_cap, 1)
         if self.label_filter is not None:
             a = self.label_filter.get("a")
             b = self.label_filter.get("b")

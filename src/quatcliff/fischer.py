@@ -22,7 +22,8 @@ from math import comb
 
 from . import linalg
 from .operators import apply, apply_word, joint_kernel, shifts
-from .poly import SpinorPolynomial, poly_dim, space_basis, value_basis
+from .poly import (SpinorPolynomial, poly_dim, require_int, space_basis,
+                   value_basis)
 from .scalars import XS_ONE, xs
 from .witt import cell_dim, cell_labels, grade_masks, pq_scalars, valid_cell
 
@@ -635,6 +636,8 @@ def _pieces_solver(p, A, B):
 def graded_tiling_check(p, k):
     """The pieces of each bidegree with a+b = k tile the whole space:
     dimension sums and union ranks both match the ambient dimension."""
+    require_int("p", p, 1)
+    require_int("k", k, 0)
     per_bidegree = []
     passed = True
     for A in range(k, -1, -1):
@@ -764,7 +767,9 @@ def _monogenic_basis(p, d):
 def euclidean_fischer_dims(m, k):
     """Tile the degree-k spinor polynomials on R^m by powers of the
     vector variable applied to monogenics of the lower degrees."""
-    if m % 4 != 0 or m <= 0:
+    require_int("m", m, 1)
+    require_int("k", k, 0)
+    if m % 4 != 0:
         raise ValueError("the spinor realisation here needs m divisible by 4")
     p = m // 4
     spinor_dim = 1 << (2 * p)

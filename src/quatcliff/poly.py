@@ -257,6 +257,14 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def require_int(name, value, least):
+    """Raise ValueError naming `name` unless `value` is an int (not a
+    bool) of at least `least`."""
+    if not _is_int(value) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, "
+                         f"got {value!r}")
+
+
 # -------------------------------------------------------------- enumeration
 
 def exponent_tuples(n, degree):

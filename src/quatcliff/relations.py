@@ -21,35 +21,32 @@ reads it off the operand parities of operators.shifts, the
 anticommutator exactly when both operands are odd.
 
 RULES is the only place a bracket identity is written; every other rule
-set is a view of it.  The Cartan rows of the g0-g+-1 blocks read their
-signs from WEIGHT_LABELS, and each sl(2) triple is the three rule ids that
-state it, its cross pairs the table's commuting rules.  Two smaller
-systems are verified the same way: the Euclidean five-grading around
-(mul_X, dirac, laplace, mul_r2) on R^(4p), and the hermitian system around
-(mul_z, mul_z_dag, dz, dz_dag) with the spin counter beta.  They list the
-identities they share with RULES as its entries and define only their own
-rules.  For the hermitian Cartan element there are two sign variants in
-circulation; the verifier asserts the one that gives the odd generators
-weight +-1 and only reports the weights of the other.  Every weight is
-the exact solution w of [h, O] = w * O by `linalg.Solver`, over a whole
-basis at once.
+set is a view of it.  The paper's three commuting sl(2) triples, their
+cross pairs and the Cartan weights of the eight odd generators are rows
+of RULES, checked by the table on every bidegree like any other row; the
+Cartan rows of the g0-g+-1 blocks read their weights from WEIGHT_LABELS,
+so a wrong label fails its own row.  Two smaller systems are verified
+the same way: the Euclidean five-grading around (mul_X, dirac, laplace,
+mul_r2) on R^(4p), and the hermitian system around (mul_z, mul_z_dag,
+dz, dz_dag) with the spin counter beta.  They list the identities they
+share with RULES as its entries and define only their own rules.  For
+the hermitian Cartan element there are two sign variants in circulation;
+the rules assert the one that gives the odd generators weight +-1 (the
+other gives them +-3).
 """
 
 from fractions import Fraction
 
 from .env import parallel_map
 from .fischer import kernel_space, qmonogenic_space
-from .linalg import Solver
 from .operators import apply, apply_cached, apply_expression, shifts
-from .poly import space_basis
-from .scalars import xs
+from .poly import require_int, space_basis
 
 __all__ = [
     "BracketRule", "VerificationReport", "RULES", "RULE_INDEX",
     "EUCLIDEAN_RULES", "HERMITIAN_RULES", "WEIGHT_LABELS", "CARTAN_ORDER",
-    "verify_bracket", "verify_table", "verify_sl2_triples",
-    "verify_osp12_and_sl12", "verify_qmonogenic_stability",
-    "verify_qmonogenic_equivalence", "cartan_weight_report",
+    "verify_bracket", "verify_table", "verify_osp12_and_sl12",
+    "verify_qmonogenic_stability", "verify_qmonogenic_equivalence",
     "bidegrees_up_to",
 ]
 
@@ -405,10 +402,12 @@ def verify_table(p, max_total_degree, workers=1):
     a rule passes exactly when it has none.  Bidegrees are verified
     independently (in a pool of `workers` processes when it is more than
     one) and merged in a fixed order, so the outcome does not depend on
-    scheduling.
+    scheduling.  p and workers must be positive ints and the degree a
+    non-negative one (ValueError otherwise), so no grid is empty.
     """
-    if not isinstance(workers, int) or workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    require_int("p", p, 1)
+    require_int("max_total_degree", max_total_degree, 0)
+    require_int("workers", workers, 1)
     grid = bidegrees_up_to(max_total_degree)
     blocks = parallel_map(_table_block_job, [(p, a, b) for a, b in grid],
                           workers)
@@ -422,129 +421,11 @@ def verify_table(p, max_total_degree, workers=1):
     return reports
 
 
-# ---------------------------------------------------- sl(2) triple checks
-
-# Rule ids of [e, f], [h, e] and [h, f] for each triple (h, e, f).  The
-# radial triple is (h_total, mul_r2/2, -laplace/2); its identities are
-# these rules up to those scalings.
-SL2_TRIPLES = {
-    "radial": ("g2-g-2:laplace,mul_r2", "g0-g2:h_total,mul_r2",
-               "g0-g2:h_total,laplace"),
-    "cell": ("within-g0:P,Q", "within-g0:h_spin,P", "within-g0:h_spin,Q"),
-    "twist": ("within-g0:curlyE,curlyE_dag", "within-g0:h_diff,curlyE",
-              "within-g0:h_diff,curlyE_dag"),
-}
-
-
-def _triple_generators(tname):
-    _, he, hf = (RULE_INDEX[rule_id] for rule_id in SL2_TRIPLES[tname])
-    return he.left, he.right, hf.right
-
-
-def _commuting_rule(x, y):
-    """The zero-rhs rule of the table on the unordered pair {x, y}."""
-    for rule in RULE_INDEX.values():
-        if not rule.rhs and {rule.left, rule.right} == {x, y}:
-            return rule
-    raise KeyError(f"no commuting rule for {x}, {y}")
-
-
-def verify_sl2_triples(p, a, b):
-    """The three commuting sl(2) triples, checked exactly on P_{a,b} x S.
-
-    Per triple: [e, f] = h, [h, e] = 2e, [h, f] = -2f.  Across triples:
-    every generator of one commutes with every generator of another.
-    Each identity is the rule of RULES that states it.
-    """
-    basis = space_basis(p, a, b)
-    cache = {}
-
-    def holds(rule):
-        return verify_bracket(rule, p, a, b, cache, basis).passed
-
-    triples = {}
-    for tname, rule_ids in SL2_TRIPLES.items():
-        triples[tname] = {
-            label: holds(RULE_INDEX[rule_id]) for label, rule_id
-            in zip(("[e,f]=h", "[h,e]=2e", "[h,f]=-2f"), rule_ids)}
-
-    names = sorted(SL2_TRIPLES)
-    cross = {}
-    for i, t1 in enumerate(names):
-        for t2 in names[i + 1:]:
-            cross[f"{t1}|{t2}"] = all(
-                holds(_commuting_rule(x, y))
-                for x in _triple_generators(t1) for y in _triple_generators(t2))
-
-    passed = all(all(c.values()) for c in triples.values()) and all(cross.values())
-    return {"p": p, "a": a, "b": b, "triples": triples, "cross": cross,
-            "passed": passed}
-
-
-# ------------------------------------------- weight labels of odd generators
-
-def _weight(h, gen, basis, cache):
-    """The scalar w with [h, gen] = w * gen on `basis`, where the Cartan
-    element h is an operator expression.
-
-    gen(F) and [h, gen](F) over the basis are stacked into two vectors
-    keyed by (basis index, term key), and w solves the one-column system
-    `linalg.Solver([gen]).solve(bracket)`.  Returns (w, shown): w is the
-    scalar or None; shown is what a report prints, str(w), None when both
-    sides vanish (w undetermined) or "not proportional" when no scalar
-    exists.
-    """
-    gen_col, brk = {}, {}
-    for i, F in enumerate(basis):
-        gF = apply_cached(gen, F, cache)
-        hF = apply_expression(h, F)
-        bF = apply_expression(h, gF) - apply_cached(gen, hF, cache)
-        gen_col.update(((i, k), c) for k, c in gF.terms.items())
-        brk.update(((i, k), c) for k, c in bF.terms.items())
-    if not gen_col and not brk:
-        return None, None
-    sol = Solver([gen_col]).solve(brk)
-    if sol is None:
-        return None, "not proportional"
-    return sol[0], str(sol[0])
-
-
-def cartan_weight_report(p, a, b):
-    """Recompute the weight triple of each odd generator from the Cartan
-    action: [h, O] = w * O for h in (h_total, h_diff, h_spin).
-
-    Reports the empirically found triples next to the expected table and
-    whether they agree; a weight is None when the bidegree is too small to
-    pin it down (both sides vanish identically).
-    """
-    basis = space_basis(p, a, b)
-    cache = {}
-    found = {}
-    consistent = True
-    for gen, expected in WEIGHT_LABELS.items():
-        found[gen] = []
-        for h, want in zip(CARTAN_ORDER, expected):
-            val, shown = _weight(((1, 0, h),), gen, basis, cache)
-            found[gen].append(shown)
-            if shown is not None and val != xs(want):
-                consistent = False
-    return {"p": p, "a": a, "b": b, "cartan_order": list(CARTAN_ORDER),
-            "found": found,
-            "expected": {k: list(v) for k, v in WEIGHT_LABELS.items()},
-            "consistent": consistent}
-
-
 # ------------------------------------------ Euclidean and hermitian systems
-
-# The other sign variant of the hermitian Cartan element; kept out of the
-# asserted rule set because it gives the odd generators weight +-3.
-_H_ALT = ((1, 0, "E_z"), (-1, 0, "E_z_dag"), (0, 2, "id"), (-2, 0, "beta"))
-
 
 def verify_osp12_and_sl12(p, a, b):
     """Grading relations of the Euclidean system (m = 4p) and the hermitian
-    system (n = 2p) on P_{a,b} x S, plus a weight report for the alternate
-    hermitian Cartan variant."""
+    system (n = 2p) on P_{a,b} x S."""
     basis = space_basis(p, a, b)
     cache = {}
     euclidean = [verify_bracket(r, p, a, b, cache, basis)
@@ -552,14 +433,10 @@ def verify_osp12_and_sl12(p, a, b):
     hermitian = [verify_bracket(r, p, a, b, cache, basis)
                  for r in HERMITIAN_RULES]
 
-    alt = {gen: _weight(_H_ALT, gen, basis, cache)[1]
-           for gen in ("mul_z", "mul_z_dag", "dz", "dz_dag")}
-
     passed = all(r.passed for r in euclidean) and all(r.passed for r in hermitian)
     return {"p": p, "a": a, "b": b,
             "euclidean": [r.to_json() for r in euclidean],
             "hermitian": [r.to_json() for r in hermitian],
-            "alternate_cartan_weights": alt,
             "passed": passed}
 
 

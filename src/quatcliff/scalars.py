@@ -221,8 +221,6 @@ class ExtendedScalar:
 
 XS_ZERO = ExtendedScalar()
 XS_ONE = ExtendedScalar(1)
-XS_I = ExtendedScalar(0, 1)
-XS_SQRT2 = ExtendedScalar(0, 0, 1)
 
 
 def xs(ar=0, ai=0, br=0, bi=0):

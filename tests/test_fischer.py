@@ -364,6 +364,10 @@ def test_graded_tiling_p1(k):
 def test_graded_tiling_p2_degree1():
     out = fi.graded_tiling_check(2, 1)
     assert out["passed"], out
+    # an empty degree would otherwise pass
+    for p, k in [(1, -1), (0, 1), (True, 1), (1, True)]:
+        with pytest.raises(ValueError):
+            fi.graded_tiling_check(p, k)
 
 
 def test_graded_tiling_p2_degree4():
@@ -520,8 +524,9 @@ def test_euclidean_dims():
         assert out["passed"], out
     out2 = fi.euclidean_fischer_dims(4, 2)
     assert out2["ambient_dim"] == 10 * 4
-    with pytest.raises(ValueError):
-        fi.euclidean_fischer_dims(6, 1)
+    for m, k in [(6, 1), (4, -1), (0, 1), (True, 1), (4, True)]:
+        with pytest.raises(ValueError):
+            fi.euclidean_fischer_dims(m, k)
 
 
 def test_hermitian_dims():

@@ -1,13 +1,15 @@
-"""Every function, class and method defined in src/ is referenced by name
-somewhere in src/ or perfbench/, so library code that only tests reach
-shows up here and is either wired in or deleted.
+"""Every function, class and method defined in src/, and every name a
+module-level assignment there binds, is referenced by name somewhere in
+src/ or perfbench/, so library code and data that only tests reach show
+up here and are either wired in or deleted.
 
-src/ is parsed with ast: a name counts as referenced where it appears as
-an identifier, an attribute or a whole string constant, except inside an
-__all__ assignment, which exports a name without calling it.  perfbench/
-is read as text, every word of it a reference, which covers the names its
-tracer wraps.  A definition's own def line does not reference it, and
-dunder methods, which the language calls, are skipped.
+src/ is parsed with ast: a name counts as referenced where it is loaded
+as an identifier, or appears as an attribute or a whole string constant,
+except inside an __all__ assignment, which exports a name without calling
+it.  perfbench/ is read as text, every word of it a reference, which
+covers the names its tracer wraps.  A definition's own def line or
+assignment does not reference it, and dunder names, which the language
+reads, are skipped.
 """
 
 import ast
@@ -30,10 +32,6 @@ ALLOWED = {
                               "coordinates",
     "detect_spin_convention": "the spin group elements realise the complex "
                               "structures I and J",
-    "verify_sl2_triples": "the three commuting sl(2) triples and their "
-                          "cross brackets",
-    "cartan_weight_report": "the weights of the odd generators under the "
-                            "Cartan elements",
     "verify_osp12_and_sl12": "the Euclidean and hermitian grading "
                              "relations",
     "verify_qmonogenic_stability": "curlyE, curlyE_dag, P and Q preserve "
@@ -45,11 +43,21 @@ ALLOWED = {
 }
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(source):
-    return {node.name for node in ast.walk(ast.parse(source))
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-            and not (node.name.startswith("__") and node.name.endswith("__"))}
+    """Functions, classes and methods, and the names that module-level
+    assignments bind."""
+    tree = ast.parse(source)
+    names = {node.name for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))}
+    names.update(n.id for node in tree.body if isinstance(node, ast.Assign)
+                 for target in node.targets for n in ast.walk(target)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+    return {name for name in names if not _dunder(name)}
 
 
 def _exports(node):
@@ -65,7 +73,7 @@ def references(source):
         node = todo.pop()
         if _exports(node):
             continue
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -88,7 +96,11 @@ def unreferenced(sources, texts=()):
 
 
 def test_scanner_flags_only_unreferenced_definitions():
-    source = ("__all__ = ['exported']\n"
+    source = ("__all__ = ['exported', 'EXPORTED']\n"
+              "__version__ = '1'\n"
+              "EXPORTED = 0\n"
+              "LOADED = STORED_ONLY = 1\n"
+              "TRACED_DATA, _PAIR = 2, 3\n"
               "def exported(): pass\n"
               "def called(): pass\n"
               "def traced(): pass\n"
@@ -98,11 +110,13 @@ def test_scanner_flags_only_unreferenced_definitions():
               "    def method(self): return getattr(self, 'by_string')\n"
               "    def by_string(self): pass\n"
               "    def unused(self): pass\n"
-              "called(K)\n")
-    texts = ["wrap('mod:K', ('traced',))"]
-    assert unreferenced([source], texts) == ["exported", "orphan", "unused"]
-    assert unreferenced([source]) == ["exported", "orphan", "traced",
-                                      "unused"]
+              "called(K, LOADED, _PAIR)\n")
+    texts = ["wrap('mod:K', ('traced', 'TRACED_DATA'))"]
+    assert unreferenced([source], texts) == ["EXPORTED", "STORED_ONLY",
+                                             "exported", "orphan", "unused"]
+    assert unreferenced([source]) == ["EXPORTED", "STORED_ONLY",
+                                      "TRACED_DATA", "exported", "orphan",
+                                      "traced", "unused"]
 
 
 def test_every_definition_is_referenced():

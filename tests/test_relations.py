@@ -1,22 +1,42 @@
 """The bracket rule table and its structural consequences.
 
 The table itself is data; these tests replay it on exact matrices over
-small bidegrees and check the derived module structure (sl(2) triples,
-weight gradings, stability of the joint kernel).  The full p=2 sweep
-lives in the acceptance suite.
+small bidegrees and check the derived module structure.  The sl(2)
+triples and the Cartan weights are rows of the table, which checks them
+on every bidegree; here the table is shown to catch a wrong triple
+weight or a wrong weight label on exactly its own row.  The alternate
+hermitian Cartan element gives the odd generators weight +-3, and the
+joint kernel is stable.  The full p=2 sweep lives in the acceptance
+suite.
 """
+
+from itertools import combinations
 
 import pytest
 
 from quatcliff import relations
-from quatcliff.operators import REGISTRY
+from quatcliff.operators import REGISTRY, apply, apply_expression
 from quatcliff.poly import space_basis
 from quatcliff.relations import (EUCLIDEAN_RULES, HERMITIAN_RULES, RULE_INDEX,
-                                 RULES, SL2_TRIPLES, bidegrees_up_to,
-                                 cartan_weight_report, verify_osp12_and_sl12,
+                                 RULES, bidegrees_up_to, verify_bracket,
+                                 verify_osp12_and_sl12,
                                  verify_qmonogenic_equivalence,
-                                 verify_qmonogenic_stability,
-                                 verify_sl2_triples, verify_table)
+                                 verify_qmonogenic_stability, verify_table)
+
+# Rule ids of [e, f], [h, e] and [h, f] for each triple (h, e, f).  The
+# radial triple is (h_total, mul_r2/2, -laplace/2); its identities are
+# these rules up to those scalings.
+SL2_TRIPLES = {
+    "radial": ("g2-g-2:laplace,mul_r2", "g0-g2:h_total,mul_r2",
+               "g0-g2:h_total,laplace"),
+    "cell": ("within-g0:P,Q", "within-g0:h_spin,P", "within-g0:h_spin,Q"),
+    "twist": ("within-g0:curlyE,curlyE_dag", "within-g0:h_diff,curlyE",
+              "within-g0:h_diff,curlyE_dag"),
+}
+
+# The other sign variant of the hermitian Cartan element; kept out of the
+# asserted rule set because it gives the odd generators weight +-3.
+H_ALT = ((1, 0, "E_z"), (-1, 0, "E_z_dag"), (0, 2, "id"), (-2, 0, "beta"))
 
 
 def test_table_shape():
@@ -79,40 +99,72 @@ def test_verify_table_deterministic_across_workers():
     assert seq == par
 
 
+def test_sl2_triples_read_the_rule_table():
+    # each triple (h, e, f) is stated by three rules: [e, f] is a multiple
+    # of h, [h, e] of e and [h, f] of f; the table's checks of those rows
+    # are the triple's checks
+    generators = {}
+    for tname, rule_ids in SL2_TRIPLES.items():
+        assert all(rule_id in RULE_INDEX for rule_id in rule_ids), tname
+        ef, he, hf = (RULE_INDEX[rule_id] for rule_id in rule_ids)
+        h, e, f = he.left, he.right, hf.right
+        assert hf.left == h and {ef.left, ef.right} == {e, f}, tname
+        for rule, target in ((ef, h), (he, e), (hf, f)):
+            assert [name for *_, name in rule.rhs] == [target], rule.rule_id
+        generators[tname] = (h, e, f)
+    # across triples every generator pair has a commuting rule
+    commuting = {frozenset((r.left, r.right)) for r in RULES if not r.rhs}
+    for t1, t2 in combinations(sorted(generators), 2):
+        for x in generators[t1]:
+            for y in generators[t2]:
+                assert frozenset((x, y)) in commuting, (t1, t2, x, y)
+
+
 @pytest.mark.parametrize("p,a,b", [(1, 1, 1), (1, 2, 1), (2, 1, 1)])
 def test_sl2_triples(p, a, b):
-    out = verify_sl2_triples(p, a, b)
-    assert out["passed"], out
-    assert set(out["triples"]) == set(SL2_TRIPLES)
-
-
-def test_sl2_triples_read_the_rule_table(monkeypatch):
-    rule = RULE_INDEX["within-g0:P,Q"]
-    wrong = relations.BracketRule(rule.rule_id, rule.block, rule.kind,
-                                  rule.left, rule.right, ((2, 0, "h_spin"),))
-    monkeypatch.setitem(RULE_INDEX, rule.rule_id, wrong)
-    out = verify_sl2_triples(1, 1, 1)
-    assert out["triples"]["cell"]["[e,f]=h"] is False
-    assert out["triples"]["cell"]["[h,e]=2e"] is True
-    assert not out["passed"]
+    # the table tells each triple's weights +-2 from +-4 on P_{a,b} x S:
+    # [h, e] and [h, f] stated with twice their right-hand side fail there
+    # with a witness
+    basis = space_basis(p, a, b)
+    cache = {}
+    for tname, (_, *weight_ids) in SL2_TRIPLES.items():
+        for rule_id in weight_ids:
+            rule = RULE_INDEX[rule_id]
+            doubled = relations.BracketRule(
+                rule.rule_id, rule.block, rule.kind, rule.left, rule.right,
+                [(2 * c0, 2 * c1, name) for c0, c1, name in rule.rhs])
+            report = verify_bracket(doubled, p, a, b, cache, basis)
+            assert not report.passed and report.witness, (tname, rule_id)
 
 
 @pytest.mark.parametrize("p,a,b", [(1, 1, 1), (2, 1, 0)])
-def test_cartan_weights(p, a, b):
-    out = cartan_weight_report(p, a, b)
-    assert out["consistent"], out
+def test_cartan_weights(monkeypatch, p, a, b):
+    # the Cartan rows read WEIGHT_LABELS: a wrong label fails exactly its
+    # own row, with a witness
+    monkeypatch.setitem(relations.WEIGHT_LABELS, "mul_z", (1, 1, -1))
+    rules = relations._build_rules()
+    monkeypatch.undo()
+    assert relations.WEIGHT_LABELS["mul_z"] == (1, 1, 1)
+    basis = space_basis(p, a, b)
+    cache = {}
+    failed = [report for report in (
+        verify_bracket(rule, p, a, b, cache, basis) for rule in rules)
+        if not report.passed]
+    assert [r.rule_id for r in failed] == ["g0-g-1:h_spin,mul_z"]
+    assert failed[0].witness is not None
 
 
-@pytest.mark.parametrize("h,gen,shown", [
-    ("h_total", "mul_z", "1"),                # [h, O] = O
-    ("P", "mul_z", "0"),                      # commute, O nonzero
-    ("P", "mul_z_dag", "not proportional"),   # [P, O] is another generator
-    ("h_total", "dz", None),                  # both sides vanish
-    ("mul_z", "dz", "not proportional"),      # O vanishes, bracket does not
-])
-def test_weight_outcomes(h, gen, shown):
-    basis = space_basis(1, 0, 0)
-    assert relations._weight(((1, 0, h),), gen, basis, {})[1] == shown
+@pytest.mark.parametrize("gen,weight", [
+    ("mul_z", 3), ("mul_z_dag", -3), ("dz", -3), ("dz_dag", 3)])
+def test_alternate_hermitian_cartan_weights(gen, weight):
+    # [H_ALT, gen] = weight * gen on every basis monomial of P_{1,1} x S
+    basis = space_basis(1, 1, 1)
+    images = [apply(gen, F) for F in basis]
+    assert any(images)
+    for F, gF in zip(basis, images):
+        bracket = (apply_expression(H_ALT, gF)
+                   - apply(gen, apply_expression(H_ALT, F)))
+        assert bracket == gF.scale(weight), str(F)
 
 
 @pytest.mark.parametrize("p,a,b", [(1, 1, 1), (1, 2, 1)])
@@ -155,5 +207,11 @@ def test_witness_on_forced_failure():
 
 
 def test_worker_env_must_be_a_positive_integer():
-    with pytest.raises(ValueError):
-        verify_table(1, 0, workers=0)
+    # p >= 1, degree >= 0 and workers >= 1, as ints that are not bools;
+    # an empty grid would otherwise pass every rule
+    for args, kwargs in [((1, 0), {"workers": 0}),
+                         ((1, 0), {"workers": True}),
+                         ((1, -1), {}), ((0, 1), {}), ((True, 1), {}),
+                         ((1, 1.0), {})]:
+        with pytest.raises(ValueError):
+            verify_table(*args, **kwargs)

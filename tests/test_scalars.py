@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from quatcliff.scalars import (BACKEND_NAME, ExtendedScalar, XS_I, XS_ONE,
-                               XS_SQRT2, XS_ZERO, rat_str, to_rat, xs)
+from quatcliff.scalars import (BACKEND_NAME, ExtendedScalar, XS_ONE, XS_ZERO,
+                               rat_str, to_rat, xs)
 
 small = st.integers(min_value=-6, max_value=6)
 
@@ -29,8 +29,8 @@ def test_backend_reports_a_name():
 
 
 def test_constants():
-    assert XS_I * XS_I == -XS_ONE
-    assert XS_SQRT2 * XS_SQRT2 == xs(2)
+    assert xs(0, 1) * xs(0, 1) == -XS_ONE
+    assert xs(0, 0, 1) * xs(0, 0, 1) == xs(2)
     assert XS_ZERO + XS_ONE == XS_ONE
     assert not XS_ZERO
     assert XS_ONE
