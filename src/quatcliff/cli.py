@@ -1,8 +1,10 @@
 """Command line front end: run configurations, JSON reports, exit codes.
 
 Each check is one runner in the table `_RUNNERS`; its keys, in report
-order, are `CHECK_NAMES`.  Check names are short stable tokens (they
-double as CLI flag values and report keys):
+order, are `CHECK_NAMES`.  A runner returns the JSON dict it reports,
+with a boolean "passed", and the library checks it calls return plain
+JSON too, so nothing converts a report object.  Check names are short
+stable tokens (they double as CLI flag values and report keys):
 
 * ``relations``   the full bracket rule table on polynomial spaces
 * ``cells``       the spinor cell triangle and its ladder scalars
@@ -20,6 +22,11 @@ label whose space is over the dimension cap is reported as skipped with
 its needed dimension, and every other label is run.  relations caps its
 degree instead, and writes the same skip record when even degree 0 is
 over the cap; cells and example13 have no labels.
+
+`run` returns the report dict; `emit_report` is the one JSON writer,
+for every subcommand's report.  `main` builds one RunConfig for each
+report subcommand from `_COMMAND_CHECKS` (fischer runs the check it
+names) and runs it; decompose splits an input polynomial instead.
 
 The checks run one after another in this process; with more than one
 worker only the relation table spreads its bidegree blocks over a
@@ -119,38 +126,6 @@ class RunConfig:
         return out
 
 
-class ReportBundle:
-    """Per-check reports plus the configuration that produced them.
-
-    The bundle passes exactly when every sub-report passes; with no
-    checks selected it is empty and passes.
-    """
-
-    __slots__ = ("config", "reports", "timing")
-
-    def __init__(self, config, reports, timing):
-        self.config = config
-        self.reports = reports
-        self.timing = timing
-
-    @property
-    def passed(self):
-        return all(rep["passed"] for rep in self.reports.values())
-
-    def to_json(self, with_timing=True):
-        out = {"schema_version": SCHEMA_VERSION,
-               "config": self.config.to_json(),
-               "checks": {name: self.reports[name] for name in self.reports},
-               "passed": self.passed}
-        if with_timing:
-            out["timing"] = {name: self.timing[name] for name in self.timing}
-        return out
-
-    def __repr__(self):
-        state = "pass" if self.passed else "FAIL"
-        return f"ReportBundle({len(self.reports)} checks, {state})"
-
-
 # ------------------------------------------------------------- the checks
 
 def _grid(config):
@@ -195,7 +170,7 @@ def _walk(config, labels, needed, run):
 
 
 def _report(rep):
-    return {"report": rep.to_json(), "passed": rep.passed}
+    return {"report": rep, "passed": rep["passed"]}
 
 
 def _run_relations(config):
@@ -211,11 +186,9 @@ def _run_relations(config):
     if degree < 0:
         return {"p": p, "rules": [], "skipped": "cap", "needed_dim": spinor,
                 "dim_cap": cap, "passed": True}
-    reports = relations.verify_table(p, degree, workers=config.workers)
-    out = {"p": p, "max_total_degree": degree,
-           "rule_count": len(reports),
-           "rules": [rep.to_json() for rep in reports],
-           "passed": all(rep.passed for rep in reports)}
+    rules = relations.verify_table(p, degree, workers=config.workers)
+    out = {"p": p, "max_total_degree": degree, "rule_count": len(rules),
+           "rules": rules, "passed": all(r["passed"] for r in rules)}
     if capped:
         out["capped_at_degree"] = degree
     return out
@@ -226,10 +199,10 @@ def _run_thm5(config):
 
     def run(a, b):
         rep = fischer.symplectic_harmonic_decomposition(p, a, b)
-        out = {"tiling": rep.to_json(), "passed": rep.passed}
+        out = {"tiling": rep, "passed": rep["passed"]}
         if a >= b:
             sl2 = fischer.sl2_module_checks(p, a, b)
-            out.update(sl2=sl2, passed=rep.passed and sl2["passed"])
+            out.update(sl2=sl2, passed=rep["passed"] and sl2["passed"])
         return out
 
     entries, passed = _walk(config, _grid(config),
@@ -292,21 +265,6 @@ def _run_hermitian(config):
     return {"p": p, "n": n, "labels": entries, "passed": passed}
 
 
-def _run_example13(config):
-    ex = fischer.example_decomposition()
-    out = {"p": 2, "input": ex["input"], "passed": ex["passed"],
-           "component_keys": [list(k) for k in ex["component_keys"]],
-           "only_expected_components": ex.get("only_expected_components",
-                                              False)}
-    for name in ("S0", "S1", "S2"):
-        if name in ex:
-            out[name] = ex[name].to_json()
-    if "A" in ex:
-        out["A"] = str(ex["A"])
-        out["rewrite_exact"] = ex["rewrite_exact"]
-    return out
-
-
 # The check table: a new check is one runner and one row here.
 _RUNNERS = {
     "relations": _run_relations,
@@ -317,7 +275,7 @@ _RUNNERS = {
     "thm10": _run_thm10,
     "euclidean": _run_euclidean,
     "hermitian": _run_hermitian,
-    "example13": _run_example13,
+    "example13": lambda config: fischer.example_decomposition(),
 }
 
 CHECK_NAMES = tuple(_RUNNERS)
@@ -329,40 +287,41 @@ _FILTER_FIELDS = {"thm5": {"a", "b"}, "prop8": {"a", "b", "r"},
 
 
 def run(config):
-    """Execute the configured checks and return the report bundle.
+    """Execute the configured checks and return the report as a JSON
+    dict: schema_version, config, checks, passed and timing.
 
     The checks run one after another in `CHECK_NAMES` order, each timed
     and each handed the same `config`; its `workers` reach the relation
     table, whose bidegree blocks are the only work spread over
-    processes.  Writes the JSON bundle to `config.output` when set.
+    processes.  The report passes exactly when every check passes (with
+    no checks selected it is empty and passes).  Writes it to
+    `config.output` when set.
     """
     config.validate()
-    reports, timing = {}, {}
+    checks, timing = {}, {}
     for name in CHECK_NAMES:
         if name in config.checks:
             t0 = time.perf_counter()
-            reports[name] = _RUNNERS[name](config)
+            checks[name] = _RUNNERS[name](config)
             timing[name] = time.perf_counter() - t0
-    bundle = ReportBundle(config, reports, timing)
+    payload = {"schema_version": SCHEMA_VERSION, "config": config.to_json(),
+               "checks": checks,
+               "passed": all(rep["passed"] for rep in checks.values()),
+               "timing": timing}
     if config.output:
-        emit_report(bundle, config.output)
-    return bundle
+        emit_report(payload, config.output)
+    return payload
 
 
 # ---------------------------------------------------------------- JSON I/O
 
-def emit_report(bundle, path):
-    """Write the bundle as canonical JSON (sorted keys, two-space
-    indent, trailing newline) and return the emitted dict."""
-    payload = bundle.to_json()
-    _write_json(payload, path)
-    return payload
-
-
-def _write_json(payload, path):
+def emit_report(payload, path):
+    """Write `payload` as canonical JSON (sorted keys, two-space indent,
+    trailing newline) and return it."""
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
+    return payload
 
 
 # ----------------------------------------------------------------- parsing
@@ -411,67 +370,61 @@ def build_parser():
     return ap
 
 
-def _summarize(bundle, stream):
-    for name in CHECK_NAMES:
-        if name in bundle.reports:
-            state = "pass" if bundle.reports[name]["passed"] else "FAIL"
-            print(f"{name}: {state}", file=stream)
-    print("overall:", "pass" if bundle.passed else "FAIL", file=stream)
+# The checks each report subcommand runs; fischer runs the one --check names.
+_COMMAND_CHECKS = {"verify-relations": ("relations",), "cells": ("cells",),
+                   "all": CHECK_NAMES}
+
+
+def _config(args):
+    """The RunConfig of a report subcommand: its checks, and the label
+    filter of the --a, --b and --r that fischer takes."""
+    label = {k: getattr(args, k) for k in ("a", "b", "r")
+             if getattr(args, k, None) is not None}
+    return RunConfig(
+        p=args.p, max_total_degree=getattr(args, "max_degree", 3),
+        checks=_COMMAND_CHECKS.get(args.command) or (args.check,),
+        output=args.json_path, label_filter=label or None)
+
+
+def _decompose(args):
+    """Split the --input polynomial and write its report to --output;
+    returns the exit code."""
+    cap = RunConfig(p=args.p).validate().dim_cap
+    with open(args.input) as fh:
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{args.input}: JSON nested too "
+                             "deeply to read") from None
+    F = SpinorPolynomial.from_json(data, n=2 * args.p)
+    for A, B in F.bidegrees():
+        if A + B > MAX_TOTAL_DEGREE:
+            raise ValueError(f"bidegree ({A},{B}) has total degree "
+                             f"{A + B}, over the bound {MAX_TOTAL_DEGREE}")
+        needed = poly_dim(args.p, A, B) * 4 ** args.p
+        if needed > cap:
+            raise ValueError(f"bidegree ({A},{B}) needs dimension "
+                             f"{needed}, over the cap {cap}")
+    payload = fischer.decompose_polynomial(F, args.p).to_json()
+    payload["schema_version"] = SCHEMA_VERSION
+    emit_report(payload, args.output)
+    print("decompose:", "pass" if payload["passed"] else "FAIL")
+    return 0 if payload["passed"] else 1
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify-relations":
-            config = RunConfig(p=args.p, max_total_degree=args.max_degree,
-                               checks=("relations",), output=args.json_path)
-            bundle = run(config)
-        elif args.command == "cells":
-            config = RunConfig(p=args.p, checks=("cells",),
-                               output=args.json_path)
-            bundle = run(config)
-        elif args.command == "fischer":
-            label = {"a": args.a, "b": args.b}
-            if args.r is not None:
-                label["r"] = args.r
-            config = RunConfig(p=args.p, checks=(args.check,),
-                               output=args.json_path, label_filter=label)
-            bundle = run(config)
-        elif args.command == "all":
-            config = RunConfig(p=args.p, max_total_degree=args.max_degree,
-                               checks=CHECK_NAMES, output=args.json_path)
-            bundle = run(config)
-        elif args.command == "decompose":
-            cap = RunConfig(p=args.p).validate().dim_cap
-            with open(args.input) as fh:
-                try:
-                    data = json.load(fh)
-                except RecursionError:
-                    raise ValueError(f"{args.input}: JSON nested too "
-                                     "deeply to read") from None
-            F = SpinorPolynomial.from_json(data, n=2 * args.p)
-            for A, B in F.bidegrees():
-                if A + B > MAX_TOTAL_DEGREE:
-                    raise ValueError(f"bidegree ({A},{B}) has total degree "
-                                     f"{A + B}, over the bound "
-                                     f"{MAX_TOTAL_DEGREE}")
-                needed = poly_dim(args.p, A, B) * 4 ** args.p
-                if needed > cap:
-                    raise ValueError(f"bidegree ({A},{B}) needs dimension "
-                                     f"{needed}, over the cap {cap}")
-            report = fischer.decompose_polynomial(F, args.p)
-            payload = report.to_json()
-            payload["schema_version"] = SCHEMA_VERSION
-            _write_json(payload, args.output)
-            print("decompose:", "pass" if report.passed else "FAIL")
-            return 0 if report.passed else 1
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ValueError(f"unknown command {args.command!r}")
+        if args.command == "decompose":
+            return _decompose(args)
+        payload = run(_config(args))
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _summarize(bundle, sys.stdout)
-    return 0 if bundle.passed else 1
+    for name, rep in payload["checks"].items():
+        print(f"{name}: {'pass' if rep['passed'] else 'FAIL'}")
+    print("overall:", "pass" if payload["passed"] else "FAIL")
+    return 0 if payload["passed"] else 1
 
 
 if __name__ == "__main__":

@@ -22,8 +22,8 @@ from math import comb
 
 from . import linalg
 from .operators import apply, apply_word, joint_kernel, shifts
-from .poly import (SpinorPolynomial, poly_dim, require_int, space_basis,
-                   value_basis)
+from .poly import (SpinorPolynomial, poly_dim, require_int, require_label,
+                   space_basis, value_basis)
 from .scalars import XS_ONE, xs
 from .witt import cell_dim, cell_labels, grade_masks, pq_scalars, valid_cell
 
@@ -132,23 +132,23 @@ def harmonic_dim_oracle(p, a, b):
 # ------------------------------------------------------------- reports
 
 class DecompositionReport:
-    """Outcome of a decomposition or tiling check.
+    """What `decompose_polynomial` returns: the input, its components,
+    the residual, which must be zero, and whether the split passed.
 
-    `components` is a list of dicts whose labels depend on the check;
-    polynomial-valued entries are SpinorPolynomials.  `residual` is kept
-    for input-splitting decompositions and must be zero there.
+    Each component is a dict of its piece labels plus the SpinorPolynomials
+    "component" and "source"; `to_json` writes them as term lists.
     """
 
     __slots__ = ("input_description", "components", "residual", "passed",
                  "details")
 
     def __init__(self, input_description, components, residual, passed,
-                 details=None):
+                 details):
         self.input_description = input_description
         self.components = components
         self.residual = residual
         self.passed = passed
-        self.details = details or {}
+        self.details = details
 
     def __repr__(self):
         state = "pass" if self.passed else "FAIL"
@@ -156,21 +156,11 @@ class DecompositionReport:
                 f"{len(self.components)} components, {state})")
 
     def to_json(self):
-        comps = []
-        for comp in self.components:
-            entry = {}
-            for k, v in comp.items():
-                entry[k] = v.to_json() if isinstance(v, SpinorPolynomial) else v
-            comps.append(entry)
-        out = {
-            "input": self.input_description,
-            "components": comps,
-            "passed": self.passed,
-            "details": self.details,
-        }
-        if self.residual is not None:
-            out["residual"] = self.residual.to_json()
-        return out
+        comps = [{k: v.to_json() if isinstance(v, SpinorPolynomial) else v
+                  for k, v in comp.items()} for comp in self.components]
+        return {"input": self.input_description, "components": comps,
+                "passed": self.passed, "details": self.details,
+                "residual": self.residual.to_json()}
 
 
 def _span_rank(vec_lists):
@@ -192,6 +182,7 @@ def symplectic_harmonic_decomposition(p, a, b):
     The harmonic dimension is cross-checked against the count obtained
     from the two polynomial dimensions alone.
     """
+    require_label(p, a=a, b=b)
     target = harmonic_space(p, a, b)
     oracle = harmonic_dim_oracle(p, a, b)
     components = []
@@ -211,10 +202,10 @@ def symplectic_harmonic_decomposition(p, a, b):
     union_rank = _span_rank(piece_vecs)
     passed = (target.dim == oracle == total == union_rank
               and all(c["inside_harmonics"] for c in components))
-    return DecompositionReport(
-        f"harmonics p={p} (a,b)=({a},{b})", components, None, passed,
-        details={"harmonic_dim": target.dim, "dim_oracle": oracle,
-                 "sum_of_pieces": total, "union_rank": union_rank})
+    return {"input": f"harmonics p={p} (a,b)=({a},{b})",
+            "components": components, "passed": passed,
+            "details": {"harmonic_dim": target.dim, "dim_oracle": oracle,
+                        "sum_of_pieces": total, "union_rank": union_rank}}
 
 
 def sl2_module_checks(p, a, b):
@@ -223,6 +214,7 @@ def sl2_module_checks(p, a, b):
     mirrored dagger space, one more power kills everything, intermediate
     spans agree from both ends, and the weight spaces stack to dimension
     (a-b+1) times the top space."""
+    require_label(p, a=a, b=b)
     if a < b:
         raise ValueError("expects a >= b")
     d = a - b
@@ -255,6 +247,7 @@ def qmonogenic_decomposition(p, r, k, a, b):
     """Tile the q-monogenic space with values in cell (r + 2k, r) by the
     k-th power of Q applied to twisted-raising images of the S-spaces of
     column r (mirrored via curlyE and the dagger spaces when a < b)."""
+    require_label(p, r=r, k=k, a=a, b=b)
     if not valid_cell(p, r + 2 * k, r):
         raise ValueError(f"no cell at column {r + 2 * k}, row {r} for p={p}")
     target = qmonogenic_space(p, a, b, ("cell", r + 2 * k, r))
@@ -278,11 +271,11 @@ def qmonogenic_decomposition(p, r, k, a, b):
     union_rank = _span_rank(piece_vecs)
     passed = (target.dim == total == union_rank
               and all(c["inside_target"] for c in components))
-    return DecompositionReport(
-        f"q-monogenic cell ({r + 2 * k},{r}) p={p} (a,b)=({a},{b})",
-        components, None, passed,
-        details={"target_dim": target.dim, "sum_of_pieces": total,
-                 "union_rank": union_rank})
+    return {"input": f"q-monogenic cell ({r + 2 * k},{r}) p={p} "
+                     f"(a,b)=({a},{b})",
+            "components": components, "passed": passed,
+            "details": {"target_dim": target.dim, "sum_of_pieces": total,
+                        "union_rank": union_rank}}
 
 
 # ------------------------------------------------------------ projections
@@ -493,6 +486,7 @@ def symplectic_harmonics_16_decomposition(p, a, b, r):
     Every image is also projected with the last two kernel projections
     in the opposite order (curlyE before P); the two orders must agree.
     """
+    require_label(p, a=a, b=b, r=r)
     if a < b:
         raise ValueError("expects a >= b")
     HS = symplectic_harmonic_space(p, a, b)
@@ -558,9 +552,8 @@ def symplectic_harmonics_16_decomposition(p, a, b, r):
                "exclusions": exclusions,
                "cell_dim": cell_dim(p, r, r), "top_dim": HS.dim,
                "projection_orders_agree": orders_agree}
-    return DecompositionReport(
-        f"symplectic harmonics p={p} (a,b)=({a},{b}) r={r}",
-        components, None, passed, details=details)
+    return {"input": f"symplectic harmonics p={p} (a,b)=({a},{b}) r={r}",
+            "components": components, "passed": passed, "details": details}
 
 
 # --------------------------------------------------- the full decomposition
@@ -665,6 +658,7 @@ def decompose_polynomial(F, p):
     pieces of its own bidegree.  Components carry both the embedded
     polynomial and its preimage in the source S-space.
     """
+    require_label(p)
     if F.n != 2 * p:
         raise ValueError("polynomial rank does not match p")
     components = []
@@ -711,7 +705,9 @@ def example_decomposition():
     equals (1-c) (mul_zJ + A mul_z Q) for A = -c/(1-c) = -1/(p-r+1).
     Here mul_zJ - c Q mul_z is what the alpha 4 factor, the projection of
     mul_zJ, reduces to on S-spaces, and S0 absorbs the overall scale.
-    The rebuilt pair is checked against the component exactly.
+    The rebuilt pair is checked against the component exactly.  Returns
+    the report as JSON: S0, S1 and S2 as term lists, A as a fraction
+    string.
     """
     p, n = 2, 4
     F = SpinorPolynomial.monomial(n, (0, 1, 0, 0), (0, 0, 0, 0), 0b0001)
@@ -722,8 +718,8 @@ def example_decomposition():
         key = (comp["l"], comp["j"], comp["t"], comp["alpha"], comp["r"])
         by_alpha[key] = comp
 
-    out = {"input": str(F), "passed": report.passed,
-           "component_keys": sorted(by_alpha)}
+    out = {"p": p, "input": str(F), "passed": report.passed,
+           "component_keys": [list(key) for key in sorted(by_alpha)]}
     c0 = by_alpha.get((0, 0, 0, 0, 1))
     c1 = by_alpha.get((0, 0, 0, 1, 1))
     c4 = by_alpha.get((0, 0, 0, 4, 1))
@@ -733,18 +729,15 @@ def example_decomposition():
         out["passed"] = False
         return out
 
-    out["S1"] = c0["source"]
-    out["S2"] = c1["source"]
-
     r = c4["r"]
     c = Fraction(1, p - r + 2)
     A = -c / (1 - c)
     S0 = c4["source"].scale(xs(1 - c))
     rebuilt = (apply("mul_zJ", S0)
                + apply_word(("mul_z", "Q"), S0).scale(xs(A)))
-    out["A"] = A
-    out["S0"] = S0
-    out["rewrite_exact"] = not (rebuilt - c4["component"]).terms
+    out.update(S0=S0.to_json(), S1=c0["source"].to_json(),
+               S2=c1["source"].to_json(), A=str(A),
+               rewrite_exact=not (rebuilt - c4["component"]).terms)
     out["passed"] = out["passed"] and out["rewrite_exact"]
     return out
 
@@ -829,7 +822,10 @@ def _hermitian_words(a, b, r, n):
 def hermitian_fischer_dims(n, a, b):
     """Tile P_{a,b} x grade r, for every r, by word-embedded hermitian
     monogenics (kernels of dz and dz_dag)."""
-    if n % 2 != 0 or n <= 0:
+    require_int("n", n, 2)
+    require_int("a", a, 0)
+    require_int("b", b, 0)
+    if n % 2 != 0:
         raise ValueError("needs an even number of complex variables")
     p = n // 2
     per_grade = []
@@ -862,6 +858,7 @@ def trivial_intersection_check(p, a, b):
     """With unbalanced bidegrees the q-monogenic bottom-cell spaces meet
     the opposite twisted kernel trivially: for a > b the curlyE_dag
     kernel is zero, for a < b the curlyE kernel is."""
+    require_label(p, a=a, b=b)
     if a == b:
         raise ValueError("needs a != b")
     op = "curlyE_dag" if a > b else "curlyE"
@@ -880,6 +877,7 @@ def cells_check(p):
     each cell, and the kernel facts at the bottom and top of a column.
     The triangle itself, one entry per cell with its dimension formula
     and ladder scalars, is reported under "triangle"."""
+    require_label(p)
     n = 2 * p
     checks = {"dims": True, "column_tiling": True, "pq_commutator": True,
               "pq_scalars": True, "kernels": True}

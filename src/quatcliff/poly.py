@@ -265,6 +265,14 @@ def require_int(name, value, least):
                          f"got {value!r}")
 
 
+def require_label(p, **degrees):
+    """`require_int` on a rank p >= 1 and on labels (degrees, columns)
+    >= 0, each named by its keyword."""
+    require_int("p", p, 1)
+    for name, value in degrees.items():
+        require_int(name, value, 0)
+
+
 # -------------------------------------------------------------- enumeration
 
 def exponent_tuples(n, degree):

@@ -10,10 +10,12 @@ and every (anti)commutation relation between them is stored below as one
 table entry.  Blocks that simply commute get explicit zero right-hand
 sides, so the rule set can be audited for coverage entry by entry.  A rule
 is checked as an exact matrix identity on a monomial basis of the
-bihomogeneous spinor-valued polynomials; a failure carries the first
-offending basis monomial as a witness.  A bidegree block of the table is
-the list of its rules' witnesses, None where a rule holds, and a rule
-passes the table exactly when no block holds a witness for it.
+bihomogeneous spinor-valued polynomials by `verify_bracket`, which
+returns the witness of the first offending basis monomial, or None.  A
+bidegree block of the table is the list of its rules' witnesses, and a
+rule passes the table exactly when no block holds a witness for it.
+Each rule is reported as one JSON entry, built by `_rule_json` for the
+table and for the two smaller systems alike.
 
 Right-hand sides are lists of (c0, c1, name) meaning (c0 + c1*p) * name,
 so one rule set serves every p.  A rule's kind is not written down: `_r`
@@ -40,10 +42,10 @@ from fractions import Fraction
 from .env import parallel_map
 from .fischer import kernel_space, qmonogenic_space
 from .operators import apply, apply_cached, apply_expression, shifts
-from .poly import require_int, space_basis
+from .poly import require_int, require_label, space_basis
 
 __all__ = [
-    "BracketRule", "VerificationReport", "RULES", "RULE_INDEX",
+    "BracketRule", "RULES", "RULE_INDEX",
     "EUCLIDEAN_RULES", "HERMITIAN_RULES", "WEIGHT_LABELS", "CARTAN_ORDER",
     "verify_bracket", "verify_table", "verify_osp12_and_sl12",
     "verify_qmonogenic_stability", "verify_qmonogenic_equivalence",
@@ -81,34 +83,6 @@ class BracketRule:
                 coeff = ("+" if q > 0 else "-") + (str(abs(q)) if abs(q) != 1 else "")
             parts.append(f"{coeff}{name if name != 'id' else '1'}")
         return lhs + " = " + " ".join(parts)
-
-
-class VerificationReport:
-    """Outcome of checking one rule over one or more bidegrees."""
-
-    __slots__ = ("rule_id", "p", "bidegrees", "passed", "witness")
-
-    def __init__(self, rule_id, p, bidegrees, passed, witness=None):
-        self.rule_id = rule_id
-        self.p = p
-        self.bidegrees = list(bidegrees)
-        self.passed = passed
-        self.witness = witness
-
-    def __repr__(self):
-        state = "pass" if self.passed else "FAIL"
-        return f"VerificationReport({self.rule_id!r}, p={self.p}, {state})"
-
-    def to_json(self):
-        out = {
-            "rule": self.rule_id,
-            "p": self.p,
-            "bidegrees": [list(ab) for ab in self.bidegrees],
-            "passed": self.passed,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
 
 
 def _r(block, left, right, *rhs):
@@ -358,21 +332,28 @@ def bracket_image(rule, F, cache):
     return LR + RL if rule.kind == "acomm" else LR - RL
 
 
-def verify_bracket(rule, p, a, b, cache, basis):
+def verify_bracket(rule, a, b, cache, basis):
     """Check one rule exactly on all of P_{a,b} tensor the full spinor
     space, given as `basis` (space_basis(p, a, b)); `cache` is the term
-    image cache the bracket sides share."""
+    image cache the bracket sides share.  Returns the witness of the
+    first basis monomial the rule fails on, or None when it holds."""
     for F in basis:
         diff = bracket_image(rule, F, cache) - apply_expression(rule.rhs, F)
         if diff.terms:
-            witness = {
-                "a": a, "b": b,
-                "basis": str(F),
-                "difference": str(diff),
-                "rule": rule.rendered(),
-            }
-            return VerificationReport(rule.rule_id, p, [(a, b)], False, witness)
-    return VerificationReport(rule.rule_id, p, [(a, b)], True)
+            return {"a": a, "b": b, "basis": str(F), "difference": str(diff),
+                    "rule": rule.rendered()}
+    return None
+
+
+def _rule_json(rule, p, bidegrees, witness):
+    """The report entry of one rule checked on `bidegrees`, whose first
+    witness (None when it held everywhere) is `witness`."""
+    out = {"rule": rule.rule_id, "p": p,
+           "bidegrees": [list(ab) for ab in bidegrees],
+           "passed": witness is None}
+    if witness is not None:
+        out["witness"] = witness
+    return out
 
 
 def bidegrees_up_to(max_total_degree):
@@ -390,16 +371,15 @@ def _table_block_job(args):
     p, a, b = args
     basis = space_basis(p, a, b)
     cache = {}
-    return [verify_bracket(rule, p, a, b, cache, basis).witness
-            for rule in RULES]
+    return [verify_bracket(rule, a, b, cache, basis) for rule in RULES]
 
 
 def verify_table(p, max_total_degree, workers=1):
     """Every rule on every bidegree with a+b <= max_total_degree.
 
-    Returns one VerificationReport per rule, in table order, each listing
-    all bidegrees it was checked on and its first witness in grid order;
-    a rule passes exactly when it has none.  Bidegrees are verified
+    Returns one JSON entry per rule, in table order, each listing all
+    bidegrees it was checked on and its first witness in grid order; a
+    rule passes exactly when it has none.  Bidegrees are verified
     independently (in a pool of `workers` processes when it is more than
     one) and merged in a fixed order, so the outcome does not depend on
     scheduling.  p and workers must be positive ints and the degree a
@@ -412,13 +392,9 @@ def verify_table(p, max_total_degree, workers=1):
     blocks = parallel_map(_table_block_job, [(p, a, b) for a, b in grid],
                           workers)
 
-    reports = []
-    for i, rule in enumerate(RULES):
-        witness = next((block[i] for block in blocks
-                        if block[i] is not None), None)
-        reports.append(VerificationReport(rule.rule_id, p, grid,
-                                          witness is None, witness))
-    return reports
+    # a rule's column holds its witnesses in grid order
+    return [_rule_json(rule, p, grid, next(filter(None, column), None))
+            for rule, column in zip(RULES, zip(*blocks))]
 
 
 # ------------------------------------------ Euclidean and hermitian systems
@@ -426,18 +402,18 @@ def verify_table(p, max_total_degree, workers=1):
 def verify_osp12_and_sl12(p, a, b):
     """Grading relations of the Euclidean system (m = 4p) and the hermitian
     system (n = 2p) on P_{a,b} x S."""
+    require_label(p, a=a, b=b)
     basis = space_basis(p, a, b)
     cache = {}
-    euclidean = [verify_bracket(r, p, a, b, cache, basis)
-                 for r in EUCLIDEAN_RULES]
-    hermitian = [verify_bracket(r, p, a, b, cache, basis)
-                 for r in HERMITIAN_RULES]
-
-    passed = all(r.passed for r in euclidean) and all(r.passed for r in hermitian)
-    return {"p": p, "a": a, "b": b,
-            "euclidean": [r.to_json() for r in euclidean],
-            "hermitian": [r.to_json() for r in hermitian],
-            "passed": passed}
+    out = {"p": p, "a": a, "b": b}
+    for name, rules in (("euclidean", EUCLIDEAN_RULES),
+                        ("hermitian", HERMITIAN_RULES)):
+        out[name] = [_rule_json(r, p, [(a, b)],
+                                verify_bracket(r, a, b, cache, basis))
+                     for r in rules]
+    out["passed"] = all(e["passed"]
+                        for e in out["euclidean"] + out["hermitian"])
+    return out
 
 
 # ----------------------------------------------------- q-monogenic kernels
@@ -445,6 +421,7 @@ def verify_osp12_and_sl12(p, a, b):
 def verify_qmonogenic_stability(p, a, b):
     """Images of the joint kernel under curlyE, curlyE_dag, P, Q stay in
     the joint kernel (at the shifted bidegree for the first two)."""
+    require_label(p, a=a, b=b)
     kernel = qmonogenic_space(p, a, b)
     moves = {"curlyE": (a + 1, b - 1), "curlyE_dag": (a - 1, b + 1),
              "P": (a, b), "Q": (a, b)}
@@ -470,6 +447,7 @@ def verify_qmonogenic_stability(p, a, b):
 def verify_qmonogenic_equivalence(p, a, b):
     """The joint kernel of the four rotated Dirac operators equals the
     joint kernel of the four complex derivative operators, as subspaces."""
+    require_label(p, a=a, b=b)
     dirac = kernel_space(("dirac", "dirac_I", "dirac_J", "dirac_K"), p, a, b)
     deriv = qmonogenic_space(p, a, b)
     return {"p": p, "a": a, "b": b, "dim": deriv.dim,

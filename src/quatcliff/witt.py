@@ -40,7 +40,8 @@ def mask_sort_key(mask):
 
 
 def grade_masks(n, r):
-    """All grade-r masks, in the canonical (lexicographic subset) order."""
+    """All grade-r masks, in the canonical (lexicographic subset) order
+    of `mask_sort_key`, which is the order combinations yields."""
     from itertools import combinations
     masks = []
     for combo in combinations(range(1, n + 1), r):
@@ -48,7 +49,6 @@ def grade_masks(n, r):
         for k in combo:
             m |= 1 << (k - 1)
         masks.append(m)
-    masks.sort(key=mask_sort_key)
     return masks
 
 

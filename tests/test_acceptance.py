@@ -47,7 +47,7 @@ def test_criterion_02_full_bracket_table(capsys):
     for p in (1, 2):
         reports = relations.verify_table(p, 3)
         counts[p] = len(reports)
-        ok = ok and len(reports) == 144 and all(r.passed for r in reports)
+        ok = ok and len(reports) == 144 and all(r["passed"] for r in reports)
     dt = time.perf_counter() - t0
     ok = ok and dt < 300.0
     announce(capsys, 2, "all 144 bracket rules, p in {1,2}, degree <= 3",
@@ -70,8 +70,8 @@ def test_criterion_04_harmonic_tilings(capsys):
                 b = total - a
                 rep = fi.symplectic_harmonic_decomposition(p, a, b)
                 oracle = fi.harmonic_dim_oracle(p, a, b)
-                ok = (ok and rep.passed
-                      and rep.details["harmonic_dim"] == oracle)
+                ok = (ok and rep["passed"]
+                      and rep["details"]["harmonic_dim"] == oracle)
                 if not ok:
                     break
     announce(capsys, 4, "harmonic tilings with dimension oracle, "
@@ -106,10 +106,10 @@ def test_criterion_06_sixteen_piece_grid(capsys):
     ok = True
     for (a, b, r), expected in EXPECTED_EXCLUSIONS.items():
         rep = fi.symplectic_harmonics_16_decomposition(2, a, b, r)
-        got = {e["alpha"]: e["reason"] for e in rep.details["exclusions"]}
-        ok = ok and rep.passed and got == expected
-        ok = ok and rep.details["projection_orders_agree"]
-        for e in rep.details["exclusions"]:
+        got = {e["alpha"]: e["reason"] for e in rep["details"]["exclusions"]}
+        ok = ok and rep["passed"] and got == expected
+        ok = ok and rep["details"]["projection_orders_agree"]
+        for e in rep["details"]["exclusions"]:
             if e["reason"] == "annihilated":
                 ok = ok and bool(e["witness_source"]) and bool(e["factor"])
             else:

@@ -104,8 +104,8 @@ def test_bad_env_exits_2(monkeypatch, capsys, name, value):
 
 
 def test_empty_run_passes():
-    bundle = cli.run(cli.RunConfig(checks=()))
-    assert bundle.passed and bundle.reports == {}
+    payload = cli.run(cli.RunConfig(checks=()))
+    assert payload["passed"] and payload["checks"] == {}
 
 
 # ----------------------------------------------------------- JSON parsing
@@ -423,9 +423,9 @@ def test_one_pool_spreads_the_relation_table(monkeypatch):
                              workers=2)
         b1 = cli.run(cfg1)
         b2 = cli.run(cfg2)
-        r1 = json.dumps(b1.reports, sort_keys=True)
-        r2 = json.dumps(b2.reports, sort_keys=True)
-        assert b1.passed and b2.passed and r1 == r2
+        r1 = json.dumps(b1["checks"], sort_keys=True)
+        r2 = json.dumps(b2["checks"], sort_keys=True)
+        assert b1["passed"] and b2["passed"] and r1 == r2
     assert spread == [1, 2, 1, 2]
 
 
@@ -439,20 +439,73 @@ REPORT_GOLDEN = {
 
 @pytest.mark.parametrize("p,degree", sorted(REPORT_GOLDEN))
 def test_report_golden(p, degree):
-    bundle = cli.run(cli.RunConfig(p, max_total_degree=degree,
-                                   checks=cli.CHECK_NAMES, workers=1,
-                                   dim_cap=100000))
-    blob = json.dumps(bundle.to_json(with_timing=False), sort_keys=True,
-                      separators=(",", ":"))
+    payload = cli.run(cli.RunConfig(p, max_total_degree=degree,
+                                    checks=cli.CHECK_NAMES, workers=1,
+                                    dim_cap=100000))
+    payload.pop("timing")
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == REPORT_GOLDEN[p, degree]
+
+
+# a p=1 input over the bidegrees (1,1), (1,0) and (0,1), with an
+# irrational coefficient
+DECOMPOSE_INPUT_P1 = [
+    {"alpha": [1, 0], "beta": [1, 0], "spinor": [],
+     "coeff": {"a_re": 1, "a_im": 0, "b_re": 0, "b_im": 0}},
+    {"alpha": [0, 1], "beta": [0, 0], "spinor": [1],
+     "coeff": {"a_re": 2, "a_im": -1, "b_re": "1/2", "b_im": 0}},
+    {"alpha": [0, 0], "beta": [0, 1], "spinor": [1, 2],
+     "coeff": {"a_re": 0, "a_im": 3, "b_re": 0, "b_im": -1}},
+]
+
+# sha256 of the canonical report each subcommand writes, without its
+# timing block and its config's output path; decompose reads
+# DECOMPOSE_INPUT_P1
+SUBCOMMAND_GOLDEN = {
+    "verify-relations": (
+        ["--p", "1", "--max-degree", "1"],
+        "91c5da15fedf993b26e549b612d6acb1f5b25ab6aa6d84bcfb5b72c41031fb5d"),
+    "cells": (
+        ["--p", "2"],
+        "7b88b6d157edce8cc7f2c922bd40d487279f89f3fbc41c025ec3f80a766c9cda"),
+    "fischer": (
+        ["--p", "2", "--a", "1", "--b", "0", "--r", "0", "--check", "prop9"],
+        "b26f63d0a234774c688a7390e37c8012dc1cbf89522fbf265db67b202c1c222f"),
+    "decompose": (
+        ["--p", "1"],
+        "34bf6ceeeb2033472bf4e47eccfcff10d3be983e544b356b6ae0485934c69ad1"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_GOLDEN))
+def test_subcommand_golden(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("QUATCLIFF_WORKERS", raising=False)
+    monkeypatch.delenv("QUATCLIFF_DIM_CAP", raising=False)
+    args, golden = SUBCOMMAND_GOLDEN[command]
+    out = tmp_path / "out.json"
+    if command == "decompose":
+        inp = tmp_path / "in.json"
+        inp.write_text(json.dumps(DECOMPOSE_INPUT_P1))
+        args = args + ["--input", str(inp), "--output", str(out)]
+    else:
+        args = args + ["--json", str(out)]
+    assert cli.main([command] + args) == 0
+    payload = json.loads(out.read_text())
+    payload.pop("timing", None)
+    if "config" in payload:
+        payload["config"].pop("output")
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == golden
+    summary = capsys.readouterr().out.splitlines()
+    assert summary[-1] in ("overall: pass", "decompose: pass")
 
 
 def test_dim_cap_skips_but_passes():
     cfg = cli.RunConfig(p=2, checks=("thm5",), max_total_degree=3,
                         dim_cap=20)
-    bundle = cli.run(cfg)
-    assert bundle.passed
-    skipped = [d for d in walk(bundle.reports, [], "skipped")
+    payload = cli.run(cfg)
+    assert payload["passed"]
+    skipped = [d for d in walk(payload["checks"], [], "skipped")
                if d.get("skipped") == "cap"]
     assert skipped
     assert all("needed_dim" in d and "dim_cap" in d for d in skipped)
@@ -473,10 +526,10 @@ GRID_SKIPS = {
 @pytest.mark.parametrize("name", sorted(GRID_SKIPS))
 def test_grid_check_skip_records(name):
     cap, count, total, first = GRID_SKIPS[name]
-    bundle = cli.run(cli.RunConfig(p=1, max_total_degree=2, checks=(name,),
-                                   workers=1, dim_cap=cap))
-    assert bundle.passed
-    report = bundle.reports[name]
+    payload = cli.run(cli.RunConfig(p=1, max_total_degree=2,
+                                    checks=(name,), workers=1, dim_cap=cap))
+    assert payload["passed"]
+    report = payload["checks"][name]
     entries = report.get("labels", report.get("degrees"))
     skipped = [e for e in entries if e.get("skipped") == "cap"]
     assert (len(skipped), len(entries)) == (count, total)
@@ -486,26 +539,28 @@ def test_grid_check_skip_records(name):
 def test_relations_cap_truncates_degree():
     cfg = cli.RunConfig(p=1, checks=("relations",), max_total_degree=3,
                         dim_cap=15)
-    bundle = cli.run(cfg)
-    assert bundle.passed
-    hits = walk(bundle.reports, [], "capped_at_degree")
+    payload = cli.run(cfg)
+    assert payload["passed"]
+    hits = walk(payload["checks"], [], "capped_at_degree")
     assert hits and hits[0]["capped_at_degree"] == 1
 
 
 def test_relations_over_cap_at_degree_0_is_skipped(monkeypatch):
     # p=1: even degree 0 spans 4 dimensions, over a cap of 2
     monkeypatch.setattr(relations, "verify_table", None)
-    bundle = cli.run(cli.RunConfig(p=1, checks=("relations",),
-                                   max_total_degree=3, dim_cap=2))
-    assert bundle.passed
-    assert bundle.reports["relations"] == {
+    payload = cli.run(cli.RunConfig(p=1, checks=("relations",),
+                                    max_total_degree=3, dim_cap=2))
+    assert payload["passed"]
+    assert payload["checks"]["relations"] == {
         "p": 1, "rules": [], "skipped": "cap", "needed_dim": 4,
         "dim_cap": 2, "passed": True}
 
 
-def test_bundle_json_shape():
-    bundle = cli.run(cli.RunConfig(p=1, checks=("cells",)))
-    payload = bundle.to_json()
+def test_bundle_json_shape(tmp_path):
+    # run returns the report it writes, timing block included
+    out = tmp_path / "cells.json"
+    payload = cli.run(cli.RunConfig(p=1, checks=("cells",),
+                                    output=str(out)))
     assert set(payload) >= {"schema_version", "config", "checks", "timing"}
-    without = bundle.to_json(with_timing=False)
-    assert "timing" not in without
+    assert set(payload["timing"]) == {"cells"}
+    assert json.loads(out.read_text()) == payload

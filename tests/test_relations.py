@@ -89,13 +89,13 @@ def test_bidegree_grid():
 def test_full_table_small():
     reports = verify_table(1, 2)
     assert len(reports) == 144
-    bad = [r for r in reports if not r.passed]
+    bad = [r for r in reports if not r["passed"]]
     assert not bad, bad[:3]
 
 
 def test_verify_table_deterministic_across_workers():
-    seq = [(r.rule_id, r.passed) for r in verify_table(1, 1, workers=1)]
-    par = [(r.rule_id, r.passed) for r in verify_table(1, 1, workers=2)]
+    seq = [(r["rule"], r["passed"]) for r in verify_table(1, 1, workers=1)]
+    par = [(r["rule"], r["passed"]) for r in verify_table(1, 1, workers=2)]
     assert seq == par
 
 
@@ -133,8 +133,8 @@ def test_sl2_triples(p, a, b):
             doubled = relations.BracketRule(
                 rule.rule_id, rule.block, rule.kind, rule.left, rule.right,
                 [(2 * c0, 2 * c1, name) for c0, c1, name in rule.rhs])
-            report = verify_bracket(doubled, p, a, b, cache, basis)
-            assert not report.passed and report.witness, (tname, rule_id)
+            witness = verify_bracket(doubled, a, b, cache, basis)
+            assert witness, (tname, rule_id)
 
 
 @pytest.mark.parametrize("p,a,b", [(1, 1, 1), (2, 1, 0)])
@@ -147,11 +147,9 @@ def test_cartan_weights(monkeypatch, p, a, b):
     assert relations.WEIGHT_LABELS["mul_z"] == (1, 1, 1)
     basis = space_basis(p, a, b)
     cache = {}
-    failed = [report for report in (
-        verify_bracket(rule, p, a, b, cache, basis) for rule in rules)
-        if not report.passed]
-    assert [r.rule_id for r in failed] == ["g0-g-1:h_spin,mul_z"]
-    assert failed[0].witness is not None
+    failed = [rule.rule_id for rule in rules
+              if verify_bracket(rule, a, b, cache, basis) is not None]
+    assert failed == ["g0-g-1:h_spin,mul_z"]
 
 
 @pytest.mark.parametrize("gen,weight", [
@@ -200,10 +198,9 @@ def test_witness_on_forced_failure():
     # a deliberately wrong rule must fail with a concrete witness
     wrong = relations.BracketRule("test/wrong", "g1", "acomm", "dz",
                                   "dz_dag", ((1, 0, "laplace"),))
-    report = relations.verify_bracket(wrong, 1, 1, 1, {},
-                                      space_basis(1, 1, 1))
-    assert not report.passed
-    assert report.witness is not None
+    witness = relations.verify_bracket(wrong, 1, 1, {}, space_basis(1, 1, 1))
+    assert witness is not None
+    assert (witness["a"], witness["b"]) == (1, 1) and witness["difference"]
 
 
 def test_worker_env_must_be_a_positive_integer():

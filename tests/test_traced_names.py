@@ -10,11 +10,12 @@ ast.literal_eval, so perfbench is neither imported nor changed here.
 import ast
 import importlib
 import inspect
+import json
 from pathlib import Path
 
 import pytest
 
-from quatcliff import operators
+from quatcliff import cli, operators
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -61,3 +62,12 @@ def test_apply_cached_keeps_the_traced_parameters():
     # kwargs["cache"]
     params = list(inspect.signature(operators.apply_cached).parameters)
     assert params == ["op", "F", "cache"]
+
+
+def test_emit_report_returns_what_it_writes(tmp_path):
+    # the tracer's emit_report hook counts cli.report_bytes from the
+    # value emit_report returns
+    payload = cli.run(cli.RunConfig(p=1, checks=("cells",)))
+    out = tmp_path / "report.json"
+    assert cli.emit_report(payload, str(out)) is payload
+    assert json.loads(out.read_text()) == payload
