@@ -153,9 +153,6 @@ class CliffordElement:
             return NotImplemented
         return self.n_gens == other.n_gens and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.n_gens, frozenset(self.terms.items())))
-
     def __str__(self):
         if not self.terms:
             return "0"

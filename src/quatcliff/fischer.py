@@ -2,13 +2,19 @@
 
 Everything here reduces to one primitive: the joint kernel of a list of
 operators on a bihomogeneous polynomial space with values in a chosen
-part of the spinor space, computed by exact nullspace.  On top of that
-sit the named spaces (harmonics, symplectic harmonics, hermitian
-monogenics, the q-monogenic cell spaces S and T), the rank-one
-projections onto Ker laplace / Ker P / Ker curlyE, the sixteen embedding
-factors that split symplectic harmonics with cell values, and the
-decomposition routines that tile whole polynomial spaces out of those
-pieces and take arbitrary inputs apart with zero residual.
+part of the spinor space, computed by exact nullspace.  A subspace is
+its canonical basis, the tuple of reduced echelon polynomials that
+`operators.joint_kernel` returns: its dimension is the tuple's length,
+two constructions of one subspace give equal tuples, and `_inside`
+tests membership by solving against it.  On top of that sit the named
+spaces (harmonics, symplectic harmonics, hermitian monogenics, the
+q-monogenic cell spaces S and T), two claims about the q-monogenics
+(curlyE, curlyE_dag, P and Q preserve them; the rotated Dirac operators
+have the same joint kernel), the rank-one projections onto Ker laplace /
+Ker P / Ker curlyE, the sixteen embedding factors that split symplectic
+harmonics with cell values, and the decomposition routines that tile
+whole polynomial spaces out of those pieces and take arbitrary inputs
+apart with zero residual.
 
 Tiling checks never trust a dimension formula alone: dimensions come
 from exact ranks, the combinatorial count is kept as an independent
@@ -28,9 +34,10 @@ from .scalars import XS_ONE, xs
 from .witt import cell_dim, cell_labels, grade_masks, pq_scalars, valid_cell
 
 __all__ = [
-    "SubspaceBasis", "DecompositionReport",
+    "DecompositionReport",
     "kernel_space", "harmonic_space", "symplectic_harmonic_space",
     "qmonogenic_space", "s_space", "t_space", "harmonic_dim_oracle",
+    "verify_qmonogenic_stability", "verify_qmonogenic_equivalence",
     "symplectic_harmonic_decomposition", "sl2_module_checks",
     "qmonogenic_decomposition", "project_ker", "composite_projection",
     "embedding_factor", "symplectic_harmonics_16_decomposition",
@@ -45,42 +52,17 @@ _DERIV4 = ("dz", "dz_dag", "dzJ", "dz_dagJ")
 
 # ------------------------------------------------------------ subspaces
 
-class SubspaceBasis:
-    """Canonical basis of a subspace of P_{a,b} tensor a value space.
-
-    Vectors are kept in reduced echelon form over the term keys, so two
-    constructions of the same subspace produce identical bases and
-    membership is a plain reduction.
-    """
-
-    __slots__ = ("ambient", "vectors", "_solver")
-
-    def __init__(self, ambient, vectors):
-        self.ambient = ambient        # (p, a, b, value_space)
-        self.vectors = list(vectors)
-        self._solver = None           # built on the first membership query
-
-    @property
-    def dim(self):
-        return len(self.vectors)
-
-    def coefficients_of(self, F):
-        """Coordinates of F in this basis, or None when F is outside."""
-        if self._solver is None:
-            self._solver = linalg.Solver([v.terms for v in self.vectors])
-        return self._solver.solve(F.terms)
-
-    def contains(self, F):
-        return self.coefficients_of(F) is not None
-
-    def __repr__(self):
-        return f"SubspaceBasis(ambient={self.ambient!r}, dim={self.dim})"
-
-
 def kernel_space(ops, p, a, b, value_space=("full",)):
-    """Joint kernel of `ops` on P_{a,b} tensor the value space."""
-    return SubspaceBasis((p, a, b, tuple(value_space)),
-                         joint_kernel(ops, space_basis(p, a, b, value_space)))
+    """Joint kernel of `ops` on P_{a,b} tensor the value space, as its
+    canonical basis tuple."""
+    return joint_kernel(ops, space_basis(p, a, b, value_space))
+
+
+def _inside(vecs, space):
+    """Whether every polynomial of `vecs` lies in the span of the basis
+    `space`."""
+    solver = linalg.Solver([v.terms for v in space])
+    return all(solver.solve(v.terms) is not None for v in vecs)
 
 
 @cache
@@ -127,6 +109,41 @@ def harmonic_dim_oracle(p, a, b):
     """dim H_{a,b} from the two polynomial dimensions alone."""
     lower = poly_dim(p, a - 1, b - 1) if a >= 1 and b >= 1 else 0
     return poly_dim(p, a, b) - lower
+
+
+def verify_qmonogenic_stability(p, a, b):
+    """Images of the joint kernel under curlyE, curlyE_dag, P, Q stay in
+    the joint kernel (at the shifted bidegree for the first two)."""
+    require_label(p, a=a, b=b)
+    kernel = qmonogenic_space(p, a, b)
+    moves = {"curlyE": (a + 1, b - 1), "curlyE_dag": (a - 1, b + 1),
+             "P": (a, b), "Q": (a, b)}
+    ops = {}
+    passed = True
+    for name, (ta, tb) in moves.items():
+        # a negative bidegree holds the zero polynomial only
+        target = qmonogenic_space(p, ta, tb) if min(ta, tb) >= 0 else ()
+        images = [apply(name, v) for v in kernel]
+        ok = _inside(images, target)
+        # the witness is the first basis vector with its image outside
+        violations = [] if ok else [next(
+            {"basis": str(v)} for v, img in zip(kernel, images)
+            if not _inside([img], target))]
+        passed = passed and ok
+        ops[name] = {"ok": ok, "violations": violations,
+                     "target_bidegree": [ta, tb]}
+    return {"p": p, "a": a, "b": b, "kernel_dim": len(kernel),
+            "operators": ops, "passed": passed}
+
+
+def verify_qmonogenic_equivalence(p, a, b):
+    """The joint kernel of the four rotated Dirac operators equals the
+    joint kernel of the four complex derivative operators, as subspaces."""
+    require_label(p, a=a, b=b)
+    dirac = kernel_space(("dirac", "dirac_I", "dirac_J", "dirac_K"), p, a, b)
+    deriv = qmonogenic_space(p, a, b)
+    return {"p": p, "a": a, "b": b, "dim": len(deriv),
+            "passed": dirac == deriv}
 
 
 # ------------------------------------------------------------- reports
@@ -192,19 +209,19 @@ def symplectic_harmonic_decomposition(p, a, b):
         if power < 0:
             continue
         src = symplectic_harmonic_space(p, b + t, a - t)
-        vecs = [apply_word(("curlyE_dag",) * power, v) for v in src.vectors]
-        in_target = all(target.contains(v) for v in vecs)
+        vecs = [apply_word(("curlyE_dag",) * power, v) for v in src]
+        in_target = _inside(vecs, target)
         components.append({"t": t, "power": power,
                            "source_bidegree": [b + t, a - t],
                            "dim": len(vecs), "inside_harmonics": in_target})
         piece_vecs.append(vecs)
     total = sum(c["dim"] for c in components)
     union_rank = _span_rank(piece_vecs)
-    passed = (target.dim == oracle == total == union_rank
+    passed = (len(target) == oracle == total == union_rank
               and all(c["inside_harmonics"] for c in components))
     return {"input": f"harmonics p={p} (a,b)=({a},{b})",
             "components": components, "passed": passed,
-            "details": {"harmonic_dim": target.dim, "dim_oracle": oracle,
+            "details": {"harmonic_dim": len(target), "dim_oracle": oracle,
                         "sum_of_pieces": total, "union_rank": union_rank}}
 
 
@@ -222,22 +239,22 @@ def sl2_module_checks(p, a, b):
     HdS = symplectic_harmonic_space(p, b, a, dagger=True)
     # down[t] = curlyE_dag^t(HS) for t <= d + 1 and up[t] = curlyE^t(HdS)
     # for t <= d, each power one application to the one before
-    down, up = [HS.vectors], [HdS.vectors]
+    down, up = [HS], [HdS]
     for t in range(d + 1):
         down.append([apply("curlyE_dag", v) for v in down[t]])
     for t in range(d):
         up.append([apply("curlyE", v) for v in up[t]])
 
     weight_dims = [_span_rank([down[t]]) for t in range(d + 1)]
-    iso_ok = (weight_dims[d] == HS.dim == HdS.dim
-              and _spans_equal(down[d], HdS.vectors))
+    iso_ok = (weight_dims[d] == len(HS) == len(HdS)
+              and _spans_equal(down[d], HdS))
     killed = all(not v.terms for v in down[d + 1])
     ladder_ok = all(_spans_equal(down[t], up[d - t]) for t in range(d + 1))
     stack_rank = _span_rank(down[:d + 1])
-    stack_ok = (sum(weight_dims) == stack_rank == (d + 1) * HS.dim)
+    stack_ok = (sum(weight_dims) == stack_rank == (d + 1) * len(HS))
 
     passed = iso_ok and killed and ladder_ok and stack_ok
-    return {"p": p, "a": a, "b": b, "dim_top": HS.dim, "dim_mirror": HdS.dim,
+    return {"p": p, "a": a, "b": b, "dim_top": len(HS), "dim_mirror": len(HdS),
             "isomorphism": iso_ok, "one_power_beyond_kills": killed,
             "ladder_spans_agree": ladder_ok, "weight_dims": weight_dims,
             "stacked_rank": stack_rank, "passed": passed}
@@ -254,27 +271,27 @@ def qmonogenic_decomposition(p, r, k, a, b):
     components = []
     piece_vecs = []
     if a >= b:
-        steps = [(s, "curlyE_dag", s_space(p, r, a + s, b - s))
-                 for s in range(0, b + 1)]
+        steps = [(s, "curlyE_dag", [a + s, b - s],
+                  s_space(p, r, a + s, b - s)) for s in range(0, b + 1)]
     else:
-        steps = [(s, "curlyE", s_space(p, r, a - s, b + s, dagger=True))
+        steps = [(s, "curlyE", [a - s, b + s],
+                  s_space(p, r, a - s, b + s, dagger=True))
                  for s in range(0, a + 1)]
-    for s, raiser, src in steps:
-        vecs = [apply_word(("Q",) * k + (raiser,) * s, v)
-                for v in src.vectors]
-        inside = all(target.contains(v) for v in vecs)
+    for s, raiser, source, src in steps:
+        vecs = [apply_word(("Q",) * k + (raiser,) * s, v) for v in src]
+        inside = _inside(vecs, target)
         components.append({"s": s, "raiser": raiser,
-                           "source_bidegree": list(src.ambient[1:3]),
+                           "source_bidegree": source,
                            "dim": len(vecs), "inside_target": inside})
         piece_vecs.append(vecs)
     total = sum(c["dim"] for c in components)
     union_rank = _span_rank(piece_vecs)
-    passed = (target.dim == total == union_rank
+    passed = (len(target) == total == union_rank
               and all(c["inside_target"] for c in components))
     return {"input": f"q-monogenic cell ({r + 2 * k},{r}) p={p} "
                      f"(a,b)=({a},{b})",
             "components": components, "passed": passed,
-            "details": {"target_dim": target.dim, "sum_of_pieces": total,
+            "details": {"target_dim": len(target), "sum_of_pieces": total,
                         "union_rank": union_rank}}
 
 
@@ -420,7 +437,7 @@ def piece_activity(p, a, b, r):
     """Image data for all sixteen factors at one target label.
 
     For each alpha this returns the source label, the source basis, the
-    image vectors, the image rank, and whether the piece counts toward
+    image vectors (both tuples), the image rank, and whether the piece counts toward
     the tiling.  Two effects exclude a piece:
 
     * the factor annihilates its whole source (rank 0): the projection
@@ -437,22 +454,21 @@ def piece_activity(p, a, b, r):
     for alpha in range(16):
         source, word = embedding_factor(alpha, p, a, b, r)
         entry = {"alpha": alpha, "source": source, "word": word,
-                 "src_vectors": [], "vecs": [], "src_dim": 0, "rank": 0,
+                 "src_vectors": (), "vecs": (), "src_dim": 0, "rank": 0,
                  "counted": False, "reason": None}
         if word is None:
             entry["reason"] = "no source"
             entries.append(entry)
             continue
         src = s_space(p, *source)
-        if src.dim == 0:
+        if not src:
             entry["reason"] = "empty source"
             entries.append(entry)
             continue
-        vecs = [composite_projection(apply_word(word, v), (p, a, b, r))
-                for v in src.vectors]
+        vecs = tuple(composite_projection(apply_word(word, v), (p, a, b, r))
+                     for v in src)
         rank = _span_rank([vecs])
-        entry.update(src_vectors=list(src.vectors), vecs=vecs,
-                     src_dim=src.dim, rank=rank)
+        entry.update(src_vectors=src, vecs=vecs, src_dim=len(src), rank=rank)
         if rank == 0:
             entry["reason"] = "annihilated"
         else:
@@ -491,10 +507,8 @@ def symplectic_harmonics_16_decomposition(p, a, b, r):
         raise ValueError("expects a >= b")
     HS = symplectic_harmonic_space(p, a, b)
     cell_vecs = value_basis(p, ("cell", r, r))
-    ambient_vecs = [_tensor_scalar_value(h, v)
-                    for h in HS.vectors for v in cell_vecs]
-    ambient_dim = len(ambient_vecs)
-    ambient = SubspaceBasis((p, a, b, ("cell", r, r)), ambient_vecs)
+    ambient = [_tensor_scalar_value(h, v) for h in HS for v in cell_vecs]
+    ambient_dim = len(ambient)
 
     components = []
     piece_vecs = []
@@ -518,7 +532,7 @@ def symplectic_harmonics_16_decomposition(p, a, b, r):
             and not apply("curlyE", w).terms
             and not apply("P", w).terms
             for w in vecs)
-        comp["in_ambient"] = all(ambient.contains(w) for w in vecs)
+        comp["in_ambient"] = _inside(vecs, ambient)
         if entry["reason"] == "annihilated":
             exclusions.append({"alpha": alpha, "reason": "annihilated",
                                "source": list(entry["source"]),
@@ -550,7 +564,7 @@ def symplectic_harmonics_16_decomposition(p, a, b, r):
                "union_rank": union_rank, "naive_16_sum": naive_sum,
                "naive_16_sum_matches": naive_sum == ambient_dim,
                "exclusions": exclusions,
-               "cell_dim": cell_dim(p, r, r), "top_dim": HS.dim,
+               "cell_dim": cell_dim(p, r, r), "top_dim": len(HS),
                "projection_orders_agree": orders_agree}
     return {"input": f"symplectic harmonics p={p} (a,b)=({a},{b}) r={r}",
             "components": components, "passed": passed, "details": details}
@@ -575,7 +589,7 @@ def _piece_power(p, a, b, r, alpha, t, j, l):
     elif t:
         name, prefix = "curlyE_dag", (t - 1, 0, 0)
     else:
-        return tuple(piece_activity(p, a, b, r)[alpha]["vecs"])
+        return piece_activity(p, a, b, r)[alpha]["vecs"]
     return tuple(apply(name, w)
                  for w in _piece_power(p, a, b, r, alpha, *prefix))
 
@@ -583,7 +597,7 @@ def _piece_power(p, a, b, r, alpha, t, j, l):
 @cache
 def full_decomposition_pieces(p, A, B):
     """All pieces radial^l Q^j curlyE_dag^t (factor alpha) S-space that
-    land in bidegree (A, B), with their vector lists, ordered by
+    land in bidegree (A, B), with their vector tuples, ordered by
     (l, j, t, alpha, r).
 
     The vectors come from the power towers of `_piece_power`, so each
@@ -605,13 +619,12 @@ def full_decomposition_pieces(p, A, B):
                     for entry in activity:
                         if not entry["counted"]:
                             continue
-                        vecs = list(_piece_power(p, a, b, r, entry["alpha"],
-                                                 t, j, l))
+                        vecs = _piece_power(p, a, b, r, entry["alpha"],
+                                            t, j, l)
                         labels = {"l": l, "j": j, "t": t,
                                   "alpha": entry["alpha"],
                                   "r": r, "a": a, "b": b}
-                        pieces.append((labels, vecs,
-                                       list(entry["src_vectors"])))
+                        pieces.append((labels, vecs, entry["src_vectors"]))
     pieces.sort(key=lambda pc: (pc[0]["l"], pc[0]["j"], pc[0]["t"],
                                 pc[0]["alpha"], pc[0]["r"]))
     return pieces
@@ -836,10 +849,10 @@ def hermitian_fischer_dims(n, a, b):
         piece_vecs = []
         for label, word, (sa, sb, sr) in _hermitian_words(a, b, r, n):
             src = kernel_space(("dz", "dz_dag"), p, sa, sb, ("grade", sr))
-            vecs = [apply_word(word, v) for v in src.vectors]
+            vecs = [apply_word(word, v) for v in src]
             rank = _span_rank([vecs])
             components.append({"word": label, "source": [sa, sb, sr],
-                               "dim": src.dim, "rank": rank})
+                               "dim": len(src), "rank": rank})
             piece_vecs.append(vecs)
         total = sum(c["dim"] for c in components)
         union_rank = _span_rank(piece_vecs)
@@ -857,16 +870,15 @@ def hermitian_fischer_dims(n, a, b):
 def trivial_intersection_check(p, a, b):
     """With unbalanced bidegrees the q-monogenic bottom-cell spaces meet
     the opposite twisted kernel trivially: for a > b the curlyE_dag
-    kernel is zero, for a < b the curlyE kernel is."""
+    kernel is zero, for a < b the curlyE kernel is.  "dims_by_column"
+    lists the intersection dimension of each column r = 0..p."""
     require_label(p, a=a, b=b)
     if a == b:
         raise ValueError("needs a != b")
     op = "curlyE_dag" if a > b else "curlyE"
-    dims = {}
-    for r in range(0, p + 1):
-        space = kernel_space(_DERIV4 + (op,), p, a, b, ("cell", r, r))
-        dims[r] = space.dim
-    passed = all(d == 0 for d in dims.values())
+    dims = [len(kernel_space(_DERIV4 + (op,), p, a, b, ("cell", r, r)))
+            for r in range(0, p + 1)]
+    passed = all(d == 0 for d in dims)
     return {"p": p, "a": a, "b": b, "opposite_kernel": op,
             "dims_by_column": dims, "passed": passed}
 

@@ -225,12 +225,13 @@ def apply_cached(op, F, cache):
 
 def joint_kernel(ops, basis):
     """Basis of the joint kernel of the operators `ops` on the span of the
-    linearly independent polynomials `basis`.
+    linearly independent polynomials `basis`, as a tuple.
 
     The images under all operators are stacked into one linear map, and
     its nullspace vectors are recombined into polynomials and brought to
     reduced echelon form in `term_sort_key` order, so the result depends
-    only on the kernel.
+    only on the kernel.  The tuple is the whole description of the
+    subspace: a cached basis can be shared because nothing can change it.
     """
     ops = tuple(ops)
     images = []
@@ -247,25 +248,25 @@ def joint_kernel(ops, basis):
             linalg.axpy(acc, basis[j].terms, c)
         rows.append(acc)
     if not rows:
-        return []
+        return ()
     return _echelon(basis[0].n, rows)
 
 
 def _echelon(n, rows):
     """The span of the term dicts `rows` as polynomials in reduced echelon
-    form, pivoting in `term_sort_key` order."""
+    form, pivoting in `term_sort_key` order, as a tuple."""
     keys = sorted({k for row in rows for k in row}, key=term_sort_key)
     reduced, _ = linalg.rref(rows, key_order=keys)
-    return [SpinorPolynomial(n, row) for row in reduced]
+    return tuple(SpinorPolynomial(n, row) for row in reduced)
 
 
 @cache
 def cell_basis(p, r, s):
-    """Canonical basis of the cell S^r_s as spinor values, [] for an
+    """Canonical basis of the cell S^r_s as spinor values, () for an
     invalid label: the bottom cell S^s_s is Ker P on the grade-s values,
     and S^{s+2k}_s = Q^k S^s_s, brought to reduced echelon form."""
     if not valid_cell(p, r, s):
-        return []
+        return ()
     n = 2 * p
     if r == s:
         return joint_kernel(("P",), [SpinorPolynomial.constant(n, {m: XS_ONE})
@@ -302,22 +303,14 @@ def generator_action(F, alpha):
     return (F.wedge(k) + F.contract(k)).scale(xs(0, -1))
 
 
-def real_dirac(F, rotation=None):
-    """sum_alpha R[e_alpha] d/dx_alpha F for a signed permutation R."""
+def real_sum(coord, F, rotation=None):
+    """sum_alpha R[e_alpha] coord(F, alpha) for a signed permutation R:
+    the Dirac operator for coord_diff, the vector variable for
+    coord_mult."""
     out = SpinorPolynomial.zero(F.n)
     for alpha in range(1, 2 * F.n + 1):
         img, sign = rotation(alpha) if rotation else (alpha, 1)
-        piece = generator_action(coord_diff(F, alpha), img)
-        out = out + (piece if sign > 0 else -piece)
-    return out
-
-
-def real_vector_mult(F, rotation=None):
-    """sum_alpha R[e_alpha] x_alpha F for a signed permutation R."""
-    out = SpinorPolynomial.zero(F.n)
-    for alpha in range(1, 2 * F.n + 1):
-        img, sign = rotation(alpha) if rotation else (alpha, 1)
-        piece = generator_action(coord_mult(F, alpha), img)
+        piece = generator_action(coord(F, alpha), img)
         out = out + (piece if sign > 0 else -piece)
     return out
 
@@ -329,18 +322,20 @@ def dirac_dictionary_check(p, a, b):
     from .witt import rotation_I, rotation_J, rotation_K
     basis = space_basis(p, a, b, ("full",))
     real_routes = {
-        "dirac": real_dirac,
-        "dirac_I": lambda F: real_dirac(F, rotation_I),
-        "dirac_J": lambda F: real_dirac(F, rotation_J),
-        "dirac_K": lambda F: real_dirac(F, rotation_K),
-        "mul_X": real_vector_mult,
+        "dirac": (coord_diff, None),
+        "dirac_I": (coord_diff, rotation_I),
+        "dirac_J": (coord_diff, rotation_J),
+        "dirac_K": (coord_diff, rotation_K),
+        "mul_X": (coord_mult, None),
     }
-    report = {name: all(apply(name, v) == route(v) for v in basis)
-              for name, route in real_routes.items()}
+    report = {name: all(apply(name, v) == real_sum(coord, v, rotation)
+                        for v in basis)
+              for name, (coord, rotation) in real_routes.items()}
     # z + z_dag recovered from the first rotated vector variable
     z_plus_z_dag = ((1, 0, "mul_z"), (1, 0, "mul_z_dag"))
     report["mul_z_plus_z_dag"] = all(
         apply_expression(z_plus_z_dag, v)
-        == real_vector_mult(v, rotation_I).scale(xs(0, 1)) for v in basis)
+        == real_sum(coord_mult, v, rotation_I).scale(xs(0, 1))
+        for v in basis)
     report["ok"] = all(report.values())
     return report

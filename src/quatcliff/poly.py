@@ -97,9 +97,6 @@ class SpinorPolynomial:
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
     # ---------------------------------------------------------- inspection
 
     def bidegrees(self):
@@ -317,7 +314,7 @@ def value_basis(p, value_space):
         return [SpinorPolynomial.constant(n, {m: XS_ONE})
                 for m in grade_masks(n, value_space[1])]
     if kind == "cell":
-        return list(cell_basis(p, value_space[1], value_space[2]))
+        return cell_basis(p, value_space[1], value_space[2])
     raise ValueError(f"unknown value space {value_space!r}")
 
 

@@ -35,20 +35,23 @@ share with RULES as its entries and define only their own rules.  For
 the hermitian Cartan element there are two sign variants in circulation;
 the rules assert the one that gives the odd generators weight +-1 (the
 other gives them +-3).
+
+Every check here is an operator identity on the monomial basis of a
+whole bihomogeneous space, so the module needs operators and polynomials
+only; claims about kernel subspaces, such as the stability of the
+q-monogenics, are checked in fischer.
 """
 
 from fractions import Fraction
 
 from .env import parallel_map
-from .fischer import kernel_space, qmonogenic_space
-from .operators import apply, apply_cached, apply_expression, shifts
+from .operators import apply_cached, apply_expression, shifts
 from .poly import require_int, require_label, space_basis
 
 __all__ = [
     "BracketRule", "RULES", "RULE_INDEX",
     "EUCLIDEAN_RULES", "HERMITIAN_RULES", "WEIGHT_LABELS", "CARTAN_ORDER",
     "verify_bracket", "verify_table", "verify_osp12_and_sl12",
-    "verify_qmonogenic_stability", "verify_qmonogenic_equivalence",
     "bidegrees_up_to",
 ]
 
@@ -414,41 +417,3 @@ def verify_osp12_and_sl12(p, a, b):
     out["passed"] = all(e["passed"]
                         for e in out["euclidean"] + out["hermitian"])
     return out
-
-
-# ----------------------------------------------------- q-monogenic kernels
-
-def verify_qmonogenic_stability(p, a, b):
-    """Images of the joint kernel under curlyE, curlyE_dag, P, Q stay in
-    the joint kernel (at the shifted bidegree for the first two)."""
-    require_label(p, a=a, b=b)
-    kernel = qmonogenic_space(p, a, b)
-    moves = {"curlyE": (a + 1, b - 1), "curlyE_dag": (a - 1, b + 1),
-             "P": (a, b), "Q": (a, b)}
-    ops = {}
-    passed = True
-    for name, (ta, tb) in moves.items():
-        violations = []
-        for v in kernel.vectors:
-            img = apply(name, v)
-            if not img.terms:
-                continue
-            if ta < 0 or tb < 0 or not qmonogenic_space(p, ta, tb).contains(img):
-                violations.append({"basis": str(v)})
-                break
-        ok = not violations
-        passed = passed and ok
-        ops[name] = {"ok": ok, "violations": violations,
-                     "target_bidegree": [ta, tb]}
-    return {"p": p, "a": a, "b": b, "kernel_dim": kernel.dim,
-            "operators": ops, "passed": passed}
-
-
-def verify_qmonogenic_equivalence(p, a, b):
-    """The joint kernel of the four rotated Dirac operators equals the
-    joint kernel of the four complex derivative operators, as subspaces."""
-    require_label(p, a=a, b=b)
-    dirac = kernel_space(("dirac", "dirac_I", "dirac_J", "dirac_K"), p, a, b)
-    deriv = qmonogenic_space(p, a, b)
-    return {"p": p, "a": a, "b": b, "dim": deriv.dim,
-            "passed": dirac.vectors == deriv.vectors}

@@ -159,7 +159,7 @@ def test_criterion_08_one_variable_families(capsys):
 def _random_harmonic(p, a, b, rng):
     if a < 0 or b < 0:
         return SpinorPolynomial.zero(2 * p)
-    return rand_combo(fi.harmonic_space(p, a, b).vectors, rng, 2 * p)
+    return rand_combo(fi.harmonic_space(p, a, b), rng, 2 * p)
 
 
 def _laplace_case(rng):
@@ -194,7 +194,7 @@ def _curly_case(rng):
     T = SpinorPolynomial.zero(2 * p)
     for i in range(depth):
         layer = rand_combo(
-            fi.kernel_space(("curlyE",), p, a + i, b - i).vectors,
+            fi.kernel_space(("curlyE",), p, a + i, b - i),
             rng, 2 * p)
         for _ in range(i):
             layer = apply("curlyE_dag", layer)

@@ -3,7 +3,8 @@ label it cannot take.
 
 Each library check the CLI calls returns the JSON-ready dict (or list)
 it reports, so json.dumps needs no `default=` and a report object can
-not come back unnoticed.  A rank p below 1, or a negative degree,
+not come back unnoticed; the checks still run from the tests only are
+held to the same rule before they become CLI checks.  A rank p below 1, or a negative degree,
 column or power, would otherwise check an empty space and pass, or
 fail deep inside itertools without naming the argument.
 """
@@ -30,6 +31,14 @@ CLI_CHECKS = {
     "sl2_module_checks": lambda: fi.sl2_module_checks(1, 2, 1),
     "euclidean_fischer_dims": lambda: fi.euclidean_fischer_dims(4, 1),
     "hermitian_fischer_dims": lambda: fi.hermitian_fischer_dims(2, 1, 0),
+    # checks run from the tests only so far, each to become a CLI check
+    "trivial_intersection_check":
+        lambda: fi.trivial_intersection_check(1, 2, 1),
+    "verify_osp12_and_sl12": lambda: relations.verify_osp12_and_sl12(1, 1, 1),
+    "verify_qmonogenic_stability":
+        lambda: fi.verify_qmonogenic_stability(1, 1, 1),
+    "verify_qmonogenic_equivalence":
+        lambda: fi.verify_qmonogenic_equivalence(1, 1, 1),
 }
 
 
@@ -46,8 +55,8 @@ def test_cli_check_returns_json(name):
 @pytest.mark.parametrize("check,args,name", [
     (relations.verify_osp12_and_sl12, (0, 1, 0), "p"),
     (relations.verify_osp12_and_sl12, (1, -1, 0), "a"),
-    (relations.verify_qmonogenic_stability, (0, 1, 0), "p"),
-    (relations.verify_qmonogenic_equivalence, (0, 1, 0), "p"),
+    (fi.verify_qmonogenic_stability, (0, 1, 0), "p"),
+    (fi.verify_qmonogenic_equivalence, (0, 1, 0), "p"),
     (fi.sl2_module_checks, (0, 1, 0), "p"),
     (fi.qmonogenic_decomposition, (0, 0, 0, 1, 0), "p"),
     (fi.qmonogenic_decomposition, (1, 0, -1, 1, 0), "k"),

@@ -8,6 +8,7 @@ blade_mul never has to be trusted on its own.
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from quatcliff.clifford import (CliffordElement, blade_conjugation_sign,
@@ -112,6 +113,12 @@ def test_conjugation_fixes_scalars_and_flips_vectors():
     assert blade_conjugation_sign(0) == 1
     assert blade_conjugation_sign(0b11) == -1
     assert blade_conjugation_sign(0b111) == 1
+
+
+def test_elements_are_unhashable():
+    # equality reads the mutable terms dict, so no hash is offered
+    with pytest.raises(TypeError):
+        hash(CliffordElement.generator(N, 1))
 
 
 def test_conjugation_sign_table():

@@ -195,7 +195,7 @@ def compare(p, max_degree):
             if word is None:
                 continue
             terms = table_terms(alpha, p, a, b, r)
-            for v in fi.s_space(p, *source).vectors:
+            for v in fi.s_space(p, *source):
                 from_table = apply_terms(terms, v)
                 projected = fi.composite_projection(apply_word(word, v),
                                                     (p, a, b, r))

@@ -8,12 +8,18 @@ module in src/ is parsed with the stdlib ast and any function that
 assigns to a subscript of a module-level name, or calls .setdefault or
 .update on one, is reported.  Tables filled at import time, by code at
 module level, do not count.
+
+A cached value is shared by every later caller, so the bases the caches
+hold are tuples: a caller that appended to a cached list would change
+the result of every later call.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from quatcliff import fischer, operators
 
 ROOT = Path(__file__).resolve().parent.parent
 MUTATORS = {"setdefault", "update"}
@@ -97,3 +103,24 @@ def test_scanner_flags_every_form_of_write():
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_function_writes_module_state(path):
     assert module_writes(path.read_text()) == []
+
+
+# a nonempty basis from each cached basis function
+CACHED_BASES = {
+    "cell_basis": lambda: operators.cell_basis(1, 1, 1),
+    "harmonic_space": lambda: fischer.harmonic_space(1, 1, 1),
+    "symplectic_harmonic_space":
+        lambda: fischer.symplectic_harmonic_space(1, 1, 0),
+    "qmonogenic_space": lambda: fischer.qmonogenic_space(1, 1, 0),
+    "s_space": lambda: fischer.s_space(1, 1, 1, 0),
+    "t_space": lambda: fischer.t_space(1, 1, 0, 0),
+    "_monogenic_basis": lambda: fischer._monogenic_basis(1, 1),
+    "_piece_power": lambda: fischer._piece_power(1, 1, 0, 0, 1, 0, 0, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CACHED_BASES))
+def test_cached_basis_is_one_shared_tuple(name):
+    first = CACHED_BASES[name]()
+    assert isinstance(first, tuple) and first
+    assert CACHED_BASES[name]() is first

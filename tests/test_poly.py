@@ -127,6 +127,14 @@ def test_zero_terms_dropped():
     assert F.is_zero() and not F
 
 
+def test_polynomials_are_unhashable():
+    # the terms dict is mutable (linalg.axpy writes such dicts in place),
+    # so a hash of its contents could go stale under a set or dict key
+    F = SpinorPolynomial.monomial(2, (1, 0), (0, 0), 0)
+    with pytest.raises(TypeError):
+        hash(F)
+
+
 # --------------------------------------------------- variables, derivatives
 
 def test_mul_then_diff_round_trip():

@@ -15,13 +15,13 @@ from itertools import combinations
 import pytest
 
 from quatcliff import relations
+from quatcliff.fischer import (verify_qmonogenic_equivalence,
+                               verify_qmonogenic_stability)
 from quatcliff.operators import REGISTRY, apply, apply_expression
 from quatcliff.poly import space_basis
 from quatcliff.relations import (EUCLIDEAN_RULES, HERMITIAN_RULES, RULE_INDEX,
                                  RULES, bidegrees_up_to, verify_bracket,
-                                 verify_osp12_and_sl12,
-                                 verify_qmonogenic_equivalence,
-                                 verify_qmonogenic_stability, verify_table)
+                                 verify_osp12_and_sl12, verify_table)
 
 # Rule ids of [e, f], [h, e] and [h, f] for each triple (h, e, f).  The
 # radial triple is (h_total, mul_r2/2, -laplace/2); its identities are
