@@ -28,9 +28,8 @@ for every subcommand's report.  `main` builds one RunConfig for each
 report subcommand from `_COMMAND_CHECKS` (fischer runs the check it
 names) and runs it; decompose splits an input polynomial instead.
 
-The checks run one after another in this process; with more than one
-worker only the relation table spreads its bidegree blocks over a
-process pool.  Emitted JSON is canonical (sorted keys), so identical
+The checks run one after another in this process, which starts no
+other.  Emitted JSON is canonical (sorted keys), so identical
 configurations produce identical bytes apart from the timing block.
 """
 
@@ -56,9 +55,8 @@ class RunConfig:
 
     `dim_cap` bounds the spinor-valued polynomial spaces a check may
     touch; labels over the cap are reported as skipped, never attempted.
-    `workers` and `dim_cap` default to the QUATCLIFF_WORKERS and
-    QUATCLIFF_DIM_CAP environment variables; a value there that is not a
-    positive integer raises ValueError.
+    `dim_cap` defaults to the QUATCLIFF_DIM_CAP environment variable; a
+    value there that is not a positive integer raises ValueError.
     `label_filter` narrows the degree grid to one (a, b[, r]) label, under
     the same degree bound a + b <= MAX_TOTAL_DEGREE; the `fischer`
     subcommand uses it, programmatic callers may too.  A filter field
@@ -66,17 +64,15 @@ class RunConfig:
     ValueError rather than being ignored.
     """
 
-    __slots__ = ("p", "max_total_degree", "checks", "output", "workers",
-                 "dim_cap", "label_filter")
+    __slots__ = ("p", "max_total_degree", "checks", "output", "dim_cap",
+                 "label_filter")
 
     def __init__(self, p=1, max_total_degree=3, checks=(), output=None,
-                 workers=None, dim_cap=None, label_filter=None):
+                 dim_cap=None, label_filter=None):
         self.p = p
         self.max_total_degree = max_total_degree
         self.checks = tuple(checks)
         self.output = output
-        self.workers = (env_int("QUATCLIFF_WORKERS", 1)
-                        if workers is None else workers)
         self.dim_cap = (env_int("QUATCLIFF_DIM_CAP", DEFAULT_DIM_CAP)
                         if dim_cap is None else dim_cap)
         self.label_filter = label_filter
@@ -93,7 +89,6 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown checks {unknown}; "
                              f"valid names: {', '.join(CHECK_NAMES)}")
-        require_int("workers", self.workers, 1)
         require_int("dim_cap", self.dim_cap, 1)
         if self.label_filter is not None:
             a = self.label_filter.get("a")
@@ -120,7 +115,7 @@ class RunConfig:
     def to_json(self):
         out = {"p": self.p, "max_total_degree": self.max_total_degree,
                "checks": list(self.checks), "output": self.output,
-               "workers": self.workers, "dim_cap": self.dim_cap}
+               "dim_cap": self.dim_cap}
         if self.label_filter is not None:
             out["label_filter"] = dict(self.label_filter)
         return out
@@ -186,7 +181,7 @@ def _run_relations(config):
     if degree < 0:
         return {"p": p, "rules": [], "skipped": "cap", "needed_dim": spinor,
                 "dim_cap": cap, "passed": True}
-    rules = relations.verify_table(p, degree, workers=config.workers)
+    rules = relations.verify_table(p, degree)
     out = {"p": p, "max_total_degree": degree, "rule_count": len(rules),
            "rules": rules, "passed": all(r["passed"] for r in rules)}
     if capped:
@@ -291,11 +286,9 @@ def run(config):
     dict: schema_version, config, checks, passed and timing.
 
     The checks run one after another in `CHECK_NAMES` order, each timed
-    and each handed the same `config`; its `workers` reach the relation
-    table, whose bidegree blocks are the only work spread over
-    processes.  The report passes exactly when every check passes (with
-    no checks selected it is empty and passes).  Writes it to
-    `config.output` when set.
+    and each handed the same `config`.  The report passes exactly when
+    every check passes (with no checks selected it is empty and passes).
+    Writes it to `config.output` when set.
     """
     config.validate()
     checks, timing = {}, {}

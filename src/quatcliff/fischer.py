@@ -6,7 +6,8 @@ part of the spinor space, computed by exact nullspace.  A subspace is
 its canonical basis, the tuple of reduced echelon polynomials that
 `operators.joint_kernel` returns: its dimension is the tuple's length,
 two constructions of one subspace give equal tuples, and `_inside`
-tests membership by solving against it.  On top of that sit the named
+tests membership by solving against it, one elimination per space
+for every piece a check tests.  On top of that sit the named
 spaces (harmonics, symplectic harmonics, hermitian monogenics, the
 q-monogenic cell spaces S and T), two claims about the q-monogenics
 (curlyE, curlyE_dag, P and Q preserve them; the rotated Dirac operators
@@ -58,11 +59,13 @@ def kernel_space(ops, p, a, b, value_space=("full",)):
     return joint_kernel(ops, space_basis(p, a, b, value_space))
 
 
-def _inside(vecs, space):
-    """Whether every polynomial of `vecs` lies in the span of the basis
-    `space`."""
+def _inside(pieces, space):
+    """One flag per piece of `pieces`, each a sequence of polynomials:
+    whether all of its polynomials lie in the span of the basis `space`,
+    which is eliminated once for all pieces."""
     solver = linalg.Solver([v.terms for v in space])
-    return all(solver.solve(v.terms) is not None for v in vecs)
+    return [all(solver.solve(v.terms) is not None for v in vecs)
+            for vecs in pieces]
 
 
 @cache
@@ -119,21 +122,22 @@ def verify_qmonogenic_stability(p, a, b):
     moves = {"curlyE": (a + 1, b - 1), "curlyE_dag": (a - 1, b + 1),
              "P": (a, b), "Q": (a, b)}
     ops = {}
-    passed = True
-    for name, (ta, tb) in moves.items():
+    # one elimination per target bidegree: P and Q share theirs
+    for ta, tb in dict.fromkeys(moves.values()):
+        names = [name for name in moves if moves[name] == (ta, tb)]
         # a negative bidegree holds the zero polynomial only
         target = qmonogenic_space(p, ta, tb) if min(ta, tb) >= 0 else ()
-        images = [apply(name, v) for v in kernel]
-        ok = _inside(images, target)
-        # the witness is the first basis vector with its image outside
-        violations = [] if ok else [next(
-            {"basis": str(v)} for v, img in zip(kernel, images)
-            if not _inside([img], target))]
-        passed = passed and ok
-        ops[name] = {"ok": ok, "violations": violations,
-                     "target_bidegree": [ta, tb]}
+        flags = iter(_inside([[apply(name, v)] for name in names
+                              for v in kernel], target))
+        for name in names:
+            # the witness is the first basis vector with its image outside
+            violations = [{"basis": str(v)} for v in kernel
+                          if not next(flags)]
+            ops[name] = {"ok": not violations, "violations": violations[:1],
+                         "target_bidegree": [ta, tb]}
     return {"p": p, "a": a, "b": b, "kernel_dim": len(kernel),
-            "operators": ops, "passed": passed}
+            "operators": ops,
+            "passed": all(op["ok"] for op in ops.values())}
 
 
 def verify_qmonogenic_equivalence(p, a, b):
@@ -210,11 +214,12 @@ def symplectic_harmonic_decomposition(p, a, b):
             continue
         src = symplectic_harmonic_space(p, b + t, a - t)
         vecs = [apply_word(("curlyE_dag",) * power, v) for v in src]
-        in_target = _inside(vecs, target)
         components.append({"t": t, "power": power,
                            "source_bidegree": [b + t, a - t],
-                           "dim": len(vecs), "inside_harmonics": in_target})
+                           "dim": len(vecs)})
         piece_vecs.append(vecs)
+    for comp, inside in zip(components, _inside(piece_vecs, target)):
+        comp["inside_harmonics"] = inside
     total = sum(c["dim"] for c in components)
     union_rank = _span_rank(piece_vecs)
     passed = (len(target) == oracle == total == union_rank
@@ -279,11 +284,11 @@ def qmonogenic_decomposition(p, r, k, a, b):
                  for s in range(0, a + 1)]
     for s, raiser, source, src in steps:
         vecs = [apply_word(("Q",) * k + (raiser,) * s, v) for v in src]
-        inside = _inside(vecs, target)
         components.append({"s": s, "raiser": raiser,
-                           "source_bidegree": source,
-                           "dim": len(vecs), "inside_target": inside})
+                           "source_bidegree": source, "dim": len(vecs)})
         piece_vecs.append(vecs)
+    for comp, inside in zip(components, _inside(piece_vecs, target)):
+        comp["inside_target"] = inside
     total = sum(c["dim"] for c in components)
     union_rank = _span_rank(piece_vecs)
     passed = (len(target) == total == union_rank
@@ -317,7 +322,9 @@ def project_ker(op_kind, T, params):
     correction formula for that operator.
 
     `params` is (p, a, b, r) with (a, b) the bidegree of T and r the
-    value grade (only the relevant labels enter each formula).  The
+    value grade (only the relevant labels enter each formula).  T must
+    live in 2p complex variables, and for P, the one formula that reads
+    r, every term must have spinor grade r; ValueError otherwise.  The
     cube of the lowering operator must kill T; if it does not, the two
     terms cannot be the whole correction and ValueError is raised.
     Correction terms whose prerequisite power of the lowering operator
@@ -329,8 +336,13 @@ def project_ker(op_kind, T, params):
     except KeyError:
         raise ValueError(f"unknown projection kind {op_kind!r}") from None
     p, a, b, r = params
+    if T.n != 2 * p:
+        raise ValueError(f"input has {T.n} complex variables, not 2p = "
+                         f"{2 * p}")
     if T.terms and T.bidegrees() != [(a, b)]:
         raise ValueError("input is not homogeneous of the stated bidegree")
+    if op_kind == "P" and any(m.bit_count() != r for _, _, m in T.terms):
+        raise ValueError(f"input has a spinor grade other than r = {r}")
 
     L1 = apply(lower, T)
     if not L1.terms:
@@ -515,7 +527,10 @@ def symplectic_harmonics_16_decomposition(p, a, b, r):
     params = (p, a, b, r)
     orders_agree = True
     exclusions = []
-    for entry in piece_activity(p, a, b, r):
+    activity = piece_activity(p, a, b, r)
+    in_ambient = iter(_inside([e["vecs"] for e in activity if e["src_dim"]],
+                              ambient))
+    for entry in activity:
         alpha = entry["alpha"]
         word = entry["word"]
         comp = {"alpha": alpha, "source": list(entry["source"]),
@@ -532,7 +547,7 @@ def symplectic_harmonics_16_decomposition(p, a, b, r):
             and not apply("curlyE", w).terms
             and not apply("P", w).terms
             for w in vecs)
-        comp["in_ambient"] = _inside(vecs, ambient)
+        comp["in_ambient"] = next(in_ambient)
         if entry["reason"] == "annihilated":
             exclusions.append({"alpha": alpha, "reason": "annihilated",
                                "source": list(entry["source"]),

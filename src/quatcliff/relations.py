@@ -44,7 +44,6 @@ q-monogenics, are checked in fischer.
 
 from fractions import Fraction
 
-from .env import parallel_map
 from .operators import apply_cached, apply_expression, shifts
 from .poly import require_int, require_label, space_basis
 
@@ -364,36 +363,26 @@ def bidegrees_up_to(max_total_degree):
             for a in range(d, -1, -1)]
 
 
-def _table_block_job(args):
-    """Every rule of `RULES` at one bidegree, sharing one term-image cache.
-
-    Returns the witness of each rule in `RULES` order, None where the
-    rule holds: plain values only, so the list can cross a process
-    boundary.
-    """
-    p, a, b = args
-    basis = space_basis(p, a, b)
-    cache = {}
-    return [verify_bracket(rule, a, b, cache, basis) for rule in RULES]
-
-
-def verify_table(p, max_total_degree, workers=1):
+def verify_table(p, max_total_degree):
     """Every rule on every bidegree with a+b <= max_total_degree.
 
     Returns one JSON entry per rule, in table order, each listing all
     bidegrees it was checked on and its first witness in grid order; a
-    rule passes exactly when it has none.  Bidegrees are verified
-    independently (in a pool of `workers` processes when it is more than
-    one) and merged in a fixed order, so the outcome does not depend on
-    scheduling.  p and workers must be positive ints and the degree a
-    non-negative one (ValueError otherwise), so no grid is empty.
+    rule passes exactly when it has none.  The bidegree blocks run one
+    after another in grid order, each with its own term-image cache,
+    which is dropped after the block.  p must be a positive int and the
+    degree a non-negative one (ValueError otherwise), so no grid is
+    empty.
     """
     require_int("p", p, 1)
     require_int("max_total_degree", max_total_degree, 0)
-    require_int("workers", workers, 1)
     grid = bidegrees_up_to(max_total_degree)
-    blocks = parallel_map(_table_block_job, [(p, a, b) for a, b in grid],
-                          workers)
+    blocks = []
+    for a, b in grid:
+        basis = space_basis(p, a, b)
+        cache = {}
+        blocks.append([verify_bracket(rule, a, b, cache, basis)
+                       for rule in RULES])
 
     # a rule's column holds its witnesses in grid order
     return [_rule_json(rule, p, grid, next(filter(None, column), None))

@@ -126,7 +126,7 @@ KEY_MOVES = {
 class WittFrame:
     """Clifford-algebra realisation of the Witt basis for given p."""
 
-    __slots__ = ("p", "n", "m", "f", "fdag", "idempotent", "_blade_cache")
+    __slots__ = ("p", "n", "m", "f", "fdag", "idempotent")
 
     def __init__(self, p):
         self.p = p
@@ -144,17 +144,14 @@ class WittFrame:
         for k in range(1, self.n + 1):
             ide = ide * (self.f[k] * self.fdag[k])
         self.idempotent = ide
-        self._blade_cache = {0: ide}
 
     def spinor_blade(self, mask):
-        """fdag_{a1} ... fdag_{ak} I for the ascending index set in mask."""
-        cached = self._blade_cache.get(mask)
-        if cached is not None:
-            return cached
-        low = mask & -mask
-        k = low.bit_length()
-        out = self.fdag[k] * self.spinor_blade(mask ^ low)
-        self._blade_cache[mask] = out
+        """fdag_{a1}(... (fdag_{ak} I)) for the ascending index set
+        a1 < ... < ak in mask."""
+        out = self.idempotent
+        for k in range(self.n, 0, -1):
+            if mask >> (k - 1) & 1:
+                out = self.fdag[k] * out
         return out
 
     def to_clifford(self, x):

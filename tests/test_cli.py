@@ -11,7 +11,6 @@ import random
 import pytest
 
 from quatcliff import cli, relations
-from quatcliff.env import parallel_map
 from quatcliff.poly import SpinorPolynomial
 from quatcliff.scalars import xs
 
@@ -38,15 +37,14 @@ def walk(node, found, key):
 
 def test_config_defaults_validate():
     cfg = cli.RunConfig().validate()
-    assert cfg.p == 1 and cfg.workers >= 1 and cfg.dim_cap >= 1
+    assert cfg.p == 1 and cfg.dim_cap >= 1
 
 
 @pytest.mark.parametrize("kwargs", [
     {"p": 0}, {"p": 4}, {"p": "2"},
     {"max_total_degree": -1}, {"max_total_degree": 7},
     {"checks": ("relations", "nope")},
-    {"workers": 0}, {"workers": "two"},
-    {"dim_cap": 0},
+    {"dim_cap": 0}, {"dim_cap": "two"},
     {"label_filter": {"a": 1}},
     {"label_filter": {"a": -1, "b": 0}},
     {"p": 2, "label_filter": {"a": 1, "b": 0, "r": 3}},
@@ -65,9 +63,11 @@ def test_config_defaults_validate():
     {"checks": ("prop8",), "label_filter": {"a": 1, "b": 0, "x": 0}},
     # booleans are not integers
     {"p": True, "checks": ("cells",)}, {"max_total_degree": True},
-    {"workers": True}, {"dim_cap": True},
+    {"dim_cap": True},
     {"label_filter": {"a": True, "b": False}},
     {"checks": ("prop8",), "label_filter": {"a": 1, "b": 0, "r": True}},
+    # nor are whole-valued floats
+    {"dim_cap": 2.0}, {"max_total_degree": 1.0},
 ])
 def test_config_rejects(kwargs):
     with pytest.raises(ValueError):
@@ -75,25 +75,21 @@ def test_config_rejects(kwargs):
 
 
 def test_config_env_defaults(monkeypatch):
-    monkeypatch.setenv("QUATCLIFF_WORKERS", "3")
     monkeypatch.setenv("QUATCLIFF_DIM_CAP", "123")
-    cfg = cli.RunConfig()
-    assert cfg.workers == 3 and cfg.dim_cap == 123
-    monkeypatch.setenv("QUATCLIFF_WORKERS", "junk")
-    with pytest.raises(ValueError):
-        cli.RunConfig()
-    monkeypatch.setenv("QUATCLIFF_WORKERS", "3")
-    monkeypatch.setenv("QUATCLIFF_DIM_CAP", "abc")
-    with pytest.raises(ValueError):
-        cli.RunConfig()
+    assert cli.RunConfig().dim_cap == 123
+    assert cli.RunConfig(dim_cap=7).dim_cap == 7
+    for junk in ("junk", "abc"):
+        monkeypatch.setenv("QUATCLIFF_DIM_CAP", junk)
+        with pytest.raises(ValueError):
+            cli.RunConfig()
 
 
 @pytest.mark.parametrize("name,value", [
-    ("QUATCLIFF_WORKERS", "abc"), ("QUATCLIFF_WORKERS", "0"),
     ("QUATCLIFF_DIM_CAP", "abc"), ("QUATCLIFF_DIM_CAP", "-5"),
+    ("QUATCLIFF_DIM_CAP", "0"),
     # int() reads these, but only ASCII decimal digits are a count
-    ("QUATCLIFF_WORKERS", "1_0"), ("QUATCLIFF_WORKERS", "\u0663"),
-    ("QUATCLIFF_WORKERS", "+2"), ("QUATCLIFF_WORKERS", " 2 "),
+    ("QUATCLIFF_DIM_CAP", "1_0"), ("QUATCLIFF_DIM_CAP", "\u0663"),
+    ("QUATCLIFF_DIM_CAP", "+2"), ("QUATCLIFF_DIM_CAP", " 2 "),
     pytest.param("QUATCLIFF_DIM_CAP", "9" * 5000,
                  id="QUATCLIFF_DIM_CAP-5000-digits"),
 ])
@@ -406,41 +402,18 @@ def test_report_determinism(tmp_path):
     assert first == second
 
 
-def test_one_pool_spreads_the_relation_table(monkeypatch):
-    # the checks run in this process, so the relation table gets the
-    # configured workers whether it runs alone or beside other checks
-    spread = []
-
-    def table_spy(fn, jobs, workers):
-        spread.append(workers)
-        return parallel_map(fn, jobs, workers)
-
-    monkeypatch.setattr(relations, "parallel_map", table_spy)
-    for checks in (("relations", "cells"), ("relations",)):
-        cfg1 = cli.RunConfig(p=1, max_total_degree=1, checks=checks,
-                             workers=1)
-        cfg2 = cli.RunConfig(p=1, max_total_degree=1, checks=checks,
-                             workers=2)
-        b1 = cli.run(cfg1)
-        b2 = cli.run(cfg2)
-        r1 = json.dumps(b1["checks"], sort_keys=True)
-        r2 = json.dumps(b2["checks"], sort_keys=True)
-        assert b1["passed"] and b2["passed"] and r1 == r2
-    assert spread == [1, 2, 1, 2]
-
-
-# sha256 of the canonical report of `all` (every check, one worker, the
-# default dimension cap), without its timing block
+# sha256 of the canonical report of `all` (every check, the default
+# dimension cap), without its timing block
 REPORT_GOLDEN = {
-    (1, 3): "538de77d34793af5a881cb42f3fc6b7b2e27129683b2c7174bb89fff7ae4d10b",
-    (2, 1): "7dfc45ff253f2c6c0f839ddaf9f6a0525d4d37b0364fed7d52cbf8457f6e75fe",
+    (1, 3): "4f0e740da6c9943e0af6606fb19d0a602ebca17b3bbd18f79785163f08b79a13",
+    (2, 1): "8e315523f6929ebc9e002e7b73855c0443b809762a01673c4ed51ade3e6ba169",
 }
 
 
 @pytest.mark.parametrize("p,degree", sorted(REPORT_GOLDEN))
 def test_report_golden(p, degree):
     payload = cli.run(cli.RunConfig(p, max_total_degree=degree,
-                                    checks=cli.CHECK_NAMES, workers=1,
+                                    checks=cli.CHECK_NAMES,
                                     dim_cap=100000))
     payload.pop("timing")
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -464,13 +437,13 @@ DECOMPOSE_INPUT_P1 = [
 SUBCOMMAND_GOLDEN = {
     "verify-relations": (
         ["--p", "1", "--max-degree", "1"],
-        "91c5da15fedf993b26e549b612d6acb1f5b25ab6aa6d84bcfb5b72c41031fb5d"),
+        "8ad50f77fafa02225451cde3adea61f541d7384859e2c8aba1d80ce2aa9b292e"),
     "cells": (
         ["--p", "2"],
-        "7b88b6d157edce8cc7f2c922bd40d487279f89f3fbc41c025ec3f80a766c9cda"),
+        "7b731584cfc37c55d0ae1bf23e3f1cf76f994c8d8603f58f6144fd21e09cc33e"),
     "fischer": (
         ["--p", "2", "--a", "1", "--b", "0", "--r", "0", "--check", "prop9"],
-        "b26f63d0a234774c688a7390e37c8012dc1cbf89522fbf265db67b202c1c222f"),
+        "04ae33d892b58f8904b822b082385c2e62daf26f405ae57f70c547ee60f5900e"),
     "decompose": (
         ["--p", "1"],
         "34bf6ceeeb2033472bf4e47eccfcff10d3be983e544b356b6ae0485934c69ad1"),
@@ -479,7 +452,6 @@ SUBCOMMAND_GOLDEN = {
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMAND_GOLDEN))
 def test_subcommand_golden(command, tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("QUATCLIFF_WORKERS", raising=False)
     monkeypatch.delenv("QUATCLIFF_DIM_CAP", raising=False)
     args, golden = SUBCOMMAND_GOLDEN[command]
     out = tmp_path / "out.json"
@@ -527,7 +499,7 @@ GRID_SKIPS = {
 def test_grid_check_skip_records(name):
     cap, count, total, first = GRID_SKIPS[name]
     payload = cli.run(cli.RunConfig(p=1, max_total_degree=2,
-                                    checks=(name,), workers=1, dim_cap=cap))
+                                    checks=(name,), dim_cap=cap))
     assert payload["passed"]
     report = payload["checks"][name]
     entries = report.get("labels", report.get("degrees"))

@@ -55,7 +55,7 @@ def test_coefficients_of_zero_is_all_zeros():
     solver = linalg.Solver([v.terms for v in H])
     zero = SpinorPolynomial.zero(2)
     assert solver.solve(zero.terms) == [xs(0)] * 3
-    assert fi._inside([zero], H)
+    assert fi._inside([[zero]], H) == [True]
     v = H[1].scale(xs(2, 1))
     assert solver.solve(v.terms) == [xs(0), xs(2, 1), xs(0)]
 
@@ -63,12 +63,39 @@ def test_coefficients_of_zero_is_all_zeros():
 def test_inside_rejects_a_vector_outside_the_space():
     H = fi.harmonic_space(1, 1, 1)
     # |z|^2 = z1 zbar1 + z2 zbar2 is not harmonic: one vector outside
-    # the space rejects the whole list
+    # the space rejects its whole piece, and only that piece
     r2 = apply("mul_r2", SpinorPolynomial.constant(2, {0: XS_ONE}))
-    assert not fi._inside([r2], H)
-    assert not fi._inside([H[0], r2], H)
-    assert fi._inside([H[0], H[2] - H[1]], H)
-    assert not fi._inside([H[0]], ())
+    assert fi._inside([[r2], [H[0], r2], [H[0], H[2] - H[1]], []],
+                      H) == [False, False, True, True]
+    assert fi._inside([[H[0]]], ()) == [False]
+
+
+# one call of each check at labels with two pieces or more, and the number
+# of nonempty target spaces it tests membership in: the decompositions
+# test every piece in one target, the stability check its images in three
+# (P and Q share the bidegree (a, b))
+SOLVES_PER_CHECK = [
+    (fi.symplectic_harmonics_16_decomposition, (1, 2, 0, 0), 1),
+    (fi.qmonogenic_decomposition, (1, 1, 0, 2, 1), 1),
+    (fi.symplectic_harmonic_decomposition, (1, 2, 1), 1),
+    (fi.verify_qmonogenic_stability, (1, 1, 1), 3),
+]
+
+
+@pytest.mark.parametrize("check,args,targets", SOLVES_PER_CHECK,
+                         ids=lambda v: getattr(v, "__name__", None))
+def test_each_target_is_eliminated_once_per_check(monkeypatch, check, args,
+                                                  targets):
+    built = []
+
+    class CountingSolver(linalg.Solver):
+        def __init__(self, basis):
+            built.append(len(basis))
+            super().__init__(basis)
+
+    monkeypatch.setattr(linalg, "Solver", CountingSolver)
+    assert check(*args)["passed"]
+    assert len(built) == targets and all(built)
 
 
 def test_symplectic_harmonic_dims_frozen():
@@ -240,6 +267,28 @@ def test_projection_rejects_mixed_bidegree():
          + SpinorPolynomial.monomial(2, (1, 1), (1, 0), 0))
     with pytest.raises(ValueError):
         fi.project_ker("laplace", F, (1, 1, 0, 0))
+
+
+def test_projection_rejects_a_rank_other_than_the_inputs():
+    # the README example at p = 2; its input lives in 2p = 4 variables
+    T = fi.harmonic_space(2, 2, 1)[0] + apply(
+        "mul_r2", fi.harmonic_space(2, 1, 0)[0])
+    assert not apply("laplace",
+                     fi.project_ker("laplace", T, (2, 2, 1, 0))).terms
+    for p in (1, 3):
+        with pytest.raises(ValueError, match="2p"):
+            fi.project_ker("laplace", T, (p, 2, 1, 0))
+
+
+def test_projection_P_rejects_a_grade_other_than_r():
+    # fd{1,2} I has spinor grade 2; only r = 2 projects it
+    T = SpinorPolynomial.monomial(4, (0,) * 4, (0,) * 4, 0b11)
+    assert not apply("P", fi.project_ker("P", T, (2, 0, 0, 2))).terms
+    for r in (0, 5):
+        with pytest.raises(ValueError, match="grade"):
+            fi.project_ker("P", T, (2, 0, 0, r))
+    # the laplace and curlyE formulas do not read r
+    assert fi.project_ker("curlyE", T, (2, 0, 0, 0)) == T
 
 
 def test_projection_rejects_deep_nilpotency():

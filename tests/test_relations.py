@@ -93,12 +93,6 @@ def test_full_table_small():
     assert not bad, bad[:3]
 
 
-def test_verify_table_deterministic_across_workers():
-    seq = [(r["rule"], r["passed"]) for r in verify_table(1, 1, workers=1)]
-    par = [(r["rule"], r["passed"]) for r in verify_table(1, 1, workers=2)]
-    assert seq == par
-
-
 def test_sl2_triples_read_the_rule_table():
     # each triple (h, e, f) is stated by three rules: [e, f] is a multiple
     # of h, [h, e] of e and [h, f] of f; the table's checks of those rows
@@ -204,11 +198,8 @@ def test_witness_on_forced_failure():
 
 
 def test_worker_env_must_be_a_positive_integer():
-    # p >= 1, degree >= 0 and workers >= 1, as ints that are not bools;
-    # an empty grid would otherwise pass every rule
-    for args, kwargs in [((1, 0), {"workers": 0}),
-                         ((1, 0), {"workers": True}),
-                         ((1, -1), {}), ((0, 1), {}), ((True, 1), {}),
-                         ((1, 1.0), {})]:
+    # p >= 1 and degree >= 0, as ints that are not bools; an empty grid
+    # would otherwise pass every rule
+    for args in [(1, -1), (0, 1), (True, 1), (1, 1.0)]:
         with pytest.raises(ValueError):
-            verify_table(*args, **kwargs)
+            verify_table(*args)
