@@ -28,7 +28,7 @@ from functools import cache
 from math import comb
 
 from . import linalg
-from .operators import apply, apply_word, joint_kernel, shifts
+from .operators import DERIVS, apply, apply_word, joint_kernel, shifts
 from .poly import (SpinorPolynomial, poly_dim, require_int, require_label,
                    space_basis, value_basis)
 from .scalars import XS_ONE, xs
@@ -47,8 +47,6 @@ __all__ = [
     "euclidean_fischer_dims", "hermitian_fischer_dims",
     "trivial_intersection_check", "cells_check",
 ]
-
-_DERIV4 = ("dz", "dz_dag", "dzJ", "dz_dagJ")
 
 
 # ------------------------------------------------------------ subspaces
@@ -85,7 +83,7 @@ def symplectic_harmonic_space(p, a, b, dagger=False):
 def qmonogenic_space(p, a, b, value_space=("full",)):
     """Joint null solutions of dz, dz_dag, dzJ, dz_dagJ.  The arguments
     are the cache key, so `value_space` must be a tuple."""
-    return kernel_space(_DERIV4, p, a, b, value_space)
+    return kernel_space(DERIVS, p, a, b, value_space)
 
 
 @cache
@@ -95,7 +93,7 @@ def s_space(p, r, a, b, dagger=False):
     if not 0 <= r <= p:
         raise ValueError(f"S-space column must satisfy 0 <= r <= p, got {r}")
     op = "curlyE_dag" if dagger else "curlyE"
-    return kernel_space(_DERIV4 + (op, "P"), p, a, b, ("cell", r, r))
+    return kernel_space(DERIVS + (op, "P"), p, a, b, ("cell", r, r))
 
 
 @cache
@@ -105,7 +103,7 @@ def t_space(p, r, a, b, dagger=False):
     if not p <= r <= 2 * p:
         raise ValueError(f"T-space column must satisfy p <= r <= 2p, got {r}")
     op = "curlyE_dag" if dagger else "curlyE"
-    return kernel_space(_DERIV4 + (op, "Q"), p, a, b, ("cell", r, 2 * p - r))
+    return kernel_space(DERIVS + (op, "Q"), p, a, b, ("cell", r, 2 * p - r))
 
 
 def harmonic_dim_oracle(p, a, b):
@@ -891,7 +889,7 @@ def trivial_intersection_check(p, a, b):
     if a == b:
         raise ValueError("needs a != b")
     op = "curlyE_dag" if a > b else "curlyE"
-    dims = [len(kernel_space(_DERIV4 + (op,), p, a, b, ("cell", r, r)))
+    dims = [len(kernel_space(DERIVS + (op,), p, a, b, ("cell", r, r)))
             for r in range(0, p + 1)]
     passed = all(d == 0 for d in dims)
     return {"p": p, "a": a, "b": b, "opposite_kernel": op,

@@ -61,6 +61,9 @@ def _twisted(n, outer, inner, sign=1):
 
 _MINUS_2I = xs(0, -2)
 
+# The four complex derivatives; their joint kernel is the q-monogenics.
+DERIVS = ("dz", "dz_dag", "dzJ", "dz_dagJ")
+
 REGISTRY = {
     "dz": lambda n: _each_k(n, "wedge", "diff_z"),
     "dz_dag": lambda n: _each_k(n, "contract", "diff_zbar"),

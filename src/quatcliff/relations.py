@@ -6,10 +6,12 @@ The operators split into graded families
     g1  = {dz, dz_dag, dzJ, dz_dagJ}      g-1 = {mul_z, mul_z_dag, mul_zJ, mul_z_dagJ}
     g2  = {laplace}                       g-2 = {mul_r2}
 
-and every (anti)commutation relation between them is stored below as one
-table entry.  Blocks that simply commute get explicit zero right-hand
-sides, so the rule set can be audited for coverage entry by entry.  A rule
-is checked as an exact matrix identity on a monomial basis of the
+and RULES holds one (anti)commutation rule per pair of them, an even
+generator with itself aside: 144 rules by construction.  A rule's block
+names its operands' grades, which `_grade` reads off operators.shifts.
+Only the nonzero brackets are written down, in BRACKETS, the Cartan
+rows of WEIGHT_LABELS and SWAPS; every other pair brackets to zero.  A
+rule is checked as an exact matrix identity on a monomial basis of the
 bihomogeneous spinor-valued polynomials by `verify_bracket`, which
 returns the witness of the first offending basis monomial, or None.  A
 bidegree block of the table is the list of its rules' witnesses, and a
@@ -22,19 +24,18 @@ so one rule set serves every p.  A rule's kind is not written down: `_r`
 reads it off the operand parities of operators.shifts, the
 anticommutator exactly when both operands are odd.
 
-RULES is the only place a bracket identity is written; every other rule
-set is a view of it.  The paper's three commuting sl(2) triples, their
-cross pairs and the Cartan weights of the eight odd generators are rows
-of RULES, checked by the table on every bidegree like any other row; the
-Cartan rows of the g0-g+-1 blocks read their weights from WEIGHT_LABELS,
-so a wrong label fails its own row.  Two smaller systems are verified
-the same way: the Euclidean five-grading around (mul_X, dirac, laplace,
-mul_r2) on R^(4p), and the hermitian system around (mul_z, mul_z_dag,
-dz, dz_dag) with the spin counter beta.  They list the identities they
-share with RULES as its entries and define only their own rules.  For
-the hermitian Cartan element there are two sign variants in circulation;
-the rules assert the one that gives the odd generators weight +-1 (the
-other gives them +-3).
+Those tables are the only place a bracket identity is written; every
+other rule set is a view of RULES.  The paper's three commuting sl(2)
+triples, their cross pairs and the Cartan weights of the eight odd
+generators are rows of RULES, checked by the table on every bidegree
+like any other row, so a wrong weight label fails its own row.  Two
+smaller systems are verified the same way: the Euclidean five-grading
+around (mul_X, dirac, laplace, mul_r2) on R^(4p), and the hermitian
+system around (mul_z, mul_z_dag, dz, dz_dag) with the spin counter beta.
+They list the identities they share with RULES as its entries and
+define only their own rules.  For the hermitian Cartan element there are
+two sign variants in circulation; the rules assert the one that gives
+the odd generators weight +-1 (the other gives them +-3).
 
 Every check here is an operator identity on the monomial basis of a
 whole bihomogeneous space, so the module needs operators and polynomials
@@ -42,9 +43,10 @@ only; claims about kernel subspaces, such as the stability of the
 q-monogenics, are checked in fischer.
 """
 
+from collections import Counter
 from fractions import Fraction
 
-from .operators import apply_cached, apply_expression, shifts
+from .operators import DERIVS, apply_cached, apply_expression, shifts
 from .poly import require_int, require_label, space_basis
 
 __all__ = [
@@ -58,11 +60,10 @@ __all__ = [
 class BracketRule:
     """One (anti)commutation rule: [left, right] or {left, right} = rhs."""
 
-    __slots__ = ("rule_id", "block", "kind", "left", "right", "rhs")
+    __slots__ = ("rule_id", "kind", "left", "right", "rhs")
 
-    def __init__(self, rule_id, block, kind, left, right, rhs):
+    def __init__(self, rule_id, kind, left, right, rhs):
         self.rule_id = rule_id
-        self.block = block
         self.kind = kind          # "comm" | "acomm"
         self.left = left
         self.right = right
@@ -87,16 +88,28 @@ class BracketRule:
         return lhs + " = " + " ".join(parts)
 
 
+def _odd(name):
+    return {dr % 2 for *_, dr in shifts(name)} == {1}
+
+
+def _grade(name):
+    """The grade -(da + db) of an operator, read off its words."""
+    (grade,) = {-(da + db) for da, db, _ in shifts(name)}
+    return grade
+
+
 def _r(block, left, right, *rhs):
     """The rule [left, right] = rhs, or {left, right} = rhs when both
     operands are odd."""
-    odd = {dr % 2 for name in (left, right) for *_, dr in shifts(name)} == {1}
-    return BracketRule(f"{block}:{left},{right}", block,
-                       "acomm" if odd else "comm", left, right, rhs)
+    kind = "acomm" if _odd(left) and _odd(right) else "comm"
+    return BracketRule(f"{block}:{left},{right}", kind, left, right, rhs)
 
 
-_DERIVS = ("dz", "dz_dag", "dzJ", "dz_dagJ")
 _MULTS = ("mul_z", "mul_z_dag", "mul_zJ", "mul_z_dagJ")
+
+# The generators of the table, grade by grade: g0, g1, g-1, g2, g-2.
+GENERATORS = ("h_total", "h_diff", "h_spin", "curlyE", "curlyE_dag", "P",
+              "Q", *DERIVS, *_MULTS, "laplace", "mul_r2")
 
 # Weight of each odd generator under (h_total, h_diff, h_spin), as a
 # commutator eigenvalue: [h, O] = w * O.
@@ -112,174 +125,108 @@ WEIGHT_LABELS = {
     "dz_dagJ": (-1, 1, -1),
 }
 
+# Between g0 and g+-1 the four elements outside the Cartan swap the odd
+# generators: row h lists (c, name) with [h, g] = c * name for g in turn,
+# None where they commute.
+SWAPS = (
+    (DERIVS, {
+        "curlyE": ((-1, "dz_dagJ"), None, (1, "dz_dag"), None),
+        "curlyE_dag": (None, (1, "dzJ"), None, (-1, "dz")),
+        "P": ((-1, "dzJ"), None, None, (1, "dz_dag")),
+        "Q": (None, (1, "dz_dagJ"), (-1, "dz"), None),
+    }),
+    (_MULTS, {
+        "curlyE": (None, (-1, "mul_zJ"), None, (1, "mul_z")),
+        "curlyE_dag": ((1, "mul_z_dagJ"), None, (-1, "mul_z_dag"), None),
+        "P": (None, (-1, "mul_z_dagJ"), (1, "mul_z"), None),
+        "Q": ((1, "mul_zJ"), None, None, (-1, "mul_z_dag")),
+    }),
+)
+
+# The other nonzero brackets, keyed by (left, right) in GENERATORS order.
+_QUARTER = Fraction(1, 4)
+BRACKETS = {
+    # the twist and cell sl(2) triples inside g0
+    ("h_diff", "curlyE"): ((2, 0, "curlyE"),),
+    ("h_diff", "curlyE_dag"): ((-2, 0, "curlyE_dag"),),
+    ("curlyE", "curlyE_dag"): ((1, 0, "h_diff"),),
+    ("h_spin", "P"): ((2, 0, "P"),),
+    ("h_spin", "Q"): ((-2, 0, "Q"),),
+    ("P", "Q"): ((1, 0, "h_spin"),),
+    # the radial sl(2) triple
+    ("h_total", "laplace"): ((-2, 0, "laplace"),),
+    ("h_total", "mul_r2"): ((2, 0, "mul_r2"),),
+    ("laplace", "mul_r2"): ((4, 0, "h_total"),),
+    # within g1 and within g-1
+    ("dz", "dz_dag"): ((_QUARTER, 0, "laplace"),),
+    ("dzJ", "dz_dagJ"): ((_QUARTER, 0, "laplace"),),
+    ("mul_z", "mul_z_dag"): ((1, 0, "mul_r2"),),
+    ("mul_zJ", "mul_z_dagJ"): ((1, 0, "mul_r2"),),
+    # g1 against g-1
+    ("dz", "mul_z"): ((1, 0, "E_z"), (1, 0, "beta")),
+    ("dz", "mul_zJ"): ((-2, 0, "Q"),),
+    ("dz", "mul_z_dagJ"): ((1, 0, "curlyE_dag"),),
+    ("dz_dag", "mul_z_dag"): ((1, 0, "E_z_dag"), (0, 2, "id"),
+                              (-1, 0, "beta")),
+    ("dz_dag", "mul_zJ"): ((-1, 0, "curlyE"),),
+    ("dz_dag", "mul_z_dagJ"): ((2, 0, "P"),),
+    ("dzJ", "mul_z"): ((-2, 0, "P"),),
+    ("dzJ", "mul_z_dag"): ((-1, 0, "curlyE_dag"),),
+    ("dzJ", "mul_zJ"): ((1, 0, "E_z"), (0, 2, "id"), (-1, 0, "beta")),
+    ("dz_dagJ", "mul_z"): ((1, 0, "curlyE"),),
+    ("dz_dagJ", "mul_z_dag"): ((2, 0, "Q"),),
+    ("dz_dagJ", "mul_z_dagJ"): ((1, 0, "E_z_dag"), (1, 0, "beta")),
+    # g1 against g-2 and g-1 against g2
+    ("dz", "mul_r2"): ((1, 0, "mul_z_dag"),),
+    ("dz_dag", "mul_r2"): ((1, 0, "mul_z"),),
+    ("dzJ", "mul_r2"): ((1, 0, "mul_z_dagJ"),),
+    ("dz_dagJ", "mul_r2"): ((1, 0, "mul_zJ"),),
+    ("mul_z", "laplace"): ((-4, 0, "dz_dag"),),
+    ("mul_z_dag", "laplace"): ((-4, 0, "dz"),),
+    ("mul_zJ", "laplace"): ((-4, 0, "dz_dagJ"),),
+    ("mul_z_dagJ", "laplace"): ((-4, 0, "dzJ"),),
+}
+
 
 def _build_rules():
+    """One rule per pair of GENERATORS, an even generator with itself
+    aside, ordered by its operands' grades and then by the operands in
+    GENERATORS order; its block names the two grades.  Its right-hand
+    side is the one BRACKETS, the Cartan rows of WEIGHT_LABELS or SWAPS
+    state, and zero where none does.  A bracket stated twice or on no
+    such pair (a typo or a reversed pair) raises ValueError.  The tables
+    are only read, so the rules can be built again after a change to
+    them."""
+    stated = list(BRACKETS.items())
+    stated += [((h, g), ((weights[i], 0, g),))
+               for i, h in enumerate(CARTAN_ORDER)
+               for g, weights in WEIGHT_LABELS.items()]
+    stated += [((h, g), ((entry[0], 0, entry[1]),))
+               for gens, rows in SWAPS for h, row in rows.items()
+               for g, entry in zip(gens, row) if entry]
+    grade = {g: _grade(g) for g in GENERATORS}
+    rank = {x: i for i, x in enumerate(dict.fromkeys(grade.values()))}
+    pairs = sorted(((left, right) for i, left in enumerate(GENERATORS)
+                    for right in GENERATORS[i:]
+                    if left != right or _odd(left)),
+                   key=lambda pair: [rank[grade[g]] for g in pair])
+    counts = Counter(key for key, _ in stated)
+    stray = sorted({key for key, n in counts.items() if n > 1}
+                   | (counts.keys() - set(pairs)))
+    if stray:
+        raise ValueError(
+            f"brackets stated twice or on no generator pair: {stray}")
+    rhs = dict(stated)
     rules = []
-
-    # within g0
-    g0 = "within-g0"
-    rules += [
-        _r(g0, "h_total", "curlyE"),
-        _r(g0, "h_total", "curlyE_dag"),
-        _r(g0, "h_diff", "curlyE", (2, 0, "curlyE")),
-        _r(g0, "h_diff", "curlyE_dag", (-2, 0, "curlyE_dag")),
-        _r(g0, "h_spin", "P", (2, 0, "P")),
-        _r(g0, "h_spin", "Q", (-2, 0, "Q")),
-        _r(g0, "curlyE", "curlyE_dag", (1, 0, "h_diff")),
-        _r(g0, "P", "Q", (1, 0, "h_spin")),
-        # the remaining pairs inside g0 commute
-        _r(g0, "h_total", "h_diff"),
-        _r(g0, "h_total", "h_spin"),
-        _r(g0, "h_diff", "h_spin"),
-        _r(g0, "h_total", "P"),
-        _r(g0, "h_total", "Q"),
-        _r(g0, "h_diff", "P"),
-        _r(g0, "h_diff", "Q"),
-        _r(g0, "h_spin", "curlyE"),
-        _r(g0, "h_spin", "curlyE_dag"),
-        _r(g0, "curlyE", "P"),
-        _r(g0, "curlyE", "Q"),
-        _r(g0, "curlyE_dag", "P"),
-        _r(g0, "curlyE_dag", "Q"),
-    ]
-
-    # between g0 and g+-1: each Cartan element scales a generator by its
-    # weight, the other four elements swap generators or commute
-    blocks = (
-        ("g0-g1", _DERIVS, {
-            "curlyE": ((-1, "dz_dagJ"), None, (1, "dz_dag"), None),
-            "curlyE_dag": (None, (1, "dzJ"), None, (-1, "dz")),
-            "P": ((-1, "dzJ"), None, None, (1, "dz_dag")),
-            "Q": (None, (1, "dz_dagJ"), (-1, "dz"), None),
-        }),
-        ("g0-g-1", _MULTS, {
-            "curlyE": (None, (-1, "mul_zJ"), None, (1, "mul_z")),
-            "curlyE_dag": ((1, "mul_z_dagJ"), None, (-1, "mul_z_dag"), None),
-            "P": (None, (-1, "mul_z_dagJ"), (1, "mul_z"), None),
-            "Q": ((1, "mul_zJ"), None, None, (-1, "mul_z_dag")),
-        }),
-    )
-    for block, gens, swaps in blocks:
-        for i, h in enumerate(CARTAN_ORDER):
-            for g in gens:
-                rules.append(_r(block, h, g, (WEIGHT_LABELS[g][i], 0, g)))
-        for h, row in swaps.items():
-            for g, entry in zip(gens, row):
-                rhs = [] if entry is None else [(entry[0], 0, entry[1])]
-                rules.append(_r(block, h, g, *rhs))
-
-    # between g0 and g+-2
-    g02 = "g0-g2"
-    rules += [
-        _r(g02, "h_total", "laplace", (-2, 0, "laplace")),
-        _r(g02, "h_total", "mul_r2", (2, 0, "mul_r2")),
-        _r(g02, "h_diff", "laplace"),
-        _r(g02, "h_diff", "mul_r2"),
-        _r(g02, "curlyE", "laplace"),
-        _r(g02, "curlyE_dag", "laplace"),
-        _r(g02, "curlyE", "mul_r2"),
-        _r(g02, "curlyE_dag", "mul_r2"),
-        _r(g02, "h_spin", "laplace"),
-        _r(g02, "P", "laplace"),
-        _r(g02, "Q", "laplace"),
-        _r(g02, "h_spin", "mul_r2"),
-        _r(g02, "P", "mul_r2"),
-        _r(g02, "Q", "mul_r2"),
-    ]
-
-    # within g1
-    g1 = "within-g1"
-    quarter = Fraction(1, 4)
-    rules += [
-        _r(g1, "dz", "dz_dag", (quarter, 0, "laplace")),
-        _r(g1, "dzJ", "dz_dagJ", (quarter, 0, "laplace")),
-        _r(g1, "dz", "dzJ"),
-        _r(g1, "dz", "dz_dagJ"),
-        _r(g1, "dz_dag", "dzJ"),
-        _r(g1, "dz_dag", "dz_dagJ"),
-        _r(g1, "dz", "dz"),
-        _r(g1, "dz_dag", "dz_dag"),
-        _r(g1, "dzJ", "dzJ"),
-        _r(g1, "dz_dagJ", "dz_dagJ"),
-    ]
-
-    # between g1 and g-1: all sixteen anticommutators
-    g1m1 = "g1-g-1"
-    table = {
-        ("dz", "mul_z"): ((1, 0, "E_z"), (1, 0, "beta")),
-        ("dz", "mul_z_dag"): (),
-        ("dz", "mul_zJ"): ((-2, 0, "Q"),),
-        ("dz", "mul_z_dagJ"): ((1, 0, "curlyE_dag"),),
-        ("dz_dag", "mul_z"): (),
-        ("dz_dag", "mul_z_dag"): ((1, 0, "E_z_dag"), (0, 2, "id"), (-1, 0, "beta")),
-        ("dz_dag", "mul_zJ"): ((-1, 0, "curlyE"),),
-        ("dz_dag", "mul_z_dagJ"): ((2, 0, "P"),),
-        ("dzJ", "mul_z"): ((-2, 0, "P"),),
-        ("dzJ", "mul_z_dag"): ((-1, 0, "curlyE_dag"),),
-        ("dzJ", "mul_zJ"): ((1, 0, "E_z"), (0, 2, "id"), (-1, 0, "beta")),
-        ("dzJ", "mul_z_dagJ"): (),
-        ("dz_dagJ", "mul_z"): ((1, 0, "curlyE"),),
-        ("dz_dagJ", "mul_z_dag"): ((2, 0, "Q"),),
-        ("dz_dagJ", "mul_zJ"): (),
-        ("dz_dagJ", "mul_z_dagJ"): ((1, 0, "E_z_dag"), (1, 0, "beta")),
-    }
-    for d in _DERIVS:
-        for v in _MULTS:
-            rules.append(_r(g1m1, d, v, *table[(d, v)]))
-
-    # g1 and g2 commute
-    for d in _DERIVS:
-        rules.append(_r("g1-g2", d, "laplace"))
-
-    # between g1 and g-2
-    g1m2 = "g1-g-2"
-    rules += [
-        _r(g1m2, "dz", "mul_r2", (1, 0, "mul_z_dag")),
-        _r(g1m2, "dzJ", "mul_r2", (1, 0, "mul_z_dagJ")),
-        _r(g1m2, "dz_dag", "mul_r2", (1, 0, "mul_z")),
-        _r(g1m2, "dz_dagJ", "mul_r2", (1, 0, "mul_zJ")),
-    ]
-
-    # within g-1
-    gm1 = "within-g-1"
-    rules += [
-        _r(gm1, "mul_z", "mul_z_dag", (1, 0, "mul_r2")),
-        _r(gm1, "mul_zJ", "mul_z_dagJ", (1, 0, "mul_r2")),
-        _r(gm1, "mul_z", "mul_zJ"),
-        _r(gm1, "mul_z", "mul_z_dagJ"),
-        _r(gm1, "mul_z_dag", "mul_zJ"),
-        _r(gm1, "mul_z_dag", "mul_z_dagJ"),
-        _r(gm1, "mul_z", "mul_z"),
-        _r(gm1, "mul_z_dag", "mul_z_dag"),
-        _r(gm1, "mul_zJ", "mul_zJ"),
-        _r(gm1, "mul_z_dagJ", "mul_z_dagJ"),
-    ]
-
-    # between g-1 and g2
-    gm12 = "g-1-g2"
-    rules += [
-        _r(gm12, "mul_z", "laplace", (-4, 0, "dz_dag")),
-        _r(gm12, "mul_zJ", "laplace", (-4, 0, "dz_dagJ")),
-        _r(gm12, "mul_z_dag", "laplace", (-4, 0, "dz")),
-        _r(gm12, "mul_z_dagJ", "laplace", (-4, 0, "dzJ")),
-    ]
-
-    # g-1 and g-2 commute
-    for v in _MULTS:
-        rules.append(_r("g-1-g-2", v, "mul_r2"))
-
-    # g2 against g-2
-    rules.append(_r("g2-g-2", "laplace", "mul_r2", (4, 0, "h_total")))
-
+    for left, right in pairs:
+        x, y = grade[left], grade[right]
+        block = f"within-g{x}" if x == y else f"g{x}-g{y}"
+        rules.append(_r(block, left, right, *rhs.get((left, right), ())))
     return rules
 
 
 RULES = _build_rules()
-RULE_INDEX = {}
-for _rule in RULES:
-    if _rule.rule_id in RULE_INDEX:
-        raise AssertionError(f"duplicate rule id {_rule.rule_id}")
-    RULE_INDEX[_rule.rule_id] = _rule
+RULE_INDEX = {rule.rule_id: rule for rule in RULES}
 
 
 # The Euclidean five-grading on R^(4p): mul_X and dirac are the odd
@@ -319,7 +266,7 @@ HERMITIAN_RULES = [
     _r("sl12", "h_herm", "dz_dag", (1, 0, "dz_dag")),
     _r("sl12", "h_herm", "mul_r2"),
     _r("sl12", "h_herm", "laplace"),
-    RULE_INDEX["g0-g2:h_total,mul_r2"],
+    RULE_INDEX["g0-g-2:h_total,mul_r2"],
     RULE_INDEX["g0-g2:h_total,laplace"],
     _r("sl12", "h_herm", "h_total"),
 ]

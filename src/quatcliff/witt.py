@@ -194,8 +194,8 @@ def conjugation_action(s, x, convention="s*x*bar(s)"):
     """Conjugate x by the spin element s.
 
     Both candidate conventions are available; detect_spin_convention picks the
-    one reproducing the rotation matrices on all generators and the reports
-    record the winner.
+    one reproducing the rotation matrices on all generators.  Only the tests
+    call it, so no report records the winner.
     """
     if convention == "s*x*bar(s)":
         return s * x * s.conjugate()
@@ -294,7 +294,7 @@ def valid_cell(p, r, s):
 
 def cell_labels(p):
     return [CellLabel(r, s) for r in range(2 * p + 1)
-            for s in range(r % 2, min(r, 2 * p - r) + 1, 2)]
+            for s in range(r + 1) if valid_cell(p, r, s)]
 
 
 def cell_dim(p, r, s):

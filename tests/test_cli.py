@@ -405,8 +405,8 @@ def test_report_determinism(tmp_path):
 # sha256 of the canonical report of `all` (every check, the default
 # dimension cap), without its timing block
 REPORT_GOLDEN = {
-    (1, 3): "4f0e740da6c9943e0af6606fb19d0a602ebca17b3bbd18f79785163f08b79a13",
-    (2, 1): "8e315523f6929ebc9e002e7b73855c0443b809762a01673c4ed51ade3e6ba169",
+    (1, 3): "dd210ee007502449ba8e41559c02aeb0c0f64255993314847981b92a3dc1e624",
+    (2, 1): "5e57f15b49088719aa62201e51244b5e5bb6cb5b872e35aff62fa14d9080c21b",
 }
 
 
@@ -437,7 +437,7 @@ DECOMPOSE_INPUT_P1 = [
 SUBCOMMAND_GOLDEN = {
     "verify-relations": (
         ["--p", "1", "--max-degree", "1"],
-        "8ad50f77fafa02225451cde3adea61f541d7384859e2c8aba1d80ce2aa9b292e"),
+        "e37583e4cdbc650cbdf0ad26f4a32af7825efe66dae2c4c19f5e69b3117ecbfd"),
     "cells": (
         ["--p", "2"],
         "7b731584cfc37c55d0ae1bf23e3f1cf76f994c8d8603f58f6144fd21e09cc33e"),

@@ -27,7 +27,7 @@ from quatcliff.relations import (EUCLIDEAN_RULES, HERMITIAN_RULES, RULE_INDEX,
 # radial triple is (h_total, mul_r2/2, -laplace/2); its identities are
 # these rules up to those scalings.
 SL2_TRIPLES = {
-    "radial": ("g2-g-2:laplace,mul_r2", "g0-g2:h_total,mul_r2",
+    "radial": ("g2-g-2:laplace,mul_r2", "g0-g-2:h_total,mul_r2",
                "g0-g2:h_total,laplace"),
     "cell": ("within-g0:P,Q", "within-g0:h_spin,P", "within-g0:h_spin,Q"),
     "twist": ("within-g0:curlyE,curlyE_dag", "within-g0:h_diff,curlyE",
@@ -37,6 +37,17 @@ SL2_TRIPLES = {
 # The other sign variant of the hermitian Cartan element; kept out of the
 # asserted rule set because it gives the odd generators weight +-3.
 H_ALT = ((1, 0, "E_z"), (-1, 0, "E_z_dag"), (0, 2, "id"), (-2, 0, "beta"))
+
+
+# The grade of each generator of the table, -(da + db) for its shifts
+# of z- and zbar-degree; the odd generators are those of grade +-1.
+GRADES = {
+    "h_total": 0, "h_diff": 0, "h_spin": 0, "curlyE": 0, "curlyE_dag": 0,
+    "P": 0, "Q": 0,
+    "dz": 1, "dz_dag": 1, "dzJ": 1, "dz_dagJ": 1,
+    "mul_z": -1, "mul_z_dag": -1, "mul_zJ": -1, "mul_z_dagJ": -1,
+    "laplace": 2, "mul_r2": -2,
+}
 
 
 def test_table_shape():
@@ -79,6 +90,51 @@ def test_each_identity_is_stated_once():
         if first is not rule:
             restated.append((first.rule_id, rule.rule_id))
     assert restated == []
+
+
+def test_every_generator_pair_is_bracketed_once():
+    # every pair of the 17 generators, an odd one with itself included and
+    # an even one with itself left out, under a block naming their grades
+    want = {frozenset((x, y)) for x, y in combinations(GRADES, 2)}
+    want |= {frozenset((x,)) for x, grade in GRADES.items() if grade % 2}
+    got = [frozenset((rule.left, rule.right)) for rule in RULES]
+    assert len(got) == len(set(got)) and set(got) == want
+    for rule in RULES:
+        x, y = GRADES[rule.left], GRADES[rule.right]
+        block = f"within-g{x}" if x == y else f"g{x}-g{y}"
+        assert rule.rule_id == f"{block}:{rule.left},{rule.right}"
+
+
+def test_a_dropped_bracket_fails_exactly_its_own_rule(monkeypatch):
+    # a pair the tables do not state brackets to zero, so leaving out
+    # [P, Q] = h_spin fails that rule alone, with a witness
+    monkeypatch.delitem(relations.BRACKETS, ("P", "Q"))
+    rules = relations._build_rules()
+    monkeypatch.undo()
+    basis = space_basis(1, 1, 1)
+    cache = {}
+    witnesses = {rule.rule_id: verify_bracket(rule, 1, 1, cache, basis)
+                 for rule in rules}
+    failed = [rule_id for rule_id, w in witnesses.items() if w is not None]
+    assert failed == ["within-g0:P,Q"]
+    assert witnesses["within-g0:P,Q"]["difference"]
+
+
+@pytest.mark.parametrize("pair", [("mul_r2", "laplace"), ("h_spin", "dz")])
+def test_a_stray_bracket_raises(monkeypatch, pair):
+    # a reversed pair is read by no generator pair, and a Cartan row is
+    # already stated by WEIGHT_LABELS
+    monkeypatch.setitem(relations.BRACKETS, pair, ((1, 0, "id"),))
+    with pytest.raises(ValueError, match="no generator pair"):
+        relations._build_rules()
+
+
+def test_no_stated_bracket_is_zero():
+    # the tables hold only nonzero brackets; zero is every other pair
+    assert all(relations.BRACKETS.values())
+    assert all(all(weights) for weights in relations.WEIGHT_LABELS.values())
+    for _, rows in relations.SWAPS:
+        assert all(entry[0] for row in rows.values() for entry in row if entry)
 
 
 def test_bidegree_grid():
@@ -125,7 +181,7 @@ def test_sl2_triples(p, a, b):
         for rule_id in weight_ids:
             rule = RULE_INDEX[rule_id]
             doubled = relations.BracketRule(
-                rule.rule_id, rule.block, rule.kind, rule.left, rule.right,
+                rule.rule_id, rule.kind, rule.left, rule.right,
                 [(2 * c0, 2 * c1, name) for c0, c1, name in rule.rhs])
             witness = verify_bracket(doubled, a, b, cache, basis)
             assert witness, (tname, rule_id)
@@ -190,14 +246,14 @@ def test_every_rule_renders():
 
 def test_witness_on_forced_failure():
     # a deliberately wrong rule must fail with a concrete witness
-    wrong = relations.BracketRule("test/wrong", "g1", "acomm", "dz",
-                                  "dz_dag", ((1, 0, "laplace"),))
+    wrong = relations.BracketRule("test/wrong", "acomm", "dz", "dz_dag",
+                                  ((1, 0, "laplace"),))
     witness = relations.verify_bracket(wrong, 1, 1, {}, space_basis(1, 1, 1))
     assert witness is not None
     assert (witness["a"], witness["b"]) == (1, 1) and witness["difference"]
 
 
-def test_worker_env_must_be_a_positive_integer():
+def test_verify_table_rejects_a_bad_rank_or_degree():
     # p >= 1 and degree >= 0, as ints that are not bools; an empty grid
     # would otherwise pass every rule
     for args in [(1, -1), (0, 1), (True, 1), (1, 1.0)]:
