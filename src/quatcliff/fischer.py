@@ -17,10 +17,10 @@ harmonics with cell values, and the decomposition routines that tile
 whole polynomial spaces out of those pieces and take arbitrary inputs
 apart with zero residual.
 
-Tiling checks never trust a dimension formula alone: dimensions come
-from exact ranks, the combinatorial count is kept as an independent
-cross-check, and every pieced-together basis is verified to have full
-rank inside its ambient space.
+Every tiling is decided by one certificate, `_tiling`: the piece sizes
+add up to the dimension of the space, their union has that exact rank,
+and each piece lies in the space when its basis is given.  A dimension
+formula is only ever an independent cross-check beside the ranks.
 """
 
 from fractions import Fraction
@@ -186,6 +186,17 @@ def _span_rank(vec_lists):
     return linalg.rank([v.terms for vecs in vec_lists for v in vecs])
 
 
+def _tiling(pieces, dim, target=None):
+    """Whether `pieces`, each a sequence of polynomials, tile a space of
+    dimension `dim`: (size sum, union rank, one `_inside` flag per piece
+    for the basis `target` or [] without one, verdict), the verdict being
+    size sum == union rank == dim with every piece inside the target."""
+    total = sum(len(vecs) for vecs in pieces)
+    rank = _span_rank(pieces)
+    flags = [] if target is None else _inside(pieces, target)
+    return total, rank, flags, total == rank == dim and all(flags)
+
+
 def _spans_equal(vecs1, vecs2):
     r1 = _span_rank([vecs1])
     r2 = _span_rank([vecs2])
@@ -206,22 +217,18 @@ def symplectic_harmonic_decomposition(p, a, b):
     oracle = harmonic_dim_oracle(p, a, b)
     components = []
     piece_vecs = []
-    for t in range(0, a + 1):
+    for t in range(max(0, a - b), a + 1):
         power = b - a + t
-        if power < 0:
-            continue
         src = symplectic_harmonic_space(p, b + t, a - t)
         vecs = [apply_word(("curlyE_dag",) * power, v) for v in src]
         components.append({"t": t, "power": power,
                            "source_bidegree": [b + t, a - t],
                            "dim": len(vecs)})
         piece_vecs.append(vecs)
-    for comp, inside in zip(components, _inside(piece_vecs, target)):
+    total, union_rank, flags, tiled = _tiling(piece_vecs, oracle, target)
+    for comp, inside in zip(components, flags):
         comp["inside_harmonics"] = inside
-    total = sum(c["dim"] for c in components)
-    union_rank = _span_rank(piece_vecs)
-    passed = (len(target) == oracle == total == union_rank
-              and all(c["inside_harmonics"] for c in components))
+    passed = tiled and len(target) == oracle
     return {"input": f"harmonics p={p} (a,b)=({a},{b})",
             "components": components, "passed": passed,
             "details": {"harmonic_dim": len(target), "dim_oracle": oracle,
@@ -253,8 +260,8 @@ def sl2_module_checks(p, a, b):
               and _spans_equal(down[d], HdS))
     killed = all(not v.terms for v in down[d + 1])
     ladder_ok = all(_spans_equal(down[t], up[d - t]) for t in range(d + 1))
-    stack_rank = _span_rank(down[:d + 1])
-    stack_ok = (sum(weight_dims) == stack_rank == (d + 1) * len(HS))
+    # every weight space has len(HS) vectors: the union rank decides
+    _, stack_rank, _, stack_ok = _tiling(down[:d + 1], (d + 1) * len(HS))
 
     passed = iso_ok and killed and ladder_ok and stack_ok
     return {"p": p, "a": a, "b": b, "dim_top": len(HS), "dim_mirror": len(HdS),
@@ -271,26 +278,23 @@ def qmonogenic_decomposition(p, r, k, a, b):
     if not valid_cell(p, r + 2 * k, r):
         raise ValueError(f"no cell at column {r + 2 * k}, row {r} for p={p}")
     target = qmonogenic_space(p, a, b, ("cell", r + 2 * k, r))
+    # curlyE_dag raises the S-spaces above the diagonal, curlyE the
+    # dagger S-spaces below it
+    raiser = "curlyE" if a < b else "curlyE_dag"
+    steps = [(s, [a - s, b + s], s_space(p, r, a - s, b + s, dagger=True))
+             if a < b else (s, [a + s, b - s], s_space(p, r, a + s, b - s))
+             for s in range(min(a, b) + 1)]
     components = []
     piece_vecs = []
-    if a >= b:
-        steps = [(s, "curlyE_dag", [a + s, b - s],
-                  s_space(p, r, a + s, b - s)) for s in range(0, b + 1)]
-    else:
-        steps = [(s, "curlyE", [a - s, b + s],
-                  s_space(p, r, a - s, b + s, dagger=True))
-                 for s in range(0, a + 1)]
-    for s, raiser, source, src in steps:
+    for s, source, src in steps:
         vecs = [apply_word(("Q",) * k + (raiser,) * s, v) for v in src]
         components.append({"s": s, "raiser": raiser,
                            "source_bidegree": source, "dim": len(vecs)})
         piece_vecs.append(vecs)
-    for comp, inside in zip(components, _inside(piece_vecs, target)):
+    total, union_rank, flags, passed = _tiling(piece_vecs, len(target),
+                                               target)
+    for comp, inside in zip(components, flags):
         comp["inside_target"] = inside
-    total = sum(c["dim"] for c in components)
-    union_rank = _span_rank(piece_vecs)
-    passed = (len(target) == total == union_rank
-              and all(c["inside_target"] for c in components))
     return {"input": f"q-monogenic cell ({r + 2 * k},{r}) p={p} "
                      f"(a,b)=({a},{b})",
             "components": components, "passed": passed,
@@ -363,15 +367,9 @@ def project_ker(op_kind, T, params):
 def composite_projection(T, params):
     """Ker curlyE after Ker P after Ker laplace, in that application
     order (laplace first)."""
-    out = project_ker("laplace", T, params)
-    out = project_ker("P", out, params)
-    return project_ker("curlyE", out, params)
-
-
-def _composite_projection_swapped(T, params):
-    out = project_ker("laplace", T, params)
-    out = project_ker("curlyE", out, params)
-    return project_ker("P", out, params)
+    for kind in ("laplace", "P", "curlyE"):
+        T = project_ker(kind, T, params)
+    return T
 
 
 # ------------------------------------------------------ embedding factors
@@ -558,8 +556,10 @@ def symplectic_harmonics_16_decomposition(p, a, b, r):
                                "source": list(entry["source"]),
                                **entry["coincides_with"]})
         for v, image in zip(entry["src_vectors"], vecs):
-            head = apply_word(word, v)
-            if (_composite_projection_swapped(head, params) - image).terms:
+            swapped = apply_word(word, v)
+            for kind in ("laplace", "curlyE", "P"):
+                swapped = project_ker(kind, swapped, params)
+            if (swapped - image).terms:
                 orders_agree = False
         components.append(comp)
         if entry["counted"]:
@@ -567,12 +567,11 @@ def symplectic_harmonics_16_decomposition(p, a, b, r):
 
     counted = [c for c in components if c["counted"]]
     total = sum(c["rank"] for c in counted)
-    union_rank = _span_rank(piece_vecs)
+    _, union_rank, _, tiled = _tiling(piece_vecs, ambient_dim)
     naive_sum = sum(c["source_dim"] for c in components)
     pieces_ok = all(c["source_dim"] == c["rank"] and c["in_kernels"]
                     and c["in_ambient"] for c in counted)
-    passed = ((total == ambient_dim == union_rank) and pieces_ok
-              and orders_agree)
+    passed = tiled and pieces_ok and orders_agree
     details = {"ambient_dim": ambient_dim, "sum_of_pieces": total,
                "union_rank": union_rank, "naive_16_sum": naive_sum,
                "naive_16_sum_matches": naive_sum == ambient_dim,
@@ -658,15 +657,12 @@ def graded_tiling_check(p, k):
     require_int("p", p, 1)
     require_int("k", k, 0)
     per_bidegree = []
-    passed = True
     for A in range(k, -1, -1):
         B = k - A
         pieces = full_decomposition_pieces(p, A, B)
-        total = sum(len(vecs) for _, vecs, _ in pieces)
-        rank = _span_rank([vecs for _, vecs, _ in pieces])
         expected = poly_dim(p, A, B) * (1 << (2 * p))
-        ok = total == rank == expected
-        passed = passed and ok
+        total, rank, _, ok = _tiling([vecs for _, vecs, _ in pieces],
+                                     expected)
         per_bidegree.append({"a": A, "b": B, "pieces": len(pieces),
                              "sum_of_dims": total, "union_rank": rank,
                              "ambient_dim": expected, "ok": ok})
@@ -674,7 +670,8 @@ def graded_tiling_check(p, k):
     grand = sum(e["ambient_dim"] for e in per_bidegree)
     return {"p": p, "degree": k, "per_bidegree": per_bidegree,
             "degree_dim": grand, "degree_dim_expected": expected_total,
-            "passed": passed and grand == expected_total}
+            "passed": (all(e["ok"] for e in per_bidegree)
+                       and grand == expected_total)}
 
 
 def decompose_polynomial(F, p):
@@ -805,12 +802,10 @@ def euclidean_fischer_dims(m, k):
                            "dim_oracle": oracle, "rank_after_embedding": rank,
                            "injective": rank == len(mono)})
         piece_vecs.append(vecs)
-    total = sum(c["dim"] for c in components)
-    union_rank = _span_rank(piece_vecs)
     ambient = comb(k + m - 1, m - 1) * spinor_dim
-    passed = (total == union_rank == ambient
-              and all(c["injective"] and c["dim"] == c["dim_oracle"]
-                      for c in components))
+    total, union_rank, _, tiled = _tiling(piece_vecs, ambient)
+    passed = tiled and all(c["injective"] and c["dim"] == c["dim_oracle"]
+                           for c in components)
     return {"m": m, "k": k, "components": components, "ambient_dim": ambient,
             "sum_of_pieces": total, "union_rank": union_rank, "passed": passed}
 
@@ -855,7 +850,6 @@ def hermitian_fischer_dims(n, a, b):
         raise ValueError("needs an even number of complex variables")
     p = n // 2
     per_grade = []
-    passed = True
     for r in range(0, n + 1):
         ambient = poly_dim(p, a, b) * comb(n, r)
         components = []
@@ -867,15 +861,13 @@ def hermitian_fischer_dims(n, a, b):
             components.append({"word": label, "source": [sa, sb, sr],
                                "dim": len(src), "rank": rank})
             piece_vecs.append(vecs)
-        total = sum(c["dim"] for c in components)
-        union_rank = _span_rank(piece_vecs)
-        ok = (total == union_rank == ambient
-              and all(c["dim"] == c["rank"] for c in components))
-        passed = passed and ok
+        total, union_rank, _, tiled = _tiling(piece_vecs, ambient)
+        ok = tiled and all(c["dim"] == c["rank"] for c in components)
         per_grade.append({"r": r, "ambient_dim": ambient,
                           "sum_of_pieces": total, "union_rank": union_rank,
                           "components": components, "ok": ok})
-    return {"n": n, "a": a, "b": b, "per_grade": per_grade, "passed": passed}
+    return {"n": n, "a": a, "b": b, "per_grade": per_grade,
+            "passed": all(g["ok"] for g in per_grade)}
 
 
 # ----------------------------------------------------------- small checks
@@ -917,7 +909,7 @@ def cells_check(p):
         if len(vecs) != dim:
             checks["dims"] = False
         total += len(vecs)
-        by_column.setdefault(lab.r, []).extend(vecs)
+        by_column.setdefault(lab.r, []).append(vecs)
         pq, qp = pq_scalars(p, lab.r, lab.s)
         triangle.append({"grade": lab.r, "row": lab.s, "dim": dim,
                          "pq": pq, "qp": qp})
@@ -934,10 +926,8 @@ def cells_check(p):
                 checks["kernels"] = False
     # column r is the direct sum of its cells: their bases together are
     # C(n, r) independent vectors
-    for r in range(0, n + 1):
-        column = by_column.get(r, [])
-        if not (len(column) == _span_rank([column]) == comb(n, r)):
-            checks["column_tiling"] = False
+    checks["column_tiling"] = all(
+        _tiling(by_column.get(r, []), comb(n, r))[-1] for r in range(n + 1))
 
     for r in range(0, n + 1):
         for mask in grade_masks(n, r):

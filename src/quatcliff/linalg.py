@@ -1,9 +1,9 @@
 """Exact sparse linear algebra over Q(i, sqrt2).
 
 Vectors are plain dicts mapping hashable, mutually sortable keys to nonzero
-ExtendedScalars.  Everything here is small and dense enough (a few hundred
-rows) that straightforward Gauss-Jordan with exact field inverses is fine;
-no pivoting heuristics are needed because there is no roundoff.
+ExtendedScalars.  Gauss-Jordan with exact field inverses runs on sparse
+rows (thm10 at p=2 ranks 1600 vectors at (2,2); the p=3, degree 4 spaces
+have 28224 dimensions); there is no roundoff, so no pivoting heuristics.
 
 There is one exact elimination loop, `_eliminate`.  `rref` (and through
 it `nullspace`) runs it on bare rows.  `Solver` runs it once on a basis

@@ -320,6 +320,7 @@ def value_basis(p, value_space):
 
 def space_basis(p, a, b, value_space=("full",)):
     """Ordered basis of P_{a,b} tensor the value space, monomial-major."""
+    require_label(p, a=a, b=b)
     n = 2 * p
     values = value_basis(p, value_space)
     out = []

@@ -60,6 +60,20 @@ def test_coefficients_of_zero_is_all_zeros():
     assert solver.solve(v.terms) == [xs(0), xs(2, 1), xs(0)]
 
 
+@pytest.mark.parametrize("space,args,name", [
+    (fi.s_space, (1, 0, -1, 0), "a"),
+    (fi.harmonic_space, (1, 0, -2), "b"),
+    (fi.qmonogenic_space, (1, -1, 0), "a"),
+    (space_basis, (1, -1, 0), "a"),
+    (space_basis, (1, 0, -1, ("scalar",)), "b"),
+], ids=["s_space", "harmonic_space", "qmonogenic_space", "space_basis_a",
+        "space_basis_b"])
+def test_a_negative_degree_names_its_argument(space, args, name):
+    # s_space's column r is 0 here: the error names the degree, not r
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0"):
+        space(*args)
+
+
 def test_inside_rejects_a_vector_outside_the_space():
     H = fi.harmonic_space(1, 1, 1)
     # |z|^2 = z1 zbar1 + z2 zbar2 is not harmonic: one vector outside
@@ -185,6 +199,92 @@ def test_cells_check_rejects_a_dependent_column(monkeypatch):
     assert out["passed"] is False
 
 
+def _cut(vecs, damage):
+    """`vecs` less its last vector ("drop"), or with the last replaced by
+    a copy of the first ("double"): the same count at one rank less."""
+    vecs = tuple(vecs)
+    return vecs[:-1] if damage == "drop" else vecs[:-1] + vecs[:1]
+
+
+def _cut_first_piece(pieces, damage):
+    i = next(i for i, (_, vecs, _) in enumerate(pieces) if len(vecs) > 1)
+    labels, vecs, src = pieces[i]
+    return pieces[:i] + [(labels, _cut(vecs, damage), src)] + pieces[i + 1:]
+
+
+# one passing label per tiling, the source it reads (module, name, the
+# positional arguments of the one call to damage, how to damage what that
+# call returns), and how to read its reported (sum, rank): as it stands,
+# with one source vector dropped, and with one doubled
+TILING_SITES = {
+    "thm5": (fi.symplectic_harmonic_decomposition, (1, 1, 1),
+             fi, "symplectic_harmonic_space", (1, 2, 0), _cut,
+             lambda rep: (rep["details"]["sum_of_pieces"],
+                          rep["details"]["union_rank"]),
+             (3, 3), (2, 2), (3, 2)),
+    "sl2": (fi.sl2_module_checks, (2, 1, 1),
+            fi, "symplectic_harmonic_space", (2, 1, 1), _cut,
+            lambda rep: (rep["dim_top"], rep["stacked_rank"]),
+            (5, 5), (4, 4), (5, 4)),
+    "prop8": (fi.qmonogenic_decomposition, (1, 1, 0, 2, 1),
+              fi, "s_space", (1, 1, 3, 0), _cut,
+              lambda rep: (rep["details"]["sum_of_pieces"],
+                           rep["details"]["union_rank"]),
+              (5, 5), (4, 4), (5, 4)),
+    # the reported sum adds the ranks of the counted pieces
+    "prop9": (fi.symplectic_harmonics_16_decomposition, (1, 1, 0, 0),
+              fi, "s_space", (1, 1, 0, 0), _cut,
+              lambda rep: (rep["details"]["sum_of_pieces"],
+                           rep["details"]["union_rank"]),
+              (2, 2), (1, 1), (1, 1)),
+    "thm10": (fi.graded_tiling_check, (1, 1),
+              fi, "full_decomposition_pieces", (1, 1, 0), _cut_first_piece,
+              lambda rep: (rep["per_bidegree"][0]["sum_of_dims"],
+                           rep["per_bidegree"][0]["union_rank"]),
+              (8, 8), (7, 7), (8, 7)),
+    "euclidean": (fi.euclidean_fischer_dims, (4, 1),
+                  fi, "_monogenic_basis", (1, 1), _cut,
+                  lambda rep: (rep["sum_of_pieces"], rep["union_rank"]),
+                  (16, 16), (15, 15), (16, 15)),
+    "hermitian": (fi.hermitian_fischer_dims, (2, 1, 0),
+                  fi, "kernel_space", (("dz", "dz_dag"), 1, 1, 0,
+                                       ("grade", 1)), _cut,
+                  lambda rep: (rep["per_grade"][1]["sum_of_pieces"],
+                               rep["per_grade"][1]["union_rank"]),
+                  (4, 4), (3, 3), (4, 3)),
+    # cells reports no rank: its column verdict stands in for it
+    "cells": (fi.cells_check, (1,),
+              operators, "cell_basis", (1, 1, 1), _cut,
+              lambda rep: (rep["total_dim"],
+                           rep["checks"]["column_tiling"]),
+              (4, True), (3, False), (4, False)),
+}
+
+
+@pytest.mark.parametrize("damage", ["drop", "double"])
+@pytest.mark.parametrize("site", list(TILING_SITES))
+def test_a_damaged_piece_fails_its_tiling(monkeypatch, site, damage):
+    (check, args, module, name, key, cut, read,
+     clean, dropped, doubled) = TILING_SITES[site]
+    rep = check(*args)
+    assert rep["passed"] and read(rep) == clean
+    real = getattr(module, name)
+
+    def damaged(*call, **kwargs):
+        out = real(*call, **kwargs)
+        return cut(out, damage) if call == key and not kwargs else out
+
+    monkeypatch.setattr(module, name, damaged)
+    # prop9 reads its sources through the cached piece_activity
+    fi.piece_activity.cache_clear()
+    try:
+        rep = check(*args)
+    finally:
+        fi.piece_activity.cache_clear()
+    assert rep["passed"] is False
+    assert read(rep) == (dropped if damage == "drop" else doubled)
+
+
 # -------------------------------------------------------------- projections
 
 def _random_harmonic(p, a, b, rng):
@@ -299,7 +399,7 @@ def test_projection_rejects_deep_nilpotency():
         fi.project_ker("laplace", r6, (1, 3, 3, 0))
 
 
-def test_projection_rejects_unknown_kind_and_order():
+def test_projection_rejects_unknown_kind():
     F = SpinorPolynomial.monomial(2, (1, 0), (0, 0), 0)
     with pytest.raises(ValueError):
         fi.project_ker("beta", F, (1, 1, 0, 0))
@@ -312,7 +412,10 @@ def test_composite_projection_recovers_embedding_factor():
     for v in src[:3]:
         head = apply_word(word, v)
         out = fi.composite_projection(head, params)
-        assert out == fi._composite_projection_swapped(head, params)
+        swapped = head
+        for kind in ("laplace", "curlyE", "P"):
+            swapped = fi.project_ker(kind, swapped, params)
+        assert out == swapped
 
 
 # --------------------------------------------------------- embedding factors
