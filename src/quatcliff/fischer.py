@@ -11,11 +11,12 @@ for every piece a check tests.  On top of that sit the named
 spaces (harmonics, symplectic harmonics, hermitian monogenics, the
 q-monogenic cell spaces S and T), two claims about the q-monogenics
 (curlyE, curlyE_dag, P and Q preserve them; the rotated Dirac operators
-have the same joint kernel), the rank-one projections onto Ker laplace /
-Ker P / Ker curlyE, the sixteen embedding factors that split symplectic
-harmonics with cell values, and the decomposition routines that tile
-whole polynomial spaces out of those pieces and take arbitrary inputs
-apart with zero residual.
+have the same joint kernel), the projections onto Ker laplace / Ker P /
+Ker curlyE, each the extremal projector of an sl(2) triple with its
+coefficients read off `relations.BRACKETS`, the sixteen embedding
+factors that split symplectic harmonics with cell values, and the
+decomposition routines that tile whole polynomial spaces out of those
+pieces and take arbitrary inputs apart with zero residual.
 
 Every tiling is decided by one certificate, `_tiling`: the piece sizes
 add up to the dimension of the space, their union has that exact rank,
@@ -31,7 +32,8 @@ from . import linalg
 from .operators import DERIVS, apply, apply_word, joint_kernel, shifts
 from .poly import (SpinorPolynomial, poly_dim, require_int, require_label,
                    space_basis, value_basis)
-from .scalars import XS_ONE, xs
+from .relations import BRACKETS
+from .scalars import XS_ONE, XS_ZERO, xs
 from .witt import cell_dim, cell_labels, grade_masks, pq_scalars, valid_cell
 
 __all__ = [
@@ -304,78 +306,70 @@ def qmonogenic_decomposition(p, r, k, a, b):
 
 # ------------------------------------------------------------ projections
 
-_PROJECTION_TABLE = {
-    "laplace": ("laplace", "mul_r2"),
-    "P": ("P", "Q"),
-    "curlyE": ("curlyE", "curlyE_dag"),
-}
+# Each projection's lowering operator and its raiser, in the order
+# `composite_projection` applies them.
+_RAISERS = {"laplace": "mul_r2", "P": "Q", "curlyE": "curlyE_dag"}
 
 
-def _projection_denominators(op_kind, p, a, b, r):
-    if op_kind == "laplace":
-        return 4 * (2 * p + a + b - 2), 32 * (2 * p + a + b - 2) * (2 * p + a + b - 3)
-    if op_kind == "P":
-        return p - r + 2, 2 * (p - r + 3) * (p - r + 2)
-    return a - b + 2, 2 * (a - b + 3) * (a - b + 2)
+def _eigenvalue(h, T):
+    """The eigenvalue of the Cartan element `h` on T, read on one key per
+    (z-degree, zbar-degree, spinor grade); ValueError unless it is one."""
+    keys = {(sum(al), sum(be), m.bit_count()): (al, be, m)
+            for al, be, m in T.terms}
+    mus = {apply(h, SpinorPolynomial(T.n, {k: XS_ONE})).terms
+           .get(k, XS_ZERO).ar for k in keys.values()}
+    if len(mus) != 1:
+        raise ValueError(f"input is not an eigenvector of {h}: "
+                         f"eigenvalues {sorted(mus)}")
+    return mus.pop()
 
 
-def project_ker(op_kind, T, params):
-    """Project T onto the kernel of laplace, P or curlyE by the two-term
-    correction formula for that operator.
+def project_ker(lower, T):
+    """Project T onto Ker `lower` (laplace, P or curlyE) by the extremal
+    projector of its sl(2) triple: with R = `_RAISERS[lower]`, the
+    brackets [lower, R] = c h and [h, lower] = w lower of the rule table
+    and mu the eigenvalue of h on T, add
 
-    `params` is (p, a, b, r) with (a, b) the bidegree of T and r the
-    value grade (only the relevant labels enter each formula).  T must
-    live in 2p complex variables, and for P, the one formula that reads
-    r, every term must have spinor grade r; ValueError otherwise.  The
-    cube of the lowering operator must kill T; if it does not, the two
-    terms cannot be the whole correction and ValueError is raised.
-    Correction terms whose prerequisite power of the lowering operator
-    already annihilates T are dropped before their coefficients are ever
-    formed, so degenerate denominators in those terms cannot hurt.
+        (-1)^k R^k lower^k T / (k! prod_{j<=k} c (mu + w (j+1)/2))
+
+    for k = 1, 2, ... while lower^k T != 0.  ValueError for an unknown
+    `lower`, a vanishing denominator, or a T that `lower` does not kill
+    and h does not scale.
     """
     try:
-        lower, raiser = _PROJECTION_TABLE[op_kind]
+        raiser = _RAISERS[lower]
     except KeyError:
-        raise ValueError(f"unknown projection kind {op_kind!r}") from None
-    p, a, b, r = params
-    if T.n != 2 * p:
-        raise ValueError(f"input has {T.n} complex variables, not 2p = "
-                         f"{2 * p}")
-    if T.terms and T.bidegrees() != [(a, b)]:
-        raise ValueError("input is not homogeneous of the stated bidegree")
-    if op_kind == "P" and any(m.bit_count() != r for _, _, m in T.terms):
-        raise ValueError(f"input has a spinor grade other than r = {r}")
-
-    L1 = apply(lower, T)
-    if not L1.terms:
+        raise ValueError(f"unknown projection kind {lower!r}") from None
+    L = apply(lower, T)
+    if not L.terms:
         return T
-    L2 = apply(lower, L1)
-    if apply(lower, L2).terms:
-        raise ValueError(f"{lower} is not nilpotent of order 3 on this input")
-
-    d1, d2 = _projection_denominators(op_kind, p, a, b, r)
-    if d1 == 0:
-        raise ValueError(f"projection onto Ker {lower} undefined at these labels")
-    out = T - apply(raiser, L1).scale(xs(Fraction(1, d1)))
-    if L2.terms:
-        if d2 == 0:
-            raise ValueError(f"projection onto Ker {lower} undefined at these labels")
-        out = out + apply(raiser, apply(raiser, L2)).scale(xs(Fraction(1, d2)))
+    ((c, _, h),) = BRACKETS[(lower, raiser)]  # both p-parts are zero
+    ((w, _, _),) = BRACKETS[(h, lower)]
+    mu, out, coeff, k = _eigenvalue(h, T), T, Fraction(1), 0
+    while L.terms:
+        k += 1
+        d = k * c * (mu + Fraction(w * (k + 1), 2))
+        if d == 0:
+            raise ValueError(f"projection onto Ker {lower} undefined at "
+                             f"{h} = {mu}")
+        coeff /= -d
+        out = out + apply_word((raiser,) * k, L).scale(xs(coeff))
+        L = apply(lower, L)
     return out
 
 
-def composite_projection(T, params):
+def composite_projection(T):
     """Ker curlyE after Ker P after Ker laplace, in that application
     order (laplace first)."""
-    for kind in ("laplace", "P", "curlyE"):
-        T = project_ker(kind, T, params)
+    for lower in _RAISERS:
+        T = project_ker(lower, T)
     return T
 
 
 # ------------------------------------------------------ embedding factors
 
 # alpha -> head word, applied rightmost factor first and followed by the
-# projection onto Ker laplace, Ker P and Ker curlyE at the target labels;
+# projection onto Ker laplace, Ker P and Ker curlyE;
 # the source is the target minus the word's shift (_word_source).
 _EMBEDDINGS = (
     (),
@@ -412,7 +406,7 @@ def embedding_factor(alpha, p, a, b, r):
 
     The factor maps the S-space at source labels (r', a', b') into the
     symplectic harmonics with cell values at the target: the head word
-    (a name tuple) followed by `composite_projection` at the target.
+    (a name tuple) followed by `composite_projection`.
     Sources with negative degrees or a column outside 0..p give the
     empty factor, whose word is None.
     """
@@ -473,8 +467,7 @@ def piece_activity(p, a, b, r):
             entry["reason"] = "empty source"
             entries.append(entry)
             continue
-        vecs = tuple(composite_projection(apply_word(word, v), (p, a, b, r))
-                     for v in src)
+        vecs = tuple(composite_projection(apply_word(word, v)) for v in src)
         rank = _span_rank([vecs])
         entry.update(src_vectors=src, vecs=vecs, src_dim=len(src), rank=rank)
         if rank == 0:
@@ -520,7 +513,6 @@ def symplectic_harmonics_16_decomposition(p, a, b, r):
 
     components = []
     piece_vecs = []
-    params = (p, a, b, r)
     orders_agree = True
     exclusions = []
     activity = piece_activity(p, a, b, r)
@@ -558,7 +550,7 @@ def symplectic_harmonics_16_decomposition(p, a, b, r):
         for v, image in zip(entry["src_vectors"], vecs):
             swapped = apply_word(word, v)
             for kind in ("laplace", "curlyE", "P"):
-                swapped = project_ker(kind, swapped, params)
+                swapped = project_ker(kind, swapped)
             if (swapped - image).terms:
                 orders_agree = False
         components.append(comp)

@@ -197,8 +197,7 @@ def compare(p, max_degree):
             terms = table_terms(alpha, p, a, b, r)
             for v in fi.s_space(p, *source):
                 from_table = apply_terms(terms, v)
-                projected = fi.composite_projection(apply_word(word, v),
-                                                    (p, a, b, r))
+                projected = fi.composite_projection(apply_word(word, v))
                 if from_table != projected:
                     differ[(p, a, b, r, alpha)] = (in_kernels(from_table),
                                                    in_kernels(projected))

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from quatcliff import fischer as fi, linalg, operators
+from quatcliff import fischer as fi, linalg, operators, relations
 from quatcliff.operators import apply, apply_word
 from quatcliff.poly import SpinorPolynomial, poly_dim, space_basis
 from quatcliff.scalars import XS_ONE, xs
@@ -296,50 +296,47 @@ def _random_harmonic(p, a, b, rng):
 def test_projection_kernel_identity():
     rng = random.Random(3)
     H = _random_harmonic(2, 2, 1, rng)
-    params = (2, 2, 1, 0)
-    assert fi.project_ker("laplace", H, params) == H
+    assert fi.project_ker("laplace", H) == H
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_projection_laplace_random(seed):
     rng = random.Random(seed)
     p, a, b = 2, 2, 2
-    T = _random_harmonic(p, a, b, rng)
-    T = T + apply("mul_r2", _random_harmonic(p, a - 1, b - 1, rng))
+    H0 = _random_harmonic(p, a, b, rng)
+    T = H0 + apply("mul_r2", _random_harmonic(p, a - 1, b - 1, rng))
     T = T + apply_word(("mul_r2", "mul_r2"),
                        _random_harmonic(p, a - 2, b - 2, rng))
-    params = (p, a, b, 0)
-    out = fi.project_ker("laplace", T, params)
+    out = fi.project_ker("laplace", T)
+    assert out == H0
     assert not apply("laplace", out).terms
-    assert fi.project_ker("laplace", out, params) == out
+    assert fi.project_ker("laplace", out) == out
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_projection_P_random(seed):
     # grade-2 input over p=2: bottom-cell layer plus Q of a lower bottom
     rng = random.Random(100 + seed)
-    p, a, b, r = 2, 1, 1, 2
+    p, a, b = 2, 1, 1
     n = 2 * p
     C0 = rand_combo(space_basis(p, a, b, ("cell", 2, 2)), rng, n)
     C1 = rand_combo(space_basis(p, a, b, ("cell", 0, 0)), rng, n)
     T = C0 + apply("Q", C1)
-    params = (p, a, b, r)
-    out = fi.project_ker("P", T, params)
+    out = fi.project_ker("P", T)
     assert not apply("P", out).terms
-    assert fi.project_ker("P", out, params) == out
+    assert fi.project_ker("P", out) == out
 
 
 def test_projection_P_three_layers():
     # a column long enough for a genuine Q^2 layer needs p=4
     rng = random.Random(7)
-    p, r = 4, 4
+    p = 4
     n = 2 * p
     C0 = rand_combo(space_basis(p, 0, 0, ("cell", 4, 4)), rng, n)
     C1 = rand_combo(space_basis(p, 0, 0, ("cell", 2, 2)), rng, n)
     C2 = rand_combo(space_basis(p, 0, 0, ("cell", 0, 0)), rng, n)
     T = C0 + apply("Q", C1) + apply_word(("Q", "Q"), C2)
-    params = (p, 0, 0, r)
-    out = fi.project_ker("P", T, params)
+    out = fi.project_ker("P", T)
     assert out == C0
     assert not apply("P", out).terms
 
@@ -349,72 +346,106 @@ def test_projection_curlyE_random(seed):
     rng = random.Random(200 + seed)
     p, a, b = 2, 2, 2
     n = 2 * p
-    T = SpinorPolynomial.zero(n)
+    layers = []
     for i in range(3):
         layer = rand_combo(
             fi.kernel_space(("curlyE",), p, a + i, b - i), rng, n)
         for _ in range(i):
             layer = apply("curlyE_dag", layer)
-        T = T + layer
-    params = (p, a, b, 0)
-    out = fi.project_ker("curlyE", T, params)
+        layers.append(layer)
+    T = layers[0] + layers[1] + layers[2]
+    out = fi.project_ker("curlyE", T)
+    assert out == layers[0]
     assert not apply("curlyE", out).terms
-    assert fi.project_ker("curlyE", out, params) == out
+    assert fi.project_ker("curlyE", out) == out
 
 
 def test_projection_rejects_mixed_bidegree():
     F = (SpinorPolynomial.monomial(2, (1, 0), (0, 0), 0)
          + SpinorPolynomial.monomial(2, (1, 1), (1, 0), 0))
-    with pytest.raises(ValueError):
-        fi.project_ker("laplace", F, (1, 1, 0, 0))
+    with pytest.raises(ValueError, match="h_total"):
+        fi.project_ker("laplace", F)
+
+
+def test_projection_rejects_a_vanishing_denominator():
+    # Q^2 1 at p = 2 has h_spin eigenvalue mu = -2, so c (mu + w) = 0
+    top = apply_word(("Q", "Q"), SpinorPolynomial.monomial(4, (0,) * 4,
+                                                           (0,) * 4, 0))
+    assert apply("P", top).terms
+    with pytest.raises(ValueError, match="undefined"):
+        fi.project_ker("P", top)
 
 
 def test_projection_rejects_a_rank_other_than_the_inputs():
-    # the README example at p = 2; its input lives in 2p = 4 variables
-    T = fi.harmonic_space(2, 2, 1)[0] + apply(
-        "mul_r2", fi.harmonic_space(2, 1, 0)[0])
-    assert not apply("laplace",
-                     fi.project_ker("laplace", T, (2, 2, 1, 0))).terms
-    for p in (1, 3):
-        with pytest.raises(ValueError, match="2p"):
-            fi.project_ker("laplace", T, (p, 2, 1, 0))
+    # project_ker reads the rank off the input's 2p variables, so no other
+    # rank can reach it: the README example (p = 2), and the same
+    # construction at p = 1 and 3, each recover their harmonic component
+    for p in (1, 2, 3):
+        H = fi.harmonic_space(p, 2, 1)[0]
+        T = H + apply("mul_r2", fi.harmonic_space(p, 1, 0)[0])
+        assert apply("laplace", T).terms
+        assert fi.project_ker("laplace", T) == H
 
 
 def test_projection_P_rejects_a_grade_other_than_r():
-    # fd{1,2} I has spinor grade 2; only r = 2 projects it
+    # the grade is read off the input: fd{1,2} I has spinor grade 2, P
+    # projects it into Ker P, and curlyE leaves it unchanged
     T = SpinorPolynomial.monomial(4, (0,) * 4, (0,) * 4, 0b11)
-    assert not apply("P", fi.project_ker("P", T, (2, 0, 0, 2))).terms
-    for r in (0, 5):
-        with pytest.raises(ValueError, match="grade"):
-            fi.project_ker("P", T, (2, 0, 0, r))
-    # the laplace and curlyE formulas do not read r
-    assert fi.project_ker("curlyE", T, (2, 0, 0, 0)) == T
+    assert not apply("P", fi.project_ker("P", T)).terms
+    assert fi.project_ker("curlyE", T) == T
+    # an input mixing grades 0 and 2 has no single grade to project at
+    one = SpinorPolynomial.monomial(4, (0,) * 4, (0,) * 4, 0)
+    with pytest.raises(ValueError, match="h_spin"):
+        fi.project_ker("P", one + apply("Q", one))
 
 
-def test_projection_rejects_deep_nilpotency():
+def test_projection_handles_deep_nilpotency():
+    # laplace^3 does not kill |z|^6 at p = 1: a third correction term
     r6 = SpinorPolynomial.monomial(2, (0, 0), (0, 0), 0)
     for _ in range(3):
         r6 = apply("mul_r2", r6)
-    with pytest.raises(ValueError):
-        fi.project_ker("laplace", r6, (1, 3, 3, 0))
+    assert apply_word(("laplace",) * 3, r6).terms
+    assert not fi.project_ker("laplace", r6).terms
+    H = fi.harmonic_space(1, 3, 3)[0]
+    assert fi.project_ker("laplace", H + r6) == H
 
 
 def test_projection_rejects_unknown_kind():
     F = SpinorPolynomial.monomial(2, (1, 0), (0, 0), 0)
     with pytest.raises(ValueError):
-        fi.project_ker("beta", F, (1, 1, 0, 0))
+        fi.project_ker("beta", F)
+
+
+def test_projection_triples_read_from_the_table():
+    # the Cartan element of each triple, and its eigenvalue on a key of
+    # bidegree (a, b) and spinor grade g
+    cartan = {"laplace": ("h_total", lambda p, a, b, g: a + b + 2 * p),
+              "P": ("h_spin", lambda p, a, b, g: p - g),
+              "curlyE": ("h_diff", lambda p, a, b, g: a - b)}
+    for lower, raiser in fi._RAISERS.items():
+        h, _ = cartan[lower]
+        (c, c_p, name), = relations.BRACKETS[(lower, raiser)]
+        assert (name, c_p) == (h, 0) and c
+        (w, w_p, name), = relations.BRACKETS[(h, lower)]
+        assert (name, w_p) == (lower, 0) and w in (2, -2)
+    for h, mu in cartan.values():
+        for p in (1, 2):
+            for a, b in relations.bidegrees_up_to(2):
+                for v in space_basis(p, a, b):
+                    (key,) = v.terms
+                    g = key[2].bit_count()
+                    assert apply(h, v) == v.scale(xs(mu(p, a, b, g)))
 
 
 def test_composite_projection_recovers_embedding_factor():
     source, word = fi.embedding_factor(2, 2, 2, 1, 0)
     src = fi.s_space(2, *source)
-    params = (2, 2, 1, 0)
     for v in src[:3]:
         head = apply_word(word, v)
-        out = fi.composite_projection(head, params)
+        out = fi.composite_projection(head)
         swapped = head
         for kind in ("laplace", "curlyE", "P"):
-            swapped = fi.project_ker(kind, swapped, params)
+            swapped = fi.project_ker(kind, swapped)
         assert out == swapped
 
 
@@ -439,8 +470,7 @@ def test_embedding_factor_alpha0_is_identity():
     assert word == ()
     S = fi.s_space(2, 1, 2, 1)
     if S:
-        assert fi.composite_projection(apply_word(word, S[0]),
-                                       (2, 2, 1, 1)) == S[0]
+        assert fi.composite_projection(apply_word(word, S[0])) == S[0]
 
 
 def test_embedding_factor_alpha2_coefficients_frozen():
