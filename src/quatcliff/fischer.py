@@ -22,6 +22,9 @@ Every tiling is decided by one certificate, `_tiling`: the piece sizes
 add up to the dimension of the space, their union has that exact rank,
 and each piece lies in the space when its basis is given.  A dimension
 formula is only ever an independent cross-check beside the ranks.
+Every other fact is decided once too: the S and T kernels name no P or
+Q, as their cell values are Ker P and killed by Q (`cells_check`); [P, Q]
+= h_spin is the rule table's row; shifts come from `operators.shifts`.
 """
 
 from fractions import Fraction
@@ -32,9 +35,9 @@ from . import linalg
 from .operators import DERIVS, apply, apply_word, joint_kernel, shifts
 from .poly import (SpinorPolynomial, poly_dim, require_int, require_label,
                    space_basis, value_basis)
-from .relations import BRACKETS
+from .relations import BRACKETS, RULE_INDEX, verify_bracket
 from .scalars import XS_ONE, XS_ZERO, xs
-from .witt import cell_dim, cell_labels, grade_masks, pq_scalars, valid_cell
+from .witt import cell_dim, cell_labels, pq_scalars, valid_cell
 
 __all__ = [
     "DecompositionReport",
@@ -90,22 +93,22 @@ def qmonogenic_space(p, a, b, value_space=("full",)):
 
 @cache
 def s_space(p, r, a, b, dagger=False):
-    """Cell space S^r_{a,b}: q-monogenic, values in the bottom cell of
-    column r, killed by curlyE and P (curlyE_dag instead when dagger)."""
+    """Cell space S^r_{a,b}: q-monogenic, killed by curlyE (curlyE_dag
+    when dagger), values in the bottom cell of column r, which is Ker P."""
     if not 0 <= r <= p:
         raise ValueError(f"S-space column must satisfy 0 <= r <= p, got {r}")
     op = "curlyE_dag" if dagger else "curlyE"
-    return kernel_space(DERIVS + (op, "P"), p, a, b, ("cell", r, r))
+    return kernel_space(DERIVS + (op,), p, a, b, ("cell", r, r))
 
 
 @cache
 def t_space(p, r, a, b, dagger=False):
-    """Cell space T^r_{a,b}: q-monogenic, values in the top cell of
-    column r, killed by curlyE and Q (curlyE_dag instead when dagger)."""
+    """Cell space T^r_{a,b}: q-monogenic, killed by curlyE (curlyE_dag
+    when dagger), values in the top cell of column r, which Q kills."""
     if not p <= r <= 2 * p:
         raise ValueError(f"T-space column must satisfy p <= r <= 2p, got {r}")
     op = "curlyE_dag" if dagger else "curlyE"
-    return kernel_space(DERIVS + (op, "Q"), p, a, b, ("cell", r, 2 * p - r))
+    return kernel_space(DERIVS + (op,), p, a, b, ("cell", r, 2 * p - r))
 
 
 def harmonic_dim_oracle(p, a, b):
@@ -119,12 +122,13 @@ def verify_qmonogenic_stability(p, a, b):
     the joint kernel (at the shifted bidegree for the first two)."""
     require_label(p, a=a, b=b)
     kernel = qmonogenic_space(p, a, b)
-    moves = {"curlyE": (a + 1, b - 1), "curlyE_dag": (a - 1, b + 1),
-             "P": (a, b), "Q": (a, b)}
+    targets = {}
+    for name in ("curlyE", "curlyE_dag", "P", "Q"):
+        (da, db, _), = shifts(name)
+        targets.setdefault((a + da, b + db), []).append(name)
     ops = {}
     # one elimination per target bidegree: P and Q share theirs
-    for ta, tb in dict.fromkeys(moves.values()):
-        names = [name for name in moves if moves[name] == (ta, tb)]
+    for (ta, tb), names in targets.items():
         # a negative bidegree holds the zero polynomial only
         target = qmonogenic_space(p, ta, tb) if min(ta, tb) >= 0 else ()
         flags = iter(_inside([[apply(name, v)] for name in names
@@ -199,12 +203,6 @@ def _tiling(pieces, dim, target=None):
     return total, rank, flags, total == rank == dim and all(flags)
 
 
-def _spans_equal(vecs1, vecs2):
-    r1 = _span_rank([vecs1])
-    r2 = _span_rank([vecs2])
-    return r1 == r2 == _span_rank([vecs1, vecs2])
-
-
 # ----------------------------------------- harmonics from twisted raising
 
 def symplectic_harmonic_decomposition(p, a, b):
@@ -257,11 +255,14 @@ def sl2_module_checks(p, a, b):
     for t in range(d):
         up.append([apply("curlyE", v) for v in up[t]])
 
+    # rung t: down[t] and up[d - t] span one space, ranked once each
+    # and once together; the last rung, up[0] = HdS, is the isomorphism
     weight_dims = [_span_rank([down[t]]) for t in range(d + 1)]
-    iso_ok = (weight_dims[d] == len(HS) == len(HdS)
-              and _spans_equal(down[d], HdS))
+    rungs = [weight_dims[t] == _span_rank([up[d - t]])
+             == _span_rank([down[t], up[d - t]]) for t in range(d + 1)]
+    iso_ok = weight_dims[d] == len(HS) == len(HdS) and rungs[d]
     killed = all(not v.terms for v in down[d + 1])
-    ladder_ok = all(_spans_equal(down[t], up[d - t]) for t in range(d + 1))
+    ladder_ok = all(rungs)
     # every weight space has len(HS) vectors: the union rank decides
     _, stack_rank, _, stack_ok = _tiling(down[:d + 1], (d + 1) * len(HS))
 
@@ -615,8 +616,6 @@ def full_decomposition_pieces(p, A, B):
         for t in range(max(0, B - A), B - l + 1):
             a = A - l + t
             b = B - l - t
-            if b < 0 or a < b:
-                continue
             for r in range(0, p + 1):
                 activity = piece_activity(p, a, b, r)
                 for j in range(0, p - r + 1):
@@ -810,25 +809,21 @@ def _hermitian_words(a, b, r, n):
     spinor grade and dies identically at grade n, the second by lowering
     it and dies at grade 0, so those boundary rows keep one family only.
     """
-    out = [("1", (), (a, b, r))]
-    j = 1
-    while True:
-        added = False
+    words = [("1", ())]
+    # every word with j > a + b lowers a degree below zero
+    for j in range(1, a + b + 1):
         head = ("mul_r2",) * (j - 1)
-        candidates = [("|z|^%d z" % (2 * j - 2), head + ("mul_z",)),
-                      ("|z|^%d zd" % (2 * j - 2), head + ("mul_z_dag",))]
+        words += [("|z|^%d z" % (2 * j - 2), head + ("mul_z",)),
+                  ("|z|^%d zd" % (2 * j - 2), head + ("mul_z_dag",))]
         if r < n:
-            candidates.append(("(z zd)^%d" % j, ("mul_z", "mul_z_dag") * j))
+            words.append(("(z zd)^%d" % j, ("mul_z", "mul_z_dag") * j))
         if r > 0:
-            candidates.append(("(zd z)^%d" % j, ("mul_z_dag", "mul_z") * j))
-        for label, word in candidates:
-            sa, sb, sr = _word_source(word, a, b, r)
-            if sa >= 0 and sb >= 0 and 0 <= sr <= n:
-                out.append((label, word, (sa, sb, sr)))
-                added = True
-        if not added:
-            break
-        j += 1
+            words.append(("(zd z)^%d" % j, ("mul_z_dag", "mul_z") * j))
+    out = []
+    for label, word in words:
+        sa, sb, sr = _word_source(word, a, b, r)
+        if sa >= 0 and sb >= 0 and 0 <= sr <= n:
+            out.append((label, word, (sa, sb, sr)))
     return out
 
 
@@ -873,8 +868,7 @@ def trivial_intersection_check(p, a, b):
     if a == b:
         raise ValueError("needs a != b")
     op = "curlyE_dag" if a > b else "curlyE"
-    dims = [len(kernel_space(DERIVS + (op,), p, a, b, ("cell", r, r)))
-            for r in range(0, p + 1)]
+    dims = [len(s_space(p, r, a, b, dagger=a > b)) for r in range(0, p + 1)]
     passed = all(d == 0 for d in dims)
     return {"p": p, "a": a, "b": b, "opposite_kernel": op,
             "dims_by_column": dims, "passed": passed}
@@ -882,14 +876,16 @@ def trivial_intersection_check(p, a, b):
 
 def cells_check(p):
     """Structure of the spinor cell triangle: dimension formulas, column
-    tilings, the commutator of P and Q, the scalars PQ and QP take on
-    each cell, and the kernel facts at the bottom and top of a column.
-    The triangle itself, one entry per cell with its dimension formula
-    and ladder scalars, is reported under "triangle"."""
+    tilings, the scalars PQ and QP take on each cell, the table row
+    [P, Q] = h_spin on the constant spinors, and the kernel facts that
+    the S and T spaces rest on: of all cells, P kills the bottom and Q
+    the top one of each column.  The triangle itself, one entry per cell
+    with its dimension formula and ladder scalars, is reported under
+    "triangle"."""
     require_label(p)
     n = 2 * p
-    checks = {"dims": True, "column_tiling": True, "pq_commutator": True,
-              "pq_scalars": True, "kernels": True}
+    checks = {"dims": True, "column_tiling": True, "pq_scalars": True,
+              "kernels": True}
 
     labels = cell_labels(p)
     total = 0
@@ -920,13 +916,8 @@ def cells_check(p):
     # C(n, r) independent vectors
     checks["column_tiling"] = all(
         _tiling(by_column.get(r, []), comb(n, r))[-1] for r in range(n + 1))
-
-    for r in range(0, n + 1):
-        for mask in grade_masks(n, r):
-            v = SpinorPolynomial.constant(n, {mask: XS_ONE})
-            lhs = apply_word(("P", "Q"), v) - apply_word(("Q", "P"), v)
-            if (lhs - apply("h_spin", v)).terms:
-                checks["pq_commutator"] = False
+    checks["pq_commutator"] = verify_bracket(
+        RULE_INDEX["within-g0:P,Q"], 0, 0, {}, space_basis(p, 0, 0)) is None
 
     passed = all(checks.values())
     return {"p": p, "checks": checks, "cells": len(labels),

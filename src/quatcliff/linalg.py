@@ -12,15 +12,14 @@ inverse and the consistency checks, so each later `solve` is a sparse
 product; `solve_many` is one `Solver` replayed on its targets.
 
 `rank` first tries a rank-only certificate modulo the prime _Q: it maps
-every entry to F_q by i -> zeta**2, sqrt2 -> zeta + 1/zeta (zeta a
-primitive 8th root of unity mod _Q) and a scalar N / d (N in Z[i, sqrt2],
-d the lcm of its component denominators) to image(N) * d**-1.  That is a
-ring map on Z[1/d][i, sqrt2] when _Q does not divide d, so every
-minor of the image is the image of a minor of the exact rows, and
+every rational entry N / d to N * d**-1 in F_q.  That is a ring map on
+Z[1/d] when _Q does not divide d, so every minor of the image is the
+image of a minor of the exact rows, and
     rank mod q <= exact rank <= min(rows, distinct keys).
 When the image reaches that bound, the bound is the exact rank.  Any other
-outcome (a smaller rank mod q, or a denominator divisible by _Q) falls
-back to `rref`, so every rank `rank` returns is exact.
+outcome (a smaller rank mod q, a denominator divisible by _Q, or an
+entry with an i or sqrt2 part) falls back to `rref`, so every rank
+`rank` returns is exact.
 """
 
 from .scalars import XS_ZERO, XS_ONE
@@ -105,22 +104,19 @@ def rank(rows):
     return len(rref(rows)[0]) if certified is None else certified
 
 
-# _Q = 2**61 + 57 is prime and 1 mod 8; _ZETA is a primitive 8th root of
-# unity mod _Q, so _I_Q**2 = -1 and _SQRT2_Q**2 = 2 there.
+# _Q = 2**61 + 57 is prime
 _Q = 2305843009213694009
-_ZETA = 295966784213466425
-_I_Q = _ZETA * _ZETA % _Q
-_SQRT2_Q = (_ZETA + pow(_ZETA, -1, _Q)) % _Q
 
 
 def _mod_q(c):
-    """Image of the scalar c in F_q, or None when _Q divides its
-    denominator."""
-    v = (c.w + c.x * _I_Q + (c.y + c.z * _I_Q) * _SQRT2_Q) % _Q
+    """Image of the rational scalar c in F_q; None when c has an i or
+    sqrt2 part or _Q divides its denominator."""
+    if c.x or c.y or c.z:
+        return None
     if c.d == 1:
-        return v
+        return c.w % _Q
     d = c.d % _Q
-    return v * pow(d, -1, _Q) % _Q if d else None
+    return c.w * pow(d, -1, _Q) % _Q if d else None
 
 
 def _certified_rank(rows):

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from quatcliff import cli, relations
+from quatcliff import cli, fischer, relations
 from quatcliff.poly import SpinorPolynomial
 from quatcliff.scalars import xs
 
@@ -19,6 +19,14 @@ def canonical(payload):
     payload = dict(payload)
     payload.pop("timing", None)
     return json.dumps(payload, sort_keys=True)
+
+
+def digest(value):
+    """sha256 of the canonical JSON of `value`, its timing block removed."""
+    if isinstance(value, dict):
+        value = {k: v for k, v in value.items() if k != "timing"}
+    blob = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def walk(node, found, key):
@@ -415,9 +423,7 @@ def test_report_golden(p, degree):
     payload = cli.run(cli.RunConfig(p, max_total_degree=degree,
                                     checks=cli.CHECK_NAMES,
                                     dim_cap=100000))
-    payload.pop("timing")
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(blob.encode()).hexdigest() == REPORT_GOLDEN[p, degree]
+    assert digest(payload) == REPORT_GOLDEN[p, degree]
 
 
 # a p=1 input over the bidegrees (1,1), (1,0) and (0,1), with an
@@ -463,13 +469,116 @@ def test_subcommand_golden(command, tmp_path, monkeypatch, capsys):
         args = args + ["--json", str(out)]
     assert cli.main([command] + args) == 0
     payload = json.loads(out.read_text())
-    payload.pop("timing", None)
     if "config" in payload:
         payload["config"].pop("output")
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(blob.encode()).hexdigest() == golden
+    assert digest(payload) == golden
     summary = capsys.readouterr().out.splitlines()
     assert summary[-1] in ("overall: pass", "decompose: pass")
+
+
+# digest of the report of one check run alone by `run` (the default
+# dimension cap): every check but relations at (p, degree) = (1, 4) and
+# (2, 3), and thm10 at p=2 up to degree 4
+CHECK_GOLDEN = {
+    (1, 4, "cells"):
+        "d9ee16832ecd8dfe0280e49faed7a1f84b8aa36f804295cef05107a902677d40",
+    (1, 4, "euclidean"):
+        "f3e84c34c22137b0f10db3abfa90834c5704d51f65226ef3298b8ee9adb3467d",
+    (1, 4, "example13"):
+        "763ee53eeb5736f7ae6804dc5dd9187c6cc4ba826d38d8ec94768a33189ed7d6",
+    (1, 4, "hermitian"):
+        "09bb84c64d33bf2bd6c5c57681a3dbf74ab6f49d9273dad5d802ad6366f72ce6",
+    (1, 4, "prop8"):
+        "fc8005276345d1c4484f78cb36cb891dd66b569d124e0ce0e1ceaf801a007c55",
+    (1, 4, "prop9"):
+        "b23c5c869ed659610eb3d88073c632ca7ba4f6de4c602bfa004cd4b0fdb846c4",
+    (1, 4, "thm10"):
+        "766e520bcbb0f9df441bcbecdf0d89fbc902729f2f8f32235b19a27d25583ca7",
+    (1, 4, "thm5"):
+        "d06fa11ccf77dc132d4cddaa8c581467952e02f06ec55337aa4c846a762ea067",
+    (2, 3, "cells"):
+        "4ab0d8ff4cf50a449c8e95b8567ea22614bf3c50b8f1d5044eaddd723f74569c",
+    (2, 3, "euclidean"):
+        "c14e5ddd655244e7435361d9b23bae26564f1d525c49d7a2592d0cc910143e00",
+    (2, 3, "example13"):
+        "f4301e33efdaa219c762ed7efda3a2a406d5be118ada773ed7d0f71d65a62dcf",
+    (2, 3, "hermitian"):
+        "91ac4d4630818861dc0437c4d3b3ae6c79e9b428ebee9295ef3144a001571c0a",
+    (2, 3, "prop8"):
+        "40af826edb1a6657ddcad6a5d09f426be5db28f743114ba876c0b04ab4f4540b",
+    (2, 3, "prop9"):
+        "425b0de1bf4a8a79b2a818e371d222840f2677540413f27d38f26edf7ad0dc6e",
+    (2, 3, "thm10"):
+        "240eb1a4a94037521e252fbb08caa493946eeca5a28b48ea660656defe3e127c",
+    (2, 3, "thm5"):
+        "fd144b69cc5ab1e75ed432040ebb423b368082c38058f81c5e81472d9d2fa68e",
+    (2, 4, "thm10"):
+        "adafbf46758be50208638d6e5fe07ce7afabf3a33371b863b465d2c87226ce78",
+}
+
+
+@pytest.mark.parametrize("p,degree,check", sorted(CHECK_GOLDEN))
+def test_check_golden(p, degree, check):
+    payload = cli.run(cli.RunConfig(p, max_total_degree=degree,
+                                    checks=(check,), dim_cap=100000))
+    assert digest(payload) == CHECK_GOLDEN[p, degree, check]
+
+
+# digest of the report of one grid check run alone at p=2 on one (a, b)
+# label, over every column
+LABEL_GOLDEN = {
+    ("prop8", 2, 2):
+        "2a282267bd2c38d957112d2f274744ff9b37db8120dc50db0deacd42b1eb97ac",
+    ("prop8", 3, 1):
+        "280241dd2e6a7d9de1013c093fc7be80ea92392f011ba4c545ee5d2f1d13030c",
+    ("prop8", 4, 0):
+        "4793a38400d92ba5f261d0a856d63b4e39d8bd43fdd944f042981c4a06de4aaf",
+    ("prop9", 2, 2):
+        "2a0e0e6e7ee524e6e4d485a81f1d3b991dc07f0518a7b63cc0e049fa0b33e42d",
+    ("prop9", 3, 1):
+        "0928861df6e2ab305c53ec423fefd5ea021e306e71762cc5bc1a10b4e8f68a7a",
+    ("prop9", 4, 0):
+        "6b0e9e057892e6915b53a121d17d512d3071e19987fe83a428312e67de677f1d",
+    ("thm5", 2, 2):
+        "352d3b04e294e3986bec29e701bdb61f0cfeb22fe93b3c8904d15b53acb6b5cc",
+    ("thm5", 3, 1):
+        "8ff6006c577fda7a911f0bf6d4f9caf9a4457d8403a3dc1535b2d21fe5d4a281",
+    ("thm5", 4, 0):
+        "947bd5747a528c121f05b517d646f7384bf39a77b9b62737aada7c58aebe5bea",
+}
+
+
+@pytest.mark.parametrize("check,a,b", sorted(LABEL_GOLDEN))
+def test_label_golden(check, a, b):
+    payload = cli.run(cli.RunConfig(2, checks=(check,), dim_cap=100000,
+                                    label_filter={"a": a, "b": b}))
+    assert digest(payload) == LABEL_GOLDEN[check, a, b]
+
+
+# digest of the list of JSON a check the CLI does not run returns, over
+# every label (a, b) with a + b <= 3 that it takes, in order of a + b
+# and then of b
+def _test_only_check(name, p):
+    check = getattr(fischer, name)
+    return [check(p, a, b) for a, b in relations.bidegrees_up_to(3)
+            if name != "trivial_intersection_check" or a != b]
+
+
+TEST_ONLY_GOLDEN = {
+    ("trivial_intersection_check", 1):
+        "2e456f8a7a71804ad765ece5ef5d18670f2ee886f05a153850789c870ae6abb0",
+    ("trivial_intersection_check", 2):
+        "759dbda12a13d59e2cc4efc45e20fa952f438d30154825820368741ba636a8d0",
+    ("verify_qmonogenic_stability", 1):
+        "da32b37f0a9d8c3de626499a8947a768b3f5291a50f305d17bbf177e44f445c6",
+    ("verify_qmonogenic_stability", 2):
+        "b37eeed47ae6632c6adde51fa02f74a925a252139c9f18911e5b6c02e69dce5e",
+}
+
+
+@pytest.mark.parametrize("name,p", sorted(TEST_ONLY_GOLDEN))
+def test_test_only_check_golden(name, p):
+    assert digest(_test_only_check(name, p)) == TEST_ONLY_GOLDEN[name, p]
 
 
 def test_dim_cap_skips_but_passes():

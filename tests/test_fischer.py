@@ -133,6 +133,23 @@ def test_t_space_dims():
         {2: 5, 3: 4, 4: 1}
 
 
+@pytest.mark.parametrize("dagger", [False, True])
+@pytest.mark.parametrize("p", [1, 2])
+def test_cell_spaces_lie_in_ker_p_and_ker_q(p, dagger):
+    # the S and T kernels name neither P nor Q: their cell values do
+    s_dim = t_dim = 0
+    for a, b in relations.bidegrees_up_to(2):
+        for r in range(0, p + 1):
+            S = fi.s_space(p, r, a, b, dagger)
+            assert not any(apply("P", v).terms for v in S), (r, a, b)
+            s_dim += len(S)
+        for r in range(p, 2 * p + 1):
+            T = fi.t_space(p, r, a, b, dagger)
+            assert not any(apply("Q", v).terms for v in T), (r, a, b)
+            t_dim += len(T)
+    assert s_dim and t_dim
+
+
 def test_dagger_mirror_dims():
     assert (len(fi.symplectic_harmonic_space(2, 1, 2, dagger=True))
             == len(fi.symplectic_harmonic_space(2, 2, 1)))

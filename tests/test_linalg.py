@@ -247,17 +247,17 @@ def test_modulus_is_a_prime_one_mod_eight():
     assert is_prime(Q) and Q % 8 == 1
 
 
-def test_images_of_i_and_sqrt2():
-    assert pow(linalg._ZETA, 4, Q) == Q - 1
-    assert linalg._I_Q ** 2 % Q == Q - 1
-    assert linalg._SQRT2_Q ** 2 % Q == 2
-
-
-def test_mod_q_is_a_ring_map_on_the_basis():
+def test_rows_with_i_or_sqrt2_get_the_exact_rank():
+    # only rationals have an image mod Q: rows with an i or sqrt2 entry
+    # skip the certificate and are ranked by exact elimination
     i, s2 = xs(0, 1), xs(0, 0, 1)
-    assert linalg._mod_q(i * s2) == linalg._I_Q * linalg._SQRT2_Q % Q
-    assert linalg._mod_q(xs(Fraction(3, 7))) * 7 % Q == 3
-    assert linalg._mod_q(xs(Fraction(1, Q))) is None
+    assert linalg._mod_q(i) is None and linalg._mod_q(s2) is None
+    # (1, i) and (i, -1) = i (1, i) are dependent, (1, i) and (i, 1) not
+    for rows, want in [([{0: XS_ONE, 1: i}, {0: i, 1: xs(-1)}], 1),
+                       ([{0: XS_ONE, 1: i}, {0: i, 1: XS_ONE}], 2),
+                       ([{0: s2, 1: xs(2)}, {0: XS_ONE, 1: s2}], 1)]:
+        assert linalg._certified_rank(rows) is None
+        assert linalg.rank(rows) == len(linalg.rref(rows)[0]) == want
 
 
 # a component with a small numerator over a small denominator or one
@@ -271,16 +271,15 @@ mod_q_component = st.builds(
 @example((Fraction(1, 2), 0, 0, Fraction(1, Q)))
 @example((Fraction(Q, 3), Fraction(0, Q), 0, 0))
 def test_mod_q_matches_the_per_component_formula(parts):
-    """The image is sum of num * den**-1 times the image of 1, i, sqrt2,
-    i*sqrt2, and None exactly when Q divides a component's denominator."""
-    basis = (1, linalg._I_Q, linalg._SQRT2_Q, linalg._I_Q * linalg._SQRT2_Q)
+    """The image of a rational is num * den**-1, and there is none
+    exactly when an i or sqrt2 component is nonzero or Q divides the
+    rational component's denominator."""
     got = linalg._mod_q(xs(*parts))
-    if any(q.denominator % Q == 0 for q in parts):
+    q = Fraction(parts[0])
+    if any(parts[1:]) or q.denominator % Q == 0:
         assert got is None
         return
-    want = sum(q.numerator * pow(q.denominator, -1, Q) * u
-               for q, u in zip(parts, basis)) % Q
-    assert got == want
+    assert got == q.numerator * pow(q.denominator, -1, Q) % Q
 
 
 def test_rank_lost_mod_q_falls_back_to_exact():
