@@ -22,9 +22,10 @@ Every tiling is decided by one certificate, `_tiling`: the piece sizes
 add up to the dimension of the space, their union has that exact rank,
 and each piece lies in the space when its basis is given.  A dimension
 formula is only ever an independent cross-check beside the ranks.
-Every other fact is decided once too: the S and T kernels name no P or
-Q, as their cell values are Ker P and killed by Q (`cells_check`); [P, Q]
-= h_spin is the rule table's row; shifts come from `operators.shifts`.
+Every other fact is decided once too: an S or T space is the kernel of
+one derivative and its twist, rule table rows giving the other three on
+its cell values (Ker P or Ker Q, `cells_check`); [P, Q] = h_spin is the
+rule table's row; shifts come from `operators.shifts`.
 """
 
 from fractions import Fraction
@@ -74,14 +75,14 @@ def _inside(pieces, space):
 @cache
 def harmonic_space(p, a, b):
     """Scalar-valued null solutions of the Laplacian, H_{a,b}."""
-    return kernel_space(("laplace",), p, a, b, ("scalar",))
+    return kernel_space(("laplace",), p, a, b, ("grade", 0))
 
 
 @cache
 def symplectic_harmonic_space(p, a, b, dagger=False):
     """Harmonics killed by curlyE (or by curlyE_dag when dagger is set)."""
     op = "curlyE_dag" if dagger else "curlyE"
-    return kernel_space(("laplace", op), p, a, b, ("scalar",))
+    return kernel_space(("laplace", op), p, a, b, ("grade", 0))
 
 
 @cache
@@ -94,21 +95,27 @@ def qmonogenic_space(p, a, b, value_space=("full",)):
 @cache
 def s_space(p, r, a, b, dagger=False):
     """Cell space S^r_{a,b}: q-monogenic, killed by curlyE (curlyE_dag
-    when dagger), values in the bottom cell of column r, which is Ker P."""
+    when dagger), values in the bottom cell of column r, which is Ker P.
+    It is Ker dz and Ker curlyE (dz_dagJ, curlyE_dag): on Ker P the rows
+    [curlyE, dz] = -dz_dagJ ([curlyE_dag, dz_dagJ] = -dz), [P, dz] = -dzJ
+    and [P, dz_dagJ] = dz_dag give the other three derivatives."""
     if not 0 <= r <= p:
         raise ValueError(f"S-space column must satisfy 0 <= r <= p, got {r}")
-    op = "curlyE_dag" if dagger else "curlyE"
-    return kernel_space(DERIVS + (op,), p, a, b, ("cell", r, r))
+    ops = ("dz_dagJ", "curlyE_dag") if dagger else ("dz", "curlyE")
+    return kernel_space(ops, p, a, b, ("cell", r, r))
 
 
 @cache
 def t_space(p, r, a, b, dagger=False):
     """Cell space T^r_{a,b}: q-monogenic, killed by curlyE (curlyE_dag
-    when dagger), values in the top cell of column r, which Q kills."""
+    when dagger), values in the top cell of column r, which Q kills.
+    It is Ker dzJ and Ker curlyE (dz_dag, curlyE_dag): on Ker Q the rows
+    [curlyE, dzJ] = dz_dag ([curlyE_dag, dz_dag] = dzJ), [Q, dzJ] = -dz
+    and [Q, dz_dag] = dz_dagJ give the other three derivatives."""
     if not p <= r <= 2 * p:
         raise ValueError(f"T-space column must satisfy p <= r <= 2p, got {r}")
-    op = "curlyE_dag" if dagger else "curlyE"
-    return kernel_space(DERIVS + (op,), p, a, b, ("cell", r, 2 * p - r))
+    ops = ("dz_dag", "curlyE_dag") if dagger else ("dzJ", "curlyE")
+    return kernel_space(ops, p, a, b, ("cell", r, 2 * p - r))
 
 
 def harmonic_dim_oracle(p, a, b):
@@ -424,17 +431,6 @@ def embedding_factor(alpha, p, a, b, r):
     return (sr, sa, sb), word
 
 
-def _tensor_scalar_value(h, v):
-    """Scalar-valued polynomial times a spinor value."""
-    terms = {}
-    for (al, be, m0), c in h.terms.items():
-        if m0 != 0:
-            raise ValueError("left factor must be scalar-valued")
-        for (_, _, m), cv in v.terms.items():
-            terms[(al, be, m)] = c * cv
-    return SpinorPolynomial(h.n, terms)
-
-
 @cache
 def piece_activity(p, a, b, r):
     """Image data for all sixteen factors at one target label.
@@ -509,7 +505,7 @@ def symplectic_harmonics_16_decomposition(p, a, b, r):
         raise ValueError("expects a >= b")
     HS = symplectic_harmonic_space(p, a, b)
     cell_vecs = value_basis(p, ("cell", r, r))
-    ambient = [_tensor_scalar_value(h, v) for h in HS for v in cell_vecs]
+    ambient = [h.times_value(v) for h in HS for v in cell_vecs]
     ambient_dim = len(ambient)
 
     components = []
@@ -612,24 +608,19 @@ def full_decomposition_pieces(p, A, B):
     so the remaining pieces form a direct sum.
     """
     pieces = []
-    for l in range(0, B + 1):
-        for t in range(max(0, B - A), B - l + 1):
-            a = A - l + t
-            b = B - l - t
-            for r in range(0, p + 1):
-                activity = piece_activity(p, a, b, r)
-                for j in range(0, p - r + 1):
-                    for entry in activity:
+    for l in range(B + 1):
+        for j in range(p + 1):
+            for t in range(max(0, B - A), B - l + 1):
+                a, b = A - l + t, B - l - t
+                for alpha in range(16):
+                    for r in range(p - j + 1):
+                        entry = piece_activity(p, a, b, r)[alpha]
                         if not entry["counted"]:
                             continue
-                        vecs = _piece_power(p, a, b, r, entry["alpha"],
-                                            t, j, l)
-                        labels = {"l": l, "j": j, "t": t,
-                                  "alpha": entry["alpha"],
+                        vecs = _piece_power(p, a, b, r, alpha, t, j, l)
+                        labels = {"l": l, "j": j, "t": t, "alpha": alpha,
                                   "r": r, "a": a, "b": b}
                         pieces.append((labels, vecs, entry["src_vectors"]))
-    pieces.sort(key=lambda pc: (pc[0]["l"], pc[0]["j"], pc[0]["t"],
-                                pc[0]["alpha"], pc[0]["r"]))
     return pieces
 
 

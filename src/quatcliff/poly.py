@@ -54,14 +54,6 @@ class SpinorPolynomial:
         zero = (0,) * n
         return cls(n, {(zero, zero, mask): c for mask, c in values.items()})
 
-    @classmethod
-    def from_value(cls, n, value, alpha=None, beta=None):
-        """The spinor value `value` times one monomial (1 by default)."""
-        alpha = tuple(alpha) if alpha is not None else (0,) * n
-        beta = tuple(beta) if beta is not None else (0,) * n
-        return cls(n, {(alpha, beta, mask): c
-                       for (_, _, mask), c in value.terms.items()})
-
     def _check(self, other):
         if self.n != other.n:
             raise ValueError("mixing polynomial rings of different rank")
@@ -85,6 +77,16 @@ class SpinorPolynomial:
         if not isinstance(c, ExtendedScalar):
             c = xs(c)
         return SpinorPolynomial(self.n, linalg.vec_scale(self.terms, c))
+
+    def times_value(self, value):
+        """This scalar-valued polynomial times the spinor value `value`."""
+        terms = {}
+        for (alpha, beta, mask), c in self.terms.items():
+            if mask:
+                raise ValueError("left factor must be scalar-valued")
+            for (_, _, m), cv in value.terms.items():
+                terms[(alpha, beta, m)] = c * cv
+        return SpinorPolynomial(self.n, terms)
 
     def is_zero(self):
         return not self.terms
@@ -300,13 +302,11 @@ def poly_dim(p, a, b):
 def value_basis(p, value_space):
     """Basis of a value space inside S, as spinor values.
 
-    value_space is one of ("scalar",), ("full",), ("grade", r), ("cell", r, s).
+    value_space is one of ("full",), ("grade", r), ("cell", r, s).
     """
     from .operators import cell_basis
     n = 2 * p
     kind = value_space[0]
-    if kind == "scalar":
-        return [SpinorPolynomial.constant(n, {0: XS_ONE})]
     if kind == "full":
         return [SpinorPolynomial.constant(n, {m: XS_ONE})
                 for r in range(n + 1) for m in grade_masks(n, r)]
@@ -323,8 +323,5 @@ def space_basis(p, a, b, value_space=("full",)):
     require_label(p, a=a, b=b)
     n = 2 * p
     values = value_basis(p, value_space)
-    out = []
-    for alpha, beta in monomial_keys(p, a, b):
-        for v in values:
-            out.append(SpinorPolynomial.from_value(n, v, alpha, beta))
-    return out
+    return [SpinorPolynomial.monomial(n, alpha, beta).times_value(v)
+            for alpha, beta in monomial_keys(p, a, b) for v in values]

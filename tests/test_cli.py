@@ -478,7 +478,8 @@ def test_subcommand_golden(command, tmp_path, monkeypatch, capsys):
 
 # digest of the report of one check run alone by `run` (the default
 # dimension cap): every check but relations at (p, degree) = (1, 4) and
-# (2, 3), and thm10 at p=2 up to degree 4
+# (2, 3), thm10 at p=2 up to degree 4, and prop8, prop9 and thm10 at p=3
+# up to degree 2
 CHECK_GOLDEN = {
     (1, 4, "cells"):
         "d9ee16832ecd8dfe0280e49faed7a1f84b8aa36f804295cef05107a902677d40",
@@ -514,6 +515,12 @@ CHECK_GOLDEN = {
         "fd144b69cc5ab1e75ed432040ebb423b368082c38058f81c5e81472d9d2fa68e",
     (2, 4, "thm10"):
         "adafbf46758be50208638d6e5fe07ce7afabf3a33371b863b465d2c87226ce78",
+    (3, 2, "prop8"):
+        "71eae1b2543a1e3122769e7296b17a2c0b24c410c7969da0f6be10dc3b127733",
+    (3, 2, "prop9"):
+        "19ca8460aa9148de4c16f7271142a15a912a9f09f9a92dc23aed4d108bf67637",
+    (3, 2, "thm10"):
+        "52578aa3e155bfbed5ce116275b56426e56259bde16f1cbe2710d33135173a00",
 }
 
 

@@ -65,7 +65,7 @@ def test_coefficients_of_zero_is_all_zeros():
     (fi.harmonic_space, (1, 0, -2), "b"),
     (fi.qmonogenic_space, (1, -1, 0), "a"),
     (space_basis, (1, -1, 0), "a"),
-    (space_basis, (1, 0, -1, ("scalar",)), "b"),
+    (space_basis, (1, 0, -1, ("grade", 0)), "b"),
 ], ids=["s_space", "harmonic_space", "qmonogenic_space", "space_basis_a",
         "space_basis_b"])
 def test_a_negative_degree_names_its_argument(space, args, name):
@@ -136,18 +136,43 @@ def test_t_space_dims():
 @pytest.mark.parametrize("dagger", [False, True])
 @pytest.mark.parametrize("p", [1, 2])
 def test_cell_spaces_lie_in_ker_p_and_ker_q(p, dagger):
-    # the S and T kernels name neither P nor Q: their cell values do
+    # the S and T kernels name neither P nor Q, nor three of the four
+    # derivatives: their cell values and the rule table decide those
+    twist = "curlyE_dag" if dagger else "curlyE"
     s_dim = t_dim = 0
     for a, b in relations.bidegrees_up_to(2):
         for r in range(0, p + 1):
             S = fi.s_space(p, r, a, b, dagger)
-            assert not any(apply("P", v).terms for v in S), (r, a, b)
+            for name in operators.DERIVS + (twist, "P"):
+                assert not any(apply(name, v).terms for v in S), \
+                    (name, r, a, b)
             s_dim += len(S)
         for r in range(p, 2 * p + 1):
             T = fi.t_space(p, r, a, b, dagger)
-            assert not any(apply("Q", v).terms for v in T), (r, a, b)
+            for name in operators.DERIVS + (twist, "Q"):
+                assert not any(apply(name, v).terms for v in T), \
+                    (name, r, a, b)
             t_dim += len(T)
     assert s_dim and t_dim
+
+
+# The rows that make each cell space the kernel of one derivative and
+# its twist: with X and D killing F, [X, D] = c D' makes D' kill F too.
+CELL_SPACE_ROWS = {
+    "g0-g1:curlyE,dz": ((-1, 0, "dz_dagJ"),),
+    "g0-g1:curlyE_dag,dz_dagJ": ((-1, 0, "dz"),),
+    "g0-g1:P,dz": ((-1, 0, "dzJ"),),
+    "g0-g1:P,dz_dagJ": ((1, 0, "dz_dag"),),
+    "g0-g1:curlyE,dzJ": ((1, 0, "dz_dag"),),
+    "g0-g1:curlyE_dag,dz_dag": ((1, 0, "dzJ"),),
+    "g0-g1:Q,dzJ": ((-1, 0, "dz"),),
+    "g0-g1:Q,dz_dag": ((1, 0, "dz_dagJ"),),
+}
+
+
+@pytest.mark.parametrize("rule_id", sorted(CELL_SPACE_ROWS))
+def test_cell_space_rows(rule_id):
+    assert relations.RULE_INDEX[rule_id].rhs == CELL_SPACE_ROWS[rule_id]
 
 
 def test_dagger_mirror_dims():

