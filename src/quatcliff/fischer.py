@@ -2,8 +2,8 @@
 
 Everything here reduces to one primitive: the joint kernel of a list of
 operators on a bihomogeneous polynomial space with values in a chosen
-part of the spinor space, computed by exact nullspace.  A subspace is
-its canonical basis, the tuple of reduced echelon polynomials that
+part of the spinor space, computed by one exact elimination.  A subspace
+is its canonical basis, the tuple of reduced echelon polynomials that
 `operators.joint_kernel` returns: its dimension is the tuple's length,
 two constructions of one subspace give equal tuples, and `_inside`
 tests membership by solving against it, one elimination per space
@@ -893,16 +893,15 @@ def cells_check(p):
         triangle.append({"grade": lab.r, "row": lab.s, "dim": dim,
                          "pq": pq, "qp": qp})
         for v in vecs:
-            if (apply_word(("P", "Q"), v) - v.scale(xs(pq))).terms:
-                checks["pq_scalars"] = False
-            if (apply_word(("Q", "P"), v) - v.scale(xs(qp))).terms:
-                checks["pq_scalars"] = False
-            pv = apply("P", v)
+            pv, qv = apply("P", v), apply("Q", v)
             if (lab.r == lab.s) != (not pv.terms):
                 checks["kernels"] = False
-            qv = apply("Q", v)
             if (lab.r == 2 * p - lab.s) != (not qv.terms):
                 checks["kernels"] = False
+            if (apply("P", qv) - v.scale(xs(pq))).terms:
+                checks["pq_scalars"] = False
+            if (apply("Q", pv) - v.scale(xs(qp))).terms:
+                checks["pq_scalars"] = False
     # column r is the direct sum of its cells: their bases together are
     # C(n, r) independent vectors
     checks["column_tiling"] = all(

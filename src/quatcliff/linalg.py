@@ -5,8 +5,10 @@ ExtendedScalars.  Gauss-Jordan with exact field inverses runs on sparse
 rows (thm10 at p=2 ranks 1600 vectors at (2,2); the p=3, degree 4 spaces
 have 28224 dimensions); there is no roundoff, so no pivoting heuristics.
 
-There is one exact elimination loop, `_eliminate`.  `rref` (and through
-it `nullspace`) runs it on bare rows.  `Solver` runs it once on a basis
+There is one exact elimination loop, `_eliminate`.  `rref` runs it on
+bare rows, and `nullspace` on the constraints, pivoting from the last
+index back so that its free-variable basis is already the kernel's
+reduced echelon basis.  `Solver` runs it once on a basis
 with the identity over the term keys as augmented part, keeping a left
 inverse and the consistency checks, so each later `solve` is a sparse
 product; `solve_many` is one `Solver` replayed on its targets.
@@ -165,10 +167,12 @@ def nullspace(images):
 
     `images` lists the images of the source basis vectors under some linear
     map, as key->coefficient dicts.  The result is a list of coordinate
-    vectors {j: coeff}, the free-variable basis: one vector per free index
-    f, with 1 at f and 0 at every other free index.  The free indices are
-    the non-pivot columns of the reduced constraints, so this basis
-    depends only on the kernel.
+    vectors {j: coeff}, the kernel's reduced echelon basis in index order:
+    one vector per free index f, ascending, with 1 at f and 0 at every
+    other free index.  The constraints are pivoted from the last index
+    back to the first, so each pivot row holds, besides its pivot, only
+    free indices below it, and the vector of f is nonzero elsewhere only
+    at pivots above f: f is its smallest index.
     """
     n = len(images)
     constraints = {}
@@ -176,7 +180,7 @@ def nullspace(images):
         for t, c in img.items():
             constraints.setdefault(t, {})[j] = c
     rows = [constraints[t] for t in sorted(constraints)]
-    reduced, pivot_cols = rref(rows, key_order=list(range(n)))
+    reduced, pivot_cols = rref(rows, key_order=range(n - 1, -1, -1))
     pivot_set = set(pivot_cols)
     kernel = []
     for f in range(n):

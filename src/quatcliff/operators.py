@@ -227,16 +227,20 @@ def apply_cached(op, F, cache):
 # ------------------------------------------------ joint kernels and cells
 
 def joint_kernel(ops, basis):
-    """Basis of the joint kernel of the operators `ops` on the span of the
-    linearly independent polynomials `basis`, as a tuple.
+    """Basis of the joint kernel of the operators `ops` on the span of
+    `basis`, as a tuple in reduced echelon form in `term_sort_key` order,
+    so the result depends only on the kernel.
 
-    The images under all operators are stacked into one linear map, and
-    its nullspace vectors are recombined into polynomials and brought to
-    reduced echelon form in `term_sort_key` order, so the result depends
-    only on the kernel.  The tuple is the whole description of the
-    subspace: a cached basis can be shared because nothing can change it.
+    Precondition: the leading (`term_sort_key`-smallest) term of each
+    polynomial of `basis` has coefficient 1 and appears in no other one.
+    Sorted by those terms, the basis turns the reduced echelon
+    coordinates of `linalg.nullspace` into reduced echelon polynomials,
+    so one elimination of the stacked images makes the kernel canonical.
+    The tuple is the whole description of the subspace: a cached basis
+    can be shared because nothing can change it.
     """
     ops = tuple(ops)
+    basis = sorted(basis, key=lambda F: min(map(term_sort_key, F.terms)))
     images = []
     for F in basis:
         stacked = {}
@@ -244,23 +248,13 @@ def joint_kernel(ops, basis):
             for k, c in apply(name, F).terms.items():
                 stacked[(i, k)] = c
         images.append(stacked)
-    rows = []
+    kernel = []
     for combo in linalg.nullspace(images):
         acc = {}
         for j, c in combo.items():
             linalg.axpy(acc, basis[j].terms, c)
-        rows.append(acc)
-    if not rows:
-        return ()
-    return _echelon(basis[0].n, rows)
-
-
-def _echelon(n, rows):
-    """The span of the term dicts `rows` as polynomials in reduced echelon
-    form, pivoting in `term_sort_key` order, as a tuple."""
-    keys = sorted({k for row in rows for k in row}, key=term_sort_key)
-    reduced, _ = linalg.rref(rows, key_order=keys)
-    return tuple(SpinorPolynomial(n, row) for row in reduced)
+        kernel.append(SpinorPolynomial(basis[0].n, acc))
+    return tuple(kernel)
 
 
 @cache
@@ -275,8 +269,10 @@ def cell_basis(p, r, s):
         return joint_kernel(("P",), [SpinorPolynomial.constant(n, {m: XS_ONE})
                                      for m in grade_masks(n, s)])
     word = ("Q",) * ((r - s) // 2)
-    return _echelon(n, [apply_word(word, v).terms
-                        for v in cell_basis(p, s, s)])
+    rows = [apply_word(word, v).terms for v in cell_basis(p, s, s)]
+    keys = sorted({k for row in rows for k in row}, key=term_sort_key)
+    reduced, _ = linalg.rref(rows, key_order=keys)
+    return tuple(SpinorPolynomial(n, row) for row in reduced)
 
 
 # ------------------------------------- real-coordinate Dirac reconstruction

@@ -183,7 +183,7 @@ class SpinorPolynomial:
         return out
 
     @classmethod
-    def from_json(cls, data, n=None):
+    def from_json(cls, data, n):
         """The polynomial a JSON term list describes; repeated terms add.
 
         Schema: a list of {"alpha": [ints], "beta": [ints],
@@ -191,14 +191,11 @@ class SpinorPolynomial:
         scalar object holds integers or "-?digits[/digits]" strings
         under the keys a_re, a_im, b_re, b_im.  No other key is allowed
         in a term or a scalar object; a missing "spinor" means [].  JSON
-        true/false are not integers here.  The rank is `n`, or else the
-        length of the first alpha; an empty list needs `n`.  Violations
+        true/false are not integers here.  The rank is `n`.  Violations
         raise ValueError naming the term index and field or key.
         """
         if not isinstance(data, list):
             raise ValueError("polynomial JSON must be a list of term objects")
-        if n is None and not data:
-            raise ValueError("cannot infer rank from an empty polynomial")
         terms = {}
         for i, item in enumerate(data):
             where = f"term {i}"
@@ -213,8 +210,6 @@ class SpinorPolynomial:
                         or not all(_is_int(e) and e >= 0 for e in val)):
                     raise ValueError(f"{where}, field '{field}': expected a "
                                      "list of nonnegative integers")
-            if n is None:
-                n = len(item["alpha"])
             if len(item["alpha"]) != n or len(item["beta"]) != n:
                 raise ValueError(f"{where}: alpha and beta must both have "
                                  f"length {n}")

@@ -13,6 +13,7 @@ import pytest
 from quatcliff import cli, fischer, relations
 from quatcliff.poly import SpinorPolynomial
 from quatcliff.scalars import xs
+from quatcliff.witt import cell_labels
 
 
 def canonical(payload):
@@ -125,12 +126,12 @@ def good_term():
 
 def test_parse_missing_spinor_is_the_vacuum():
     term = {k: v for k, v in good_term().items() if k != "spinor"}
-    assert SpinorPolynomial.from_json([term]) == SpinorPolynomial.monomial(
-        4, (0, 1, 0, 0), (0, 0, 0, 0), 0, xs(1))
+    assert SpinorPolynomial.from_json([term], n=4) \
+        == SpinorPolynomial.monomial(4, (0, 1, 0, 0), (0, 0, 0, 0), 0, xs(1))
 
 
 def test_parse_single_witt_monomial():
-    F = SpinorPolynomial.from_json([good_term()])
+    F = SpinorPolynomial.from_json([good_term()], n=4)
     assert F == SpinorPolynomial.monomial(4, (0, 1, 0, 0), (0, 0, 0, 0),
                                           0b0001)
 
@@ -155,7 +156,7 @@ def read_via_decompose(data, tmp_path):
 
 @pytest.mark.parametrize("parse", [
     read_via_decompose,
-    lambda data, tmp_path: SpinorPolynomial.from_json(data)],
+    lambda data, tmp_path: SpinorPolynomial.from_json(data, n=4)],
     ids=["cli", "from_json"])
 def test_parse_sums_repeated_terms(parse, tmp_path):
     def term(alpha, re):
@@ -212,7 +213,7 @@ def test_parse_round_trip_random():
 ])
 def test_parse_schema_violations(mangle, needle):
     with pytest.raises(ValueError) as err:
-        SpinorPolynomial.from_json(mangle(good_term()))
+        SpinorPolynomial.from_json(mangle(good_term()), n=4)
     assert needle in str(err.value)
 
 
@@ -586,6 +587,45 @@ TEST_ONLY_GOLDEN = {
 @pytest.mark.parametrize("name,p", sorted(TEST_ONLY_GOLDEN))
 def test_test_only_check_golden(name, p):
     assert digest(_test_only_check(name, p)) == TEST_ONLY_GOLDEN[name, p]
+
+
+# digest of every kernel basis below as [kind, labels, JSON term lists]:
+# harmonic_space, symplectic_harmonic_space and, for every column,
+# s_space and t_space (both twists), and qmonogenic_space on every cell
+# value space and on full values, for each (p, a + b <= top) with full
+# values only to a + b <= full_top
+KERNEL_RANGES = ((1, 4, 4), (2, 4, 3), (3, 2, -1))
+
+
+def _kernel_bases():
+    for p, top, full_top in KERNEL_RANGES:
+        for a, b in relations.bidegrees_up_to(top):
+            yield "harmonic", (p, a, b), fischer.harmonic_space(p, a, b)
+            for dagger in (False, True):
+                yield ("symplectic", (p, a, b, dagger),
+                       fischer.symplectic_harmonic_space(p, a, b, dagger))
+                for r in range(p + 1):
+                    yield ("s", (p, r, a, b, dagger),
+                           fischer.s_space(p, r, a, b, dagger))
+                for r in range(p, 2 * p + 1):
+                    yield ("t", (p, r, a, b, dagger),
+                           fischer.t_space(p, r, a, b, dagger))
+            for lab in cell_labels(p):
+                yield ("q", (p, a, b, lab.r, lab.s), fischer.qmonogenic_space(
+                    p, a, b, ("cell", lab.r, lab.s)))
+            if a + b <= full_top:
+                yield "q", (p, a, b), fischer.qmonogenic_space(p, a, b)
+
+
+KERNEL_GOLDEN = \
+    "b3000fc190640cb1e8bc10584b9495e2e893f0957ccca25560c2679877b55393"
+
+
+def test_kernel_bases_golden():
+    bases = [[kind, list(labels), [v.to_json() for v in basis]]
+             for kind, labels, basis in _kernel_bases()]
+    assert len(bases) == 724
+    assert digest(bases) == KERNEL_GOLDEN
 
 
 def test_dim_cap_skips_but_passes():

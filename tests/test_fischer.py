@@ -17,7 +17,8 @@ import pytest
 
 from quatcliff import fischer as fi, linalg, operators, relations
 from quatcliff.operators import apply, apply_word
-from quatcliff.poly import SpinorPolynomial, poly_dim, space_basis
+from quatcliff.poly import (SpinorPolynomial, poly_dim, space_basis,
+                            value_basis)
 from quatcliff.scalars import XS_ONE, xs
 
 
@@ -110,6 +111,32 @@ def test_each_target_is_eliminated_once_per_check(monkeypatch, check, args,
     monkeypatch.setattr(linalg, "Solver", CountingSolver)
     assert check(*args)["passed"]
     assert len(built) == targets and all(built)
+
+
+# nonzero kernels on every kind of value space, a bottom cell (Ker P) and
+# a Q-ladder cell among them
+ONE_ELIMINATION = [
+    (("laplace",), 2, 2, 1, ("grade", 0)),
+    (operators.DERIVS, 1, 1, 1, ("full",)),
+    (("dz", "curlyE"), 2, 2, 0, ("cell", 1, 1)),
+    (operators.DERIVS, 2, 1, 1, ("cell", 3, 1)),
+]
+
+
+@pytest.mark.parametrize("ops,p,a,b,value_space", ONE_ELIMINATION)
+def test_each_kernel_is_one_elimination(monkeypatch, ops, p, a, b,
+                                        value_space):
+    value_basis(p, value_space)  # a Q-ladder cell takes its own rref first
+    calls = []
+    rref = linalg.rref
+
+    def counting_rref(*args, **kwargs):
+        calls.append(1)
+        return rref(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    assert fi.kernel_space(ops, p, a, b, value_space)
+    assert len(calls) == 1
 
 
 def test_symplectic_harmonic_dims_frozen():

@@ -97,6 +97,20 @@ def test_nullspace_annihilates(images):
     assert len(linalg.nullspace(images)) == len(images) - linalg.rank(images)
 
 
+@given(vector_lists())
+@example([{0: xs(1)}, {0: xs(2)}])
+@settings(max_examples=40)
+def test_nullspace_is_reduced_echelon_in_index_order(images):
+    # each vector holds 1 at its smallest index, which no other vector
+    # holds, and the vectors ascend by it
+    kernel = linalg.nullspace(images)
+    leads = [min(vec) for vec in kernel]
+    assert leads == sorted(set(leads))
+    for vec, f in zip(kernel, leads):
+        assert vec[f] == XS_ONE
+        assert sum(f in other for other in kernel) == 1
+
+
 @given(vector_lists(), vectors())
 @settings(max_examples=40)
 def test_solve_round_trip(basis, target):
