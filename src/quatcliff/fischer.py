@@ -626,11 +626,10 @@ def full_decomposition_pieces(p, A, B):
 
 @cache
 def _pieces_solver(p, A, B):
-    """The pieces of bidegree (A, B) and the factorisation of their
-    vectors, made on the first decompose of that bidegree."""
-    pieces = full_decomposition_pieces(p, A, B)
-    return pieces, linalg.Solver([v.terms for _, vecs, _ in pieces
-                                  for v in vecs])
+    """The factorisation of the vectors of the pieces of bidegree (A, B),
+    made on the first decompose of that bidegree."""
+    return linalg.Solver([v.terms for _, vecs, _ in
+                          full_decomposition_pieces(p, A, B) for v in vecs])
 
 
 def graded_tiling_check(p, k):
@@ -671,15 +670,14 @@ def decompose_polynomial(F, p):
     solved = True
     for A, B in sorted(F.bidegrees()):
         part = F.bidegree_part(A, B)
-        pieces, solver = _pieces_solver(p, A, B)
-        sol = solver.solve(part.terms)
+        sol = _pieces_solver(p, A, B).solve(part.terms)
         if sol is None:
             solved = False
             residual = residual + part
             continue
         recomposed = {}
         idx = 0
-        for labels, vecs, src_vecs in pieces:
+        for labels, vecs, src_vecs in full_decomposition_pieces(p, A, B):
             comp, source = {}, {}
             for v, s in zip(vecs, src_vecs):
                 c = sol[idx]

@@ -41,12 +41,6 @@ def axpy(dst, src, c):
     return dst
 
 
-def vec_scale(vec, c):
-    if not c:
-        return {}
-    return {k: c * v for k, v in vec.items()}
-
-
 def _eliminate(work, key_order):
     """The one Gauss-Jordan loop.
 
@@ -162,6 +156,17 @@ def _certified_rank(rows):
     return bound if len(pivots) == bound else None
 
 
+def _transpose(vectors):
+    """The sorted term keys of `vectors`, and the matrix whose column j is
+    vectors[j] as one row per key: row t holds vectors[j][t] at key j."""
+    rows = {}
+    for j, vec in enumerate(vectors):
+        for t, c in vec.items():
+            rows.setdefault(t, {})[j] = c
+    terms = sorted(rows)
+    return terms, [rows[t] for t in terms]
+
+
 def nullspace(images):
     """Canonical basis of {x : sum_j x_j * images[j] = 0}.
 
@@ -175,11 +180,7 @@ def nullspace(images):
     at pivots above f: f is its smallest index.
     """
     n = len(images)
-    constraints = {}
-    for j, img in enumerate(images):
-        for t, c in img.items():
-            constraints.setdefault(t, {})[j] = c
-    rows = [constraints[t] for t in sorted(constraints)]
+    _, rows = _transpose(images)
     reduced, pivot_cols = rref(rows, key_order=range(n - 1, -1, -1))
     pivot_set = set(pivot_cols)
     kernel = []
@@ -211,15 +212,11 @@ class Solver:
 
     def __init__(self, basis):
         self.n = len(basis)
-        rows = {}
-        for j, vec in enumerate(basis):
-            for t, c in vec.items():
-                rows.setdefault(t, {})[j] = c
-        terms = sorted(rows)
-        for i, t in enumerate(terms):
-            rows[t][-1 - i] = XS_ONE
+        terms, rows = _transpose(basis)
+        for i, row in enumerate(rows):
+            row[-1 - i] = XS_ONE
         # key_order covers every column, so the rows left hold augmented keys only
-        pivots, rest = _eliminate([rows[t] for t in terms], range(self.n))
+        pivots, rest = _eliminate(rows, range(self.n))
         self._inverse = {t: {} for t in terms}
         for j, row in pivots:
             for k, c in row.items():

@@ -31,15 +31,16 @@ P lowers the spinor grade by two and Q raises it by two; they build the
 symplectic cells (cell_basis), and with h_spin they form the cell sl(2).
 
 The four Dirac operators and the vector variable in real coordinates are
-linear combinations of the above; dirac_dictionary_check rebuilds them from
-literal real-coordinate sums and compares matrices entry by entry.
+linear combinations of the above (dirac, dirac_I, dirac_J, dirac_K, mul_X);
+the tests rebuild them from literal real-coordinate sums in tests/oracles.py
+and compare matrices entry by entry.
 """
 
 from fractions import Fraction
 from functools import cache
 
 from . import linalg
-from .poly import SpinorPolynomial, space_basis, term_sort_key
+from .poly import SpinorPolynomial, term_sort_key
 from .scalars import ExtendedScalar, XS_ONE, xs
 from .witt import KEY_MOVES, grade_masks, valid_cell
 
@@ -273,68 +274,3 @@ def cell_basis(p, r, s):
     keys = sorted({k for row in rows for k in row}, key=term_sort_key)
     reduced, _ = linalg.rref(rows, key_order=keys)
     return tuple(SpinorPolynomial(n, row) for row in reduced)
-
-
-# ------------------------------------- real-coordinate Dirac reconstruction
-
-def coord_diff(F, alpha):
-    """d/dx_alpha in real coordinates: x_{2k-1} + i x_{2k} = z_k."""
-    k = (alpha + 1) // 2
-    if alpha % 2 == 1:
-        return F.diff_z(k) + F.diff_zbar(k)
-    return (F.diff_z(k) - F.diff_zbar(k)).scale(xs(0, 1))
-
-
-def coord_mult(F, alpha):
-    """Multiplication by the real coordinate x_alpha."""
-    k = (alpha + 1) // 2
-    half = Fraction(1, 2)
-    if alpha % 2 == 1:
-        return (F.mul_z_var(k) + F.mul_zbar_var(k)).scale(xs(half))
-    return (F.mul_z_var(k) - F.mul_zbar_var(k)).scale(xs(0, -half))
-
-
-def generator_action(F, alpha):
-    """Left Clifford multiplication of the value by e_alpha."""
-    k = (alpha + 1) // 2
-    if alpha % 2 == 1:
-        return F.wedge(k) - F.contract(k)
-    return (F.wedge(k) + F.contract(k)).scale(xs(0, -1))
-
-
-def real_sum(coord, F, rotation=None):
-    """sum_alpha R[e_alpha] coord(F, alpha) for a signed permutation R:
-    the Dirac operator for coord_diff, the vector variable for
-    coord_mult."""
-    out = SpinorPolynomial.zero(F.n)
-    for alpha in range(1, 2 * F.n + 1):
-        img, sign = rotation(alpha) if rotation else (alpha, 1)
-        piece = generator_action(coord(F, alpha), img)
-        out = out + (piece if sign > 0 else -piece)
-    return out
-
-
-def dirac_dictionary_check(p, a, b):
-    """Rebuild the four Dirac operators and the vector variables from literal
-    real-coordinate sums and compare with their Witt-basis expressions,
-    matrix against matrix.  Returns {name: bool, ..., "ok": bool}."""
-    from .witt import rotation_I, rotation_J, rotation_K
-    basis = space_basis(p, a, b, ("full",))
-    real_routes = {
-        "dirac": (coord_diff, None),
-        "dirac_I": (coord_diff, rotation_I),
-        "dirac_J": (coord_diff, rotation_J),
-        "dirac_K": (coord_diff, rotation_K),
-        "mul_X": (coord_mult, None),
-    }
-    report = {name: all(apply(name, v) == real_sum(coord, v, rotation)
-                        for v in basis)
-              for name, (coord, rotation) in real_routes.items()}
-    # z + z_dag recovered from the first rotated vector variable
-    z_plus_z_dag = ((1, 0, "mul_z"), (1, 0, "mul_z_dag"))
-    report["mul_z_plus_z_dag"] = all(
-        apply_expression(z_plus_z_dag, v)
-        == real_sum(coord_mult, v, rotation_I).scale(xs(0, 1))
-        for v in basis)
-    report["ok"] = all(report.values())
-    return report

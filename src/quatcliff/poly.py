@@ -76,7 +76,8 @@ class SpinorPolynomial:
     def scale(self, c):
         if not isinstance(c, ExtendedScalar):
             c = xs(c)
-        return SpinorPolynomial(self.n, linalg.vec_scale(self.terms, c))
+        return SpinorPolynomial(
+            self.n, {k: c * v for k, v in self.terms.items()} if c else {})
 
     def times_value(self, value):
         """This scalar-valued polynomial times the spinor value `value`."""

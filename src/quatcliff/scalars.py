@@ -9,8 +9,9 @@ equal values are equal 5-tuples and hash alike.  The operators have
 integer coefficients in the Witt basis, so operator images and brackets
 stay at d = 1.  A division brings in d > 1.  Every result is reduced by
 one math.gcd, which does no gcd work when d = 1.  Plain Gaussian numbers
-(y = z = 0) cover almost everything; the sqrt2 part only shows up in
-spin group elements.
+(y = z = 0) cover almost everything: no code in the package forms a
+sqrt2 part, which only shows up in inputs that carry one and in the spin
+group elements of the test oracle (tests/oracles.py).
 
 The four rational components (ar + ai*i) + (br + bi*i)*sqrt2 are read
 through properties: a plain int when integral, a stdlib

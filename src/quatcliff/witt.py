@@ -10,8 +10,9 @@ The spinor space S is spanned by fdag_A I over subsets A of {1..n}, stored
 as bitmasks.  A spinor value is a constant poly.SpinorPolynomial, keyed
 ((0,)*n, (0,)*n, mask).  Left multiplication by fdag_k is a signed wedge, by
 f_k a signed contraction, both with sign (-1)^(number of indices in A below
-k) (witt_move); WittFrame.to_clifford plus the full algebra in clifford.py
-serves as the oracle for these rules in the tests.
+k) (witt_move).  The module imports nothing from the rest of the
+package; the tests check these rules against the full Clifford algebra
+of tests/oracles.py.
 
 Each of the seven primitive moves (multiplication by z_k or zbar_k, d/dz_k,
 d/dzbar_k, fdag_k, f_k and the Euler scalings) is written once, in
@@ -26,12 +27,8 @@ bases (S^s_s = Ker P on grade s, S^{s+2k}_s = Q^k S^s_s) are built in
 operators.cell_basis.
 """
 
-from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from typing import NamedTuple
-
-from .clifford import CliffordElement
-from .scalars import xs
 
 
 def mask_sort_key(mask):
@@ -121,164 +118,6 @@ KEY_MOVES = {
     "contract": partial(_value_move, dagger=False),
     "scale_by_euler": _scale_by_euler,
 }
-
-
-class WittFrame:
-    """Clifford-algebra realisation of the Witt basis for given p."""
-
-    __slots__ = ("p", "n", "m", "f", "fdag", "idempotent")
-
-    def __init__(self, p):
-        self.p = p
-        self.n = 2 * p
-        self.m = 4 * p
-        half = Fraction(1, 2)
-        self.f = [None]
-        self.fdag = [None]
-        for k in range(1, self.n + 1):
-            e_odd = CliffordElement.generator(self.m, 2 * k - 1)
-            e_even = CliffordElement.generator(self.m, 2 * k)
-            self.f.append(e_odd.scale(xs(-half)) + e_even.scale(xs(0, half)))
-            self.fdag.append(e_odd.scale(xs(half)) + e_even.scale(xs(0, half)))
-        ide = CliffordElement.scalar(self.m, 1)
-        for k in range(1, self.n + 1):
-            ide = ide * (self.f[k] * self.fdag[k])
-        self.idempotent = ide
-
-    def spinor_blade(self, mask):
-        """fdag_{a1}(... (fdag_{ak} I)) for the ascending index set
-        a1 < ... < ak in mask."""
-        out = self.idempotent
-        for k in range(self.n, 0, -1):
-            if mask >> (k - 1) & 1:
-                out = self.fdag[k] * out
-        return out
-
-    def to_clifford(self, x):
-        """The Clifford element of the spinor value x."""
-        out = CliffordElement.zero(self.m)
-        for (_, _, mask), c in x.terms.items():
-            out = out + self.spinor_blade(mask).scale(c)
-        return out
-
-
-# cached frames: immutable after construction, safe to share
-@cache
-def _frame(p):
-    return WittFrame(p)
-
-
-def spin_elements(p):
-    """The two spin group elements realising the complex structures.
-
-    s_I = prod_j (sqrt2/2)(1 + e_{2j-1} e_{2j})            j = 1 .. 2p
-    s_J = prod_j (1/2)(1 + e_{4j-3} e_{4j-1})(1 - e_{4j-2} e_{4j})   j = 1 .. p
-    """
-    m = 4 * p
-    half = Fraction(1, 2)
-    one = CliffordElement.scalar(m, 1)
-    s_i = one
-    for j in range(1, 2 * p + 1):
-        factor = (one + CliffordElement.blade(m, [2 * j - 1, 2 * j]))
-        s_i = s_i * factor.scale(xs(0, 0, half, 0))
-    s_j = one
-    for j in range(1, p + 1):
-        base = 4 * (j - 1)
-        first = one + CliffordElement.blade(m, [base + 1, base + 3])
-        second = one - CliffordElement.blade(m, [base + 2, base + 4])
-        s_j = s_j * (first * second).scale(xs(half))
-    return s_i, s_j
-
-
-def conjugation_action(s, x, convention="s*x*bar(s)"):
-    """Conjugate x by the spin element s.
-
-    Both candidate conventions are available; detect_spin_convention picks the
-    one reproducing the rotation matrices on all generators.  Only the tests
-    call it, so no report records the winner.
-    """
-    if convention == "s*x*bar(s)":
-        return s * x * s.conjugate()
-    if convention == "bar(s)*x*s":
-        return s.conjugate() * x * s
-    raise ValueError(f"unknown convention {convention!r}")
-
-
-def rotation_I(alpha):
-    """Signed permutation of generators for the first complex structure."""
-    if alpha % 2 == 1:
-        return alpha + 1, 1
-    return alpha - 1, -1
-
-
-def rotation_J(alpha):
-    """Second complex structure; acts per block of four real coordinates."""
-    pos = (alpha - 1) % 4
-    if pos == 0:
-        return alpha + 2, 1
-    if pos == 1:
-        return alpha + 2, -1
-    if pos == 2:
-        return alpha - 2, -1
-    return alpha - 2, 1
-
-
-def rotation_K(alpha):
-    """Third structure, the composite of the other two."""
-    img, sign = rotation_I(alpha)
-    img2, sign2 = rotation_J(img)
-    return img2, sign * sign2
-
-
-def witt_J_images(p):
-    """The fixed action of the second structure on Witt vectors.
-
-    Returns {('f'|'fdag', k): (kind, index, sign)} for k = 1 .. 2p.
-    """
-    out = {}
-    for j in range(1, p + 1):
-        k1, k2 = 2 * j - 1, 2 * j
-        out[("f", k1)] = ("fdag", k2, -1)
-        out[("f", k2)] = ("fdag", k1, 1)
-        out[("fdag", k1)] = ("f", k2, -1)
-        out[("fdag", k2)] = ("f", k1, 1)
-    return out
-
-
-def detect_spin_convention(p):
-    """Try both conjugation orders; return the one matching the rotations.
-
-    The covering map direction is not something we take on faith: the check
-    below demands s_I and s_J both reproduce their signed permutations on
-    every generator, and the Witt-vector images for s_J as well.
-    """
-    frame = _frame(p)
-    s_i, s_j = spin_elements(p)
-    j_images = witt_J_images(p)
-    for convention in ("s*x*bar(s)", "bar(s)*x*s"):
-        ok = True
-        for alpha in range(1, frame.m + 1):
-            e = CliffordElement.generator(frame.m, alpha)
-            img, sign = rotation_I(alpha)
-            expect = CliffordElement.generator(frame.m, img).scale(sign)
-            if conjugation_action(s_i, e, convention) != expect:
-                ok = False
-                break
-            img, sign = rotation_J(alpha)
-            expect = CliffordElement.generator(frame.m, img).scale(sign)
-            if conjugation_action(s_j, e, convention) != expect:
-                ok = False
-                break
-        if ok:
-            for (kind, k), (kind2, k2, sign) in j_images.items():
-                v = frame.f[k] if kind == "f" else frame.fdag[k]
-                w = frame.f[k2] if kind2 == "f" else frame.fdag[k2]
-                if conjugation_action(s_j, v, convention) != w.scale(sign):
-                    ok = False
-                    break
-        if ok:
-            return convention
-    raise AssertionError("no conjugation convention reproduces the rotations")
 
 
 class CellLabel(NamedTuple):

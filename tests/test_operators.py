@@ -1,10 +1,10 @@
 """Named operators on spinor-valued polynomials.
 
-Oracles: the real-coordinate dictionary rebuild for the Dirac family,
-a literal table of the shifts each operator makes against the shifts
-read off its words and against observed image labels, and Fischer
-duality (adjointness of multiplication and differentiation) checked as
-exact matrix transposes on full monomial bases.
+Oracles: the real-coordinate dictionary rebuild for the Dirac family
+(tests/oracles.py), a literal table of the shifts each operator makes
+against the shifts read off its words and against observed image labels,
+and Fischer duality (adjointness of multiplication and differentiation)
+checked as exact matrix transposes on full monomial bases.
 """
 
 import math
@@ -13,9 +13,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import dirac_dictionary_check
 from quatcliff.operators import (REGISTRY, apply, apply_expression,
-                                 apply_terms, apply_word,
-                                 dirac_dictionary_check, shifts, term_table)
+                                 apply_terms, apply_word, shifts, term_table)
 from quatcliff.poly import SpinorPolynomial, space_basis
 from quatcliff.relations import RULES
 from quatcliff.scalars import ExtendedScalar, xs

@@ -22,16 +22,7 @@ BENCH = sorted((ROOT / "perfbench").rglob("*.py"))
 
 # Definitions kept with no caller in src/ or perfbench/, and why.
 ALLOWED = {
-    # the Clifford-algebra oracle the spinor sign rules are tested against
-    "inner_product": "Hermitian pairing of the oracle, blade orthogonality",
-    "hermitian_conjugate": "oracle side of the pairing identity",
-    "scalar_part": "oracle side of the pairing identity",
-    "to_clifford": "maps a spinor value into the oracle algebra",
     # paper claims still checked from the tests only, to become CLI checks
-    "dirac_dictionary_check": "the Witt-basis Dirac operators in real "
-                              "coordinates",
-    "detect_spin_convention": "the spin group elements realise the complex "
-                              "structures I and J",
     "verify_osp12_and_sl12": "the Euclidean and hermitian grading "
                              "relations",
     "verify_qmonogenic_stability": "curlyE, curlyE_dag, P and Q preserve "

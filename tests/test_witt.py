@@ -1,32 +1,31 @@
 """Witt frame, spinor module and the cell triangle.
 
-The full Clifford algebra is the oracle here: every sign rule on the mask
-representation (wedge, contract, P, Q, beta) is compared with the literal
-product of Clifford elements, and the blades are checked orthogonal, each of
-norm 2^-n, under the Clifford pairing [x^dagger y]_0.
+The full Clifford algebra of tests/oracles.py is the oracle here: every
+sign rule on the mask representation (wedge, contract, P, Q, beta) is
+compared with the literal product of Clifford elements, and the blades
+are checked orthogonal, each of norm 2^-n, under the Clifford pairing
+[x^dagger y]_0, and its spin elements realise the complex structures.
 """
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quatcliff.clifford import CliffordElement, inner_product
+from oracles import (CliffordElement, _frame as frame, conjugation_action,
+                     detect_spin_convention, inner_product, rotation_I,
+                     rotation_J, rotation_K, spin_elements, witt_J_images)
 from quatcliff.poly import SpinorPolynomial
 from quatcliff.scalars import XS_ONE, XS_ZERO, xs
-from quatcliff import witt
+from quatcliff import linalg, witt
 from quatcliff.operators import apply, cell_basis
-from quatcliff.witt import (cell_dim, cell_labels, conjugation_action,
-                            detect_spin_convention, grade_masks, pq_scalars,
-                            rotation_I, rotation_J, rotation_K, spin_elements,
-                            valid_cell, witt_J_images)
+from quatcliff.witt import (cell_dim, cell_labels, grade_masks, pq_scalars,
+                            valid_cell)
 
 small = st.integers(min_value=-3, max_value=3)
-
-
-def frame(p):
-    return witt._frame(p)
 
 
 def spinors(p):
@@ -39,6 +38,25 @@ def spinors(p):
         return el
     return st.builds(build, st.lists(st.tuples(masks, st.tuples(small, small)),
                                      max_size=4))
+
+
+def package_imports(source):
+    """The imports of `source` that are relative or name a quatcliff module."""
+    def inside(name):
+        return name.split(".")[0] == "quatcliff"
+    return [ast.unparse(node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or inside(node.module))
+            or isinstance(node, ast.Import)
+            and any(inside(alias.name) for alias in node.names)]
+
+
+def test_witt_imports_nothing_from_the_package():
+    # witt, the base of the import graph, needs no other package module
+    sample = "import json, quatcliff.x\nfrom . import x\nimport quatcliffx\n"
+    assert package_imports(sample) == ["import json, quatcliff.x",
+                                       "from . import x"]
+    assert package_imports(Path(witt.__file__).read_text()) == []
 
 
 # ---------------------------------------------------------------- Witt frame
@@ -66,7 +84,6 @@ def test_idempotent(p):
 
 def test_spinor_blades_are_independent():
     fr = frame(2)
-    from quatcliff import linalg
     blades = [fr.spinor_blade(m).terms
               for r in range(fr.n + 1) for m in grade_masks(fr.n, r)]
     assert linalg.rank(blades) == 2 ** fr.n
@@ -204,7 +221,6 @@ def test_cell_labels_and_dims(p):
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_column_tiling(p):
-    from quatcliff import linalg
     for r in range(2 * p + 1):
         col = [lbl for lbl in cell_labels(p) if lbl.r == r]
         vecs = []
@@ -237,7 +253,6 @@ def test_pq_scalars_on_cells(p):
 def test_ladder_injectivity_by_grade(p):
     # P injective on grades above p, Q injective below p, kernels agree at p
     n = 2 * p
-    from quatcliff import linalg
     for r in range(n + 1):
         masks = grade_masks(n, r)
         blades = [SpinorPolynomial.constant(n, {m: XS_ONE}) for m in masks]
