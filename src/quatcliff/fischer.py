@@ -6,8 +6,8 @@ part of the spinor space, computed by one exact elimination.  A subspace
 is its canonical basis, the tuple of reduced echelon polynomials that
 `operators.joint_kernel` returns: its dimension is the tuple's length,
 two constructions of one subspace give equal tuples, and `_inside`
-tests membership by solving against it, one elimination per space
-for every piece a check tests.  On top of that sit the named
+reads a vector's coordinates off it, its coefficients at the basis'
+leading terms, with no elimination.  On top of that sit the named
 spaces (harmonics, symplectic harmonics, hermitian monogenics, the
 q-monogenic cell spaces S and T), two claims about the q-monogenics
 (curlyE, curlyE_dag, P and Q preserve them; the rotated Dirac operators
@@ -35,7 +35,7 @@ from math import comb
 from . import linalg
 from .operators import DERIVS, apply, apply_word, joint_kernel, shifts
 from .poly import (SpinorPolynomial, poly_dim, require_int, require_label,
-                   space_basis, value_basis)
+                   space_basis, term_sort_key, value_basis)
 from .relations import BRACKETS, RULE_INDEX, verify_bracket
 from .scalars import XS_ONE, XS_ZERO, xs
 from .witt import cell_dim, cell_labels, pq_scalars, valid_cell
@@ -65,11 +65,25 @@ def kernel_space(ops, p, a, b, value_space=("full",)):
 
 def _inside(pieces, space):
     """One flag per piece of `pieces`, each a sequence of polynomials:
-    whether all of its polynomials lie in the span of the basis `space`,
-    which is eliminated once for all pieces."""
-    solver = linalg.Solver([v.terms for v in space])
-    return [all(solver.solve(v.terms) is not None for v in vecs)
-            for vecs in pieces]
+    whether all of its polynomials lie in the span of `space`.
+
+    `space` must be a canonical basis: the leading (`term_sort_key`-
+    smallest) term of each polynomial has coefficient 1 and is in no
+    other one, as in every `joint_kernel` tuple.  A vector v of the span
+    is then the sum of v[t] times the polynomial led by t over the
+    leading terms t, so v is inside exactly when subtracting that sum
+    leaves nothing.  For any other basis a True flag is still right,
+    but a vector of the span may be flagged False.
+    """
+    led = {min(F.terms, key=term_sort_key): F.terms for F in space}
+
+    def rest(v):
+        left = dict(v.terms)
+        for t in v.terms.keys() & led:
+            linalg.axpy(left, led[t], -v.terms[t])
+        return left
+
+    return [not any(map(rest, vecs)) for vecs in pieces]
 
 
 @cache
@@ -129,23 +143,18 @@ def verify_qmonogenic_stability(p, a, b):
     the joint kernel (at the shifted bidegree for the first two)."""
     require_label(p, a=a, b=b)
     kernel = qmonogenic_space(p, a, b)
-    targets = {}
+    ops = {}
     for name in ("curlyE", "curlyE_dag", "P", "Q"):
         (da, db, _), = shifts(name)
-        targets.setdefault((a + da, b + db), []).append(name)
-    ops = {}
-    # one elimination per target bidegree: P and Q share theirs
-    for (ta, tb), names in targets.items():
+        ta, tb = a + da, b + db
         # a negative bidegree holds the zero polynomial only
         target = qmonogenic_space(p, ta, tb) if min(ta, tb) >= 0 else ()
-        flags = iter(_inside([[apply(name, v)] for name in names
-                              for v in kernel], target))
-        for name in names:
-            # the witness is the first basis vector with its image outside
-            violations = [{"basis": str(v)} for v in kernel
-                          if not next(flags)]
-            ops[name] = {"ok": not violations, "violations": violations[:1],
-                         "target_bidegree": [ta, tb]}
+        flags = _inside([[apply(name, v)] for v in kernel], target)
+        # the witness is the first basis vector with its image outside
+        violations = [{"basis": str(v)}
+                      for v, inside in zip(kernel, flags) if not inside]
+        ops[name] = {"ok": not violations, "violations": violations[:1],
+                     "target_bidegree": [ta, tb]}
     return {"p": p, "a": a, "b": b, "kernel_dim": len(kernel),
             "operators": ops,
             "passed": all(op["ok"] for op in ops.values())}
@@ -202,8 +211,9 @@ def _span_rank(vec_lists):
 def _tiling(pieces, dim, target=None):
     """Whether `pieces`, each a sequence of polynomials, tile a space of
     dimension `dim`: (size sum, union rank, one `_inside` flag per piece
-    for the basis `target` or [] without one, verdict), the verdict being
-    size sum == union rank == dim with every piece inside the target."""
+    for the canonical basis `target` or [] without one, verdict), the
+    verdict being size sum == union rank == dim with every piece inside
+    the target."""
     total = sum(len(vecs) for vecs in pieces)
     rank = _span_rank(pieces)
     flags = [] if target is None else _inside(pieces, target)
@@ -668,7 +678,7 @@ def decompose_polynomial(F, p):
     components = []
     residual = SpinorPolynomial.zero(F.n)
     solved = True
-    for A, B in sorted(F.bidegrees()):
+    for A, B in F.bidegrees():
         part = F.bidegree_part(A, B)
         sol = _pieces_solver(p, A, B).solve(part.terms)
         if sol is None:

@@ -11,7 +11,10 @@ index back so that its free-variable basis is already the kernel's
 reduced echelon basis.  `Solver` runs it once on a basis
 with the identity over the term keys as augmented part, keeping a left
 inverse and the consistency checks, so each later `solve` is a sparse
-product; `solve_many` is one `Solver` replayed on its targets.
+product; `solve_many` is one `Solver` replayed on its targets.  It is
+for coordinates in a basis that is not canonical, as `decompose` needs
+in the pieces of a bidegree: in a canonical basis they are read off
+the leading terms (`fischer._inside`).
 
 `rank` first tries a rank-only certificate modulo the prime _Q: it maps
 every rational entry N / d to N * d**-1 in F_q.  That is a ring map on

@@ -238,7 +238,9 @@ def joint_kernel(ops, basis):
     coordinates of `linalg.nullspace` into reduced echelon polynomials,
     so one elimination of the stacked images makes the kernel canonical.
     The tuple is the whole description of the subspace: a cached basis
-    can be shared because nothing can change it.
+    can be shared because nothing can change it.  It meets the
+    precondition in turn, which lets `fischer._inside` read a vector's
+    coordinates off its leading terms.
     """
     ops = tuple(ops)
     basis = sorted(basis, key=lambda F: min(map(term_sort_key, F.terms)))

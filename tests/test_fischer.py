@@ -14,11 +14,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quatcliff import fischer as fi, linalg, operators, relations
 from quatcliff.operators import apply, apply_word
 from quatcliff.poly import (SpinorPolynomial, poly_dim, space_basis,
-                            value_basis)
+                            term_sort_key, value_basis)
 from quatcliff.scalars import XS_ONE, xs
 
 
@@ -85,32 +86,52 @@ def test_inside_rejects_a_vector_outside_the_space():
     assert fi._inside([[H[0]]], ()) == [False]
 
 
-# one call of each check at labels with two pieces or more, and the number
-# of nonempty target spaces it tests membership in: the decompositions
-# test every piece in one target, the stability check its images in three
-# (P and Q share the bidegree (a, b))
-SOLVES_PER_CHECK = [
-    (fi.symplectic_harmonics_16_decomposition, (1, 2, 0, 0), 1),
-    (fi.qmonogenic_decomposition, (1, 1, 0, 2, 1), 1),
-    (fi.symplectic_harmonic_decomposition, (1, 2, 1), 1),
-    (fi.verify_qmonogenic_stability, (1, 1, 1), 3),
+# one call of each check at labels with two pieces or more, each testing
+# membership in a nonempty target: the decompositions every piece in one
+# target, the stability check its images in three
+MEMBERSHIP_CHECKS = [
+    (fi.symplectic_harmonics_16_decomposition, (1, 2, 0, 0)),
+    (fi.qmonogenic_decomposition, (1, 1, 0, 2, 1)),
+    (fi.symplectic_harmonic_decomposition, (1, 2, 1)),
+    (fi.verify_qmonogenic_stability, (1, 1, 1)),
 ]
 
 
-@pytest.mark.parametrize("check,args,targets", SOLVES_PER_CHECK,
+@pytest.mark.parametrize("check,args", MEMBERSHIP_CHECKS,
                          ids=lambda v: getattr(v, "__name__", None))
-def test_each_target_is_eliminated_once_per_check(monkeypatch, check, args,
-                                                  targets):
-    built = []
+def test_membership_is_read_off_the_canonical_basis(monkeypatch, check,
+                                                    args):
+    # every target is a canonical basis, so no check eliminates one
+    def no_solver(basis):
+        raise AssertionError("membership built a linalg.Solver")
 
-    class CountingSolver(linalg.Solver):
-        def __init__(self, basis):
-            built.append(len(basis))
-            super().__init__(basis)
-
-    monkeypatch.setattr(linalg, "Solver", CountingSolver)
+    monkeypatch.setattr(linalg, "Solver", no_solver)
     assert check(*args)["passed"]
-    assert len(built) == targets and all(built)
+
+
+# eight term keys of P_{1,0} tensor S at p = 1, and small Gaussian
+# rational polynomials over them
+TERMS = [next(iter(F.terms)) for F in space_basis(1, 1, 0)]
+small_polys = st.dictionaries(
+    st.sampled_from(TERMS),
+    st.builds(xs, st.integers(-3, 3), st.integers(-2, 2)),
+    max_size=4).map(lambda terms: SpinorPolynomial(2, terms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(small_polys.filter(lambda F: F.terms), max_size=4),
+       st.lists(small_polys, max_size=3))
+def test_inside_is_sound_and_exact_on_the_canonical_basis(basis, vecs):
+    rows = [F.terms for F in basis]
+    rank = linalg.rank(rows)
+    spanned = [linalg.rank(rows + [v.terms]) == rank for v in vecs]
+    pieces = [[v] for v in vecs]
+    # any basis, reduced or not: a True flag is a vector of the span
+    assert all(s for f, s in zip(fi._inside(pieces, basis), spanned) if f)
+    keys = sorted({t for row in rows for t in row}, key=term_sort_key)
+    canonical = [SpinorPolynomial(2, row)
+                 for row in linalg.rref(rows, key_order=keys)[0]]
+    assert fi._inside(pieces, canonical) == spanned
 
 
 # nonzero kernels on every kind of value space, a bottom cell (Ker P) and

@@ -7,11 +7,13 @@ hand-expanded products on small monomials.
 
 import hashlib
 import json
+from collections import Counter
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quatcliff import fischer as fi
 from quatcliff.poly import (SpinorPolynomial, exponent_tuples, monomial_keys,
                             poly_dim, space_basis, term_sort_key, value_basis)
 from quatcliff.scalars import XS_ONE, xs
@@ -77,16 +79,29 @@ def test_value_basis_cell(p, r, s):
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_space_basis_leading_terms_stand_alone(p):
-    # the basis precondition of operators.joint_kernel: the leading term
-    # of each polynomial has coefficient 1 and is in no other polynomial
-    spaces = ([("full",)] + [("grade", r) for r in range(2 * p + 1)]
-              + [("cell", lab.r, lab.s) for lab in cell_labels(p)])
-    for value_space in spaces:
-        basis = space_basis(p, 1, 1, value_space)
-        for F in basis:
-            lead = min(F.terms, key=term_sort_key)
-            assert F.terms[lead] == XS_ONE
-            assert sum(lead in G.terms for G in basis) == 1
+    # the basis precondition of operators.joint_kernel and of
+    # fischer._inside: the leading term of each polynomial has
+    # coefficient 1 and is in no other polynomial.  joint_kernel gets
+    # space_basis on every value space; _inside gets the harmonics, the
+    # q-monogenics with full or cell values, and prop9's ambient: each
+    # symplectic harmonic times each value of a bottom cell
+    cells = [("cell", lab.r, lab.s) for lab in cell_labels(p)]
+    spaces = [("full",)] + [("grade", r) for r in range(2 * p + 1)] + cells
+    for a, b in [(a, d - a) for d in range(4) for a in range(d + 1)]:
+        bases = [space_basis(p, a, b, vs) for vs in spaces]
+        bases.append(fi.harmonic_space(p, a, b))
+        bases += [fi.qmonogenic_space(p, a, b, vs)
+                  for vs in [("full",)] + cells]
+        if a >= b:
+            bases += [[h.times_value(v)
+                       for h in fi.symplectic_harmonic_space(p, a, b)
+                       for v in value_basis(p, ("cell", r, r))]
+                      for r in range(p + 1)]
+        for basis in bases:
+            counts = Counter(t for F in basis for t in F.terms)
+            for F in basis:
+                lead = min(F.terms, key=term_sort_key)
+                assert F.terms[lead] == XS_ONE and counts[lead] == 1
 
 
 # sha256 of the canonical JSON of [[r, s, basis], ...] over every cell
