@@ -522,10 +522,7 @@ def symplectic_harmonics_16_decomposition(p, a, b, r):
     piece_vecs = []
     orders_agree = True
     exclusions = []
-    activity = piece_activity(p, a, b, r)
-    in_ambient = iter(_inside([e["vecs"] for e in activity if e["src_dim"]],
-                              ambient))
-    for entry in activity:
+    for entry in piece_activity(p, a, b, r):
         alpha = entry["alpha"]
         word = entry["word"]
         comp = {"alpha": alpha, "source": list(entry["source"]),
@@ -542,7 +539,7 @@ def symplectic_harmonics_16_decomposition(p, a, b, r):
             and not apply("curlyE", w).terms
             and not apply("P", w).terms
             for w in vecs)
-        comp["in_ambient"] = next(in_ambient)
+        comp["in_ambient"] = _inside([vecs], ambient)[0]
         if entry["reason"] == "annihilated":
             exclusions.append({"alpha": alpha, "reason": "annihilated",
                                "source": list(entry["source"]),

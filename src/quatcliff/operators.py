@@ -7,11 +7,14 @@ states each operator once: a base operator as the function of n that
 writes its table, a composite as an expression ((c0, c1, name), ...)
 meaning sum (c0 + c1*p) * name, the format of the relation right-hand
 sides (c0 may be a Gaussian scalar), compiled once per n into one table;
-so apply, apply_cached and apply_expression all make one pass of
-apply_terms.  The grading is read off the words by `shifts`: the changes
-(da, db, dr) of z-degree, zbar-degree and spinor grade, parity dr mod 2.
-The scalar move and the value move of a word commute; each word applies
-its scalar move first.  Conventions (k runs 1..n = 2p, j runs 1..p):
+so apply and apply_expression both make one pass of apply_terms.  The
+bracket checks of relations work term by term instead: term_image walks
+one key through a table and memoises its image in a caller's dict, and
+apply_cached is the sum of those images.  The grading is read off the
+words by `shifts`: the changes (da, db, dr) of z-degree, zbar-degree and
+spinor grade, parity dr mod 2.  The scalar move and the value move of a
+word commute; each word applies its scalar move first.  Conventions
+(k runs 1..n = 2p, j runs 1..p):
 
   dz        = sum_k d/dz_k fdag_k            dz_dag    = sum_k d/dzbar_k f_k
   dzJ       = sum_j ( d/dz_{2j} f_{2j-1} - d/dz_{2j-1} f_{2j} )
@@ -207,21 +210,47 @@ def apply_expression(expr, F):
     return apply_terms(_compiled(tuple(expr), F.n), F)
 
 
-def apply_cached(op, F, cache):
-    """apply(op, F) with per-single-term memoisation.
+def term_image(op, key, n, cache):
+    """The image of the single term `key` (coefficient 1) under `op` over
+    n variables, as a dict {key: nonzero coefficient}, memoised in `cache`
+    (any dict) under (op, key).  The image is shared: do not change it.
 
-    `cache` is any dict; keys are (operator name, term key).  Images of single
-    terms are tiny, so repeated applications over a whole basis get cheap.
+    The key walks through each word of term_table(op, n), rightmost move
+    first, and c times the product of the moves' factors is summed per
+    landing key; zero sums are dropped.  This loop deliberately repeats
+    the walk of `apply_terms` instead of calling it on a one-term
+    polynomial or serving as its building block: apply_terms' per-word
+    move list and factor memo pay off only over many terms, and
+    rebuilding apply_terms on per-key images made the kernel
+    constructions slower.
+    """
+    ck = (op, key)
+    img = cache.get(ck)
+    if img is None:
+        sums = {}
+        for c, word in term_table(op, n):
+            k, f = key, 1
+            for move, arg in reversed(word):
+                hit = KEY_MOVES[move](k, arg)
+                if hit is None:
+                    break
+                k, g = hit
+                f *= g
+            else:
+                cur = sums.get(k)
+                sums[k] = c * f if cur is None else cur + c * f
+        img = cache[ck] = {k: v for k, v in sums.items() if v}
+    return img
+
+
+def apply_cached(op, F, cache):
+    """apply(op, F) as the sum of the memoised single-term images of
+    `term_image`; `cache` is any dict, keyed by (operator name, term key).
     """
     term_table(op, F.n)  # an unknown name raises even on the zero polynomial
     out = {}
     for key, c in F.terms.items():
-        ck = (op, key)
-        img = cache.get(ck)
-        if img is None:
-            img = apply(op, SpinorPolynomial(F.n, {key: XS_ONE})).terms
-            cache[ck] = img
-        linalg.axpy(out, img, c)
+        linalg.axpy(out, term_image(op, key, F.n, cache), c)
     return SpinorPolynomial(F.n, out)
 
 

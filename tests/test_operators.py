@@ -14,9 +14,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import dirac_dictionary_check
-from quatcliff.operators import (REGISTRY, apply, apply_expression,
-                                 apply_terms, apply_word, shifts, term_table)
+from quatcliff.operators import (REGISTRY, apply, apply_cached,
+                                 apply_expression, apply_terms, apply_word,
+                                 shifts, term_image, term_table)
 from quatcliff.poly import SpinorPolynomial, space_basis
+from quatcliff.relations import bidegrees_up_to
 from quatcliff.relations import RULES
 from quatcliff.scalars import ExtendedScalar, xs
 
@@ -200,6 +202,24 @@ def test_one_pass_applier_drops_cancelled_terms():
     # Q = fdag1 fdag2 + fdag3 fdag4 sends fd{3,4}I and fd{1,2}I to fd{1,2,3,4}I
     x = SpinorPolynomial.constant(4, {0b1100: xs(1), 0b0011: xs(-1)})
     assert apply("Q", x).is_zero()
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_single_term_images_match_the_applier(name, p):
+    # term_image walks one key through the words by its own loop; it must
+    # agree with apply_terms on every key of degree a + b <= 2, and
+    # apply_cached, the sum of those images, with apply
+    n = 2 * p
+    cache = {}
+    total = SpinorPolynomial.zero(n)
+    for i, (a, b) in enumerate(bidegrees_up_to(2)):
+        for F in space_basis(p, a, b):
+            (key,) = F.terms
+            assert term_image(name, key, n, {}) == apply(name, F).terms
+            total = total + F.scale(xs(i - 2, 1))
+    assert apply_cached(name, total, cache) == apply(name, total)
+    assert len(cache) == len(total.terms)
 
 
 def test_resolve_unknown_name():

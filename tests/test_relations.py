@@ -22,6 +22,7 @@ from quatcliff.poly import space_basis
 from quatcliff.relations import (EUCLIDEAN_RULES, HERMITIAN_RULES, RULE_INDEX,
                                  RULES, bidegrees_up_to, verify_bracket,
                                  verify_osp12_and_sl12, verify_table)
+from quatcliff.scalars import xs
 
 # Rule ids of [e, f], [h, e] and [h, f] for each triple (h, e, f).  The
 # radial triple is (h_total, mul_r2/2, -laplace/2); its identities are
@@ -170,6 +171,22 @@ def test_sl2_triples_read_the_rule_table():
                 assert frozenset((x, y)) in commuting, (t1, t2, x, y)
 
 
+def bracket_difference(rule, F):
+    """L(R F) - R(L F) - rhs(F) of one rule (+ R(L F) for an
+    anticommutator), through apply alone."""
+    LR = apply(rule.left, apply(rule.right, F))
+    RL = apply(rule.right, apply(rule.left, F))
+    return (LR + RL if rule.kind == "acomm" else LR - RL) \
+        - apply_expression(rule.rhs, F)
+
+
+def doubled(rule):
+    """The rule with twice its right-hand side."""
+    return relations.BracketRule(
+        rule.rule_id, rule.kind, rule.left, rule.right,
+        [(2 * c0, 2 * c1, name) for c0, c1, name in rule.rhs])
+
+
 @pytest.mark.parametrize("p,a,b", [(1, 1, 1), (1, 2, 1), (2, 1, 1)])
 def test_sl2_triples(p, a, b):
     # the table tells each triple's weights +-2 from +-4 on P_{a,b} x S:
@@ -179,11 +196,8 @@ def test_sl2_triples(p, a, b):
     cache = {}
     for tname, (_, *weight_ids) in SL2_TRIPLES.items():
         for rule_id in weight_ids:
-            rule = RULE_INDEX[rule_id]
-            doubled = relations.BracketRule(
-                rule.rule_id, rule.kind, rule.left, rule.right,
-                [(2 * c0, 2 * c1, name) for c0, c1, name in rule.rhs])
-            witness = verify_bracket(doubled, a, b, cache, basis)
+            witness = verify_bracket(doubled(RULE_INDEX[rule_id]), a, b,
+                                     cache, basis)
             assert witness, (tname, rule_id)
 
 
@@ -251,6 +265,33 @@ def test_witness_on_forced_failure():
     witness = relations.verify_bracket(wrong, 1, 1, {}, space_basis(1, 1, 1))
     assert witness is not None
     assert (witness["a"], witness["b"]) == (1, 1) and witness["difference"]
+
+
+@pytest.mark.parametrize("rule", [
+    doubled(RULE_INDEX["within-g0:h_diff,curlyE"]),
+    relations.BracketRule("test/wrong", "acomm", "dz", "dz_dag",
+                          ((1, 0, "laplace"),))], ids=["comm", "acomm"])
+def test_witness_is_the_uncached_bracket_difference(rule):
+    # the one-dict accumulation over cached single-term images reports the
+    # first failing monomial and the same difference as applying each side
+    # to it in turn
+    basis = space_basis(2, 1, 1)
+    witness = verify_bracket(rule, 1, 1, {}, basis)
+    first = next(F for F in basis if bracket_difference(rule, F))
+    assert witness["basis"] == str(first)
+    assert witness["difference"] == str(bracket_difference(rule, first))
+
+
+def test_a_true_rule_holds_on_a_two_term_polynomial():
+    # F is not a basis monomial: the check extends linearly over its terms
+    m1, m2 = space_basis(2, 1, 1)[5:7]
+    F = m1.scale(xs(1, 2)) + m2.scale(xs(3, -1))
+    for rule_id in ("g1-g-1:dz,mul_z", "within-g0:h_diff,curlyE"):
+        rule = RULE_INDEX[rule_id]
+        assert verify_bracket(rule, 1, 1, {}, [F]) is None
+        wrong = doubled(rule)
+        witness = verify_bracket(wrong, 1, 1, {}, [F])
+        assert witness["difference"] == str(bracket_difference(wrong, F))
 
 
 def test_verify_table_rejects_a_bad_rank_or_degree():
