@@ -1,7 +1,8 @@
 """Exact operator algebra on spinor-valued polynomials over quaternionic space.
 
-Everything is computed exactly over the field Q(i, sqrt2), each scalar
-stored as four ints over one common denominator (scalars.ExtendedScalar).
+Everything is computed exactly over the field Q(i, sqrt2).  An integer
+coefficient is a plain int; any other is stored as four ints over one
+common denominator (scalars.ExtendedScalar).
 """
 
 from .scalars import BACKEND_NAME, ExtendedScalar, xs

@@ -37,7 +37,7 @@ from .operators import DERIVS, apply, apply_word, joint_kernel, shifts
 from .poly import (SpinorPolynomial, poly_dim, require_int, require_label,
                    space_basis, term_sort_key, value_basis)
 from .relations import BRACKETS, RULE_INDEX, verify_bracket
-from .scalars import XS_ONE, XS_ZERO, xs
+from .scalars import xs
 from .witt import cell_dim, cell_labels, pq_scalars, valid_cell
 
 __all__ = [
@@ -334,8 +334,8 @@ def _eigenvalue(h, T):
     (z-degree, zbar-degree, spinor grade); ValueError unless it is one."""
     keys = {(sum(al), sum(be), m.bit_count()): (al, be, m)
             for al, be, m in T.terms}
-    mus = {apply(h, SpinorPolynomial(T.n, {k: XS_ONE})).terms
-           .get(k, XS_ZERO).ar for k in keys.values()}
+    mus = {apply(h, SpinorPolynomial(T.n, {k: 1})).terms.get(k, 0)
+           for k in keys.values()}
     if len(mus) != 1:
         raise ValueError(f"input is not an eigenvector of {h}: "
                          f"eigenvalues {sorted(mus)}")
@@ -697,7 +697,7 @@ def decompose_polynomial(F, p):
                 entry["component"] = SpinorPolynomial(F.n, comp)
                 entry["source"] = SpinorPolynomial(F.n, source)
                 components.append(entry)
-                linalg.axpy(recomposed, comp, XS_ONE)
+                linalg.axpy(recomposed, comp, 1)
         residual = residual + (part - SpinorPolynomial(F.n, recomposed))
     passed = solved and not residual.terms
     return DecompositionReport(str(F), components, residual, passed,

@@ -1,9 +1,12 @@
 """Exact sparse linear algebra over Q(i, sqrt2).
 
 Vectors are plain dicts mapping hashable, mutually sortable keys to nonzero
-ExtendedScalars.  Gauss-Jordan with exact field inverses runs on sparse
-rows (thm10 at p=2 ranks 1600 vectors at (2,2); the p=3, degree 4 spaces
-have 28224 dimensions); there is no roundoff, so no pivoting heuristics.
+coefficients: plain ints where integral, ExtendedScalars otherwise (see
+scalars).  Gauss-Jordan with exact field inverses (`scalars.inverse`)
+runs on sparse rows (thm10 at p=2 ranks 1600 vectors at (2,2); the p=3,
+degree 4 spaces have 28224 dimensions); there is no roundoff, so no
+pivoting heuristics.  Rows stay integral until the first pivot other
+than +-1.
 
 There is one exact elimination loop, `_eliminate`.  `rref` runs it on
 bare rows, and `nullspace` on the constraints, pivoting from the last
@@ -27,7 +30,7 @@ entry with an i or sqrt2 part) falls back to `rref`, so every rank
 `rank` returns is exact.
 """
 
-from .scalars import XS_ZERO, XS_ONE
+from .scalars import inverse
 
 
 def axpy(dst, src, c):
@@ -64,7 +67,7 @@ def _eliminate(work, key_order):
         if hit is None:
             continue
         row = work.pop(hit)
-        inv = row[key].inverse()
+        inv = inverse(row[key])
         row = {k: inv * v for k, v in row.items()}
         for r in work:
             c = r.get(key)
@@ -108,8 +111,10 @@ _Q = 2305843009213694009
 
 
 def _mod_q(c):
-    """Image of the rational scalar c in F_q; None when c has an i or
+    """Image of the rational coefficient c in F_q; None when c has an i or
     sqrt2 part or _Q divides its denominator."""
+    if type(c) is int:
+        return c % _Q
     if c.x or c.y or c.z:
         return None
     if c.d == 1:
@@ -190,7 +195,7 @@ def nullspace(images):
     for f in range(n):
         if f in pivot_set:
             continue
-        vec = {f: XS_ONE}
+        vec = {f: 1}
         for key, prow in zip(pivot_cols, reduced):
             c = prow.get(f)
             if c is not None:
@@ -217,7 +222,7 @@ class Solver:
         self.n = len(basis)
         terms, rows = _transpose(basis)
         for i, row in enumerate(rows):
-            row[-1 - i] = XS_ONE
+            row[-1 - i] = 1
         # key_order covers every column, so the rows left hold augmented keys only
         pivots, rest = _eliminate(rows, range(self.n))
         self._inverse = {t: {} for t in terms}
@@ -244,7 +249,7 @@ class Solver:
                 axpy(conflict, check, c)
         if conflict:
             return None
-        return [x.get(j, XS_ZERO) for j in range(self.n)]
+        return [x.get(j, 0) for j in range(self.n)]
 
 
 def solve_many(basis, targets):

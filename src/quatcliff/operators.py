@@ -44,22 +44,21 @@ from functools import cache
 
 from . import linalg
 from .poly import SpinorPolynomial, term_sort_key
-from .scalars import ExtendedScalar, XS_ONE, xs
+from .scalars import ExtendedScalar, xs
 from .witt import KEY_MOVES, grade_masks, valid_cell
 
 
-def _each_k(n, outer, inner, c=XS_ONE):
+def _each_k(n, outer, inner, c=1):
     """sum_k c * outer_k inner_k."""
     return [(c, ((outer, k), (inner, k))) for k in range(1, n + 1)]
 
 
 def _twisted(n, outer, inner, sign=1):
     """sum_j sign * ( outer_{2j-1} inner_{2j} - outer_{2j} inner_{2j-1} )."""
-    c = xs(sign)
     out = []
     for j in range(1, n // 2 + 1):
-        out.append((c, ((outer, 2 * j - 1), (inner, 2 * j))))
-        out.append((-c, ((outer, 2 * j), (inner, 2 * j - 1))))
+        out.append((sign, ((outer, 2 * j - 1), (inner, 2 * j))))
+        out.append((-sign, ((outer, 2 * j), (inner, 2 * j - 1))))
     return out
 
 
@@ -82,17 +81,17 @@ REGISTRY = {
     "dirac_J": ((2, 0, "dzJ"), (-2, 0, "dz_dagJ")),
     "dirac_K": ((_MINUS_2I, 0, "dzJ"), (_MINUS_2I, 0, "dz_dagJ")),
     "mul_X": ((1, 0, "mul_z_dag"), (-1, 0, "mul_z")),
-    "id": lambda n: [(XS_ONE, ())],
-    "E_z": lambda n: [(XS_ONE, (("scale_by_euler", "z"),))],
-    "E_z_dag": lambda n: [(XS_ONE, (("scale_by_euler", "zbar"),))],
+    "id": lambda n: [(1, ())],
+    "E_z": lambda n: [(1, (("scale_by_euler", "z"),))],
+    "E_z_dag": lambda n: [(1, (("scale_by_euler", "zbar"),))],
     "curlyE": lambda n: _twisted(n, "mul_z_var", "diff_zbar"),
     "curlyE_dag": lambda n: _twisted(n, "mul_zbar_var", "diff_z", -1),
-    "P": lambda n: [(XS_ONE, (("contract", 2 * j), ("contract", 2 * j - 1)))
+    "P": lambda n: [(1, (("contract", 2 * j), ("contract", 2 * j - 1)))
                     for j in range(1, n // 2 + 1)],
-    "Q": lambda n: [(XS_ONE, (("wedge", 2 * j - 1), ("wedge", 2 * j)))
+    "Q": lambda n: [(1, (("wedge", 2 * j - 1), ("wedge", 2 * j)))
                     for j in range(1, n // 2 + 1)],
     "beta": lambda n: _each_k(n, "wedge", "contract"),
-    "laplace": lambda n: _each_k(n, "diff_zbar", "diff_z", xs(4)),
+    "laplace": lambda n: _each_k(n, "diff_zbar", "diff_z", 4),
     "mul_r2": lambda n: _each_k(n, "mul_zbar_var", "mul_z_var"),
     "h_total": ((1, 0, "E_z"), (1, 0, "E_z_dag"), (0, 2, "id")),
     "h_diff": ((1, 0, "E_z"), (-1, 0, "E_z_dag")),
@@ -149,7 +148,9 @@ def shifts(name):
 def _compiled(expr, n):
     """The term table of an expression at p = n/2: each part's terms times
     (c0 + c1*p), equal words summed, zero sums left out; `expr` is a tuple
-    of (c0, c1, name)."""
+    of (c0, c1, name).  A sum equal to an int is stored as that int, so
+    only a table with a non-integral coefficient (the -2i of dirac_I and
+    dirac_K) holds ExtendedScalars."""
     sums = {}
     for c0, c1, name in expr:
         c = Fraction(c1) * (n // 2)
@@ -160,7 +161,8 @@ def _compiled(expr, n):
         for t, word in term_table(name, n):
             cur = sums.get(word)
             sums[word] = c * t if cur is None else cur + c * t
-    return tuple((c, word) for word, c in sums.items() if c)
+    return tuple((c.ar if c == c.ar else c, word)
+                 for word, c in sums.items() if c)
 
 
 def apply_terms(terms, x):
@@ -298,7 +300,7 @@ def cell_basis(p, r, s):
         return ()
     n = 2 * p
     if r == s:
-        return joint_kernel(("P",), [SpinorPolynomial.constant(n, {m: XS_ONE})
+        return joint_kernel(("P",), [SpinorPolynomial.constant(n, {m: 1})
                                      for m in grade_masks(n, s)])
     word = ("Q",) * ((r - s) // 2)
     rows = [apply_word(word, v).terms for v in cell_basis(p, s, s)]

@@ -2,8 +2,9 @@
 
 A term is keyed by (alpha, beta, mask): alpha and beta are exponent tuples of
 length n for the z and conjugate-z variables, mask is a spinor blade over n
-bits.  Coefficients live in Q(i, sqrt2).  The canonical term order, used for
-printing, JSON and basis enumeration, is
+bits.  Coefficients live in Q(i, sqrt2): plain ints where integral,
+ExtendedScalars otherwise (see scalars).  The canonical term order, used
+for printing, JSON and basis enumeration, is
 
     (total degree, alpha + beta as one tuple, ascending spinor index tuple)
 
@@ -14,8 +15,8 @@ element of S) is a constant polynomial.
 from itertools import combinations_with_replacement
 from math import comb
 
-from . import linalg
-from .scalars import ExtendedScalar, XS_ONE, XS_ZERO, xs
+from . import linalg, scalars
+from .scalars import ExtendedScalar, xs
 from .witt import KEY_MOVES, grade_masks, mask_sort_key
 
 
@@ -40,11 +41,11 @@ class SpinorPolynomial:
         return cls(n)
 
     @classmethod
-    def monomial(cls, n, alpha, beta, mask=0, coeff=XS_ONE):
+    def monomial(cls, n, alpha, beta, mask=0, coeff=1):
         alpha, beta = tuple(alpha), tuple(beta)
         if len(alpha) != n or len(beta) != n:
             raise ValueError("exponent tuple length must equal n")
-        if not isinstance(coeff, ExtendedScalar):
+        if type(coeff) is not int and not isinstance(coeff, ExtendedScalar):
             coeff = xs(coeff)
         return cls(n, {(alpha, beta, mask): coeff})
 
@@ -61,20 +62,20 @@ class SpinorPolynomial:
     def __add__(self, other):
         self._check(other)
         out = dict(self.terms)
-        linalg.axpy(out, other.terms, XS_ONE)
+        linalg.axpy(out, other.terms, 1)
         return SpinorPolynomial(self.n, out)
 
     def __sub__(self, other):
         self._check(other)
         out = dict(self.terms)
-        linalg.axpy(out, other.terms, -XS_ONE)
+        linalg.axpy(out, other.terms, -1)
         return SpinorPolynomial(self.n, out)
 
     def __neg__(self):
         return SpinorPolynomial(self.n, {k: -c for k, c in self.terms.items()})
 
     def scale(self, c):
-        if not isinstance(c, ExtendedScalar):
+        if type(c) is not int and not isinstance(c, ExtendedScalar):
             c = xs(c)
         return SpinorPolynomial(
             self.n, {k: c * v for k, v in self.terms.items()} if c else {})
@@ -179,7 +180,7 @@ class SpinorPolynomial:
                 "alpha": list(a),
                 "beta": list(b),
                 "spinor": [k + 1 for k in range(self.n) if m >> k & 1],
-                "coeff": self.terms[(a, b, m)].to_json(),
+                "coeff": scalars.to_json(self.terms[(a, b, m)]),
             })
         return out
 
@@ -243,7 +244,7 @@ class SpinorPolynomial:
                 raise ValueError(f"{where}: {exc}") from None
             key = (tuple(item["alpha"]), tuple(item["beta"]),
                    sum(1 << (k - 1) for k in spinor))
-            terms[key] = terms.get(key, XS_ZERO) + c
+            terms[key] = terms.get(key, 0) + c
         return cls(n, terms)
 
 
@@ -304,10 +305,10 @@ def value_basis(p, value_space):
     n = 2 * p
     kind = value_space[0]
     if kind == "full":
-        return [SpinorPolynomial.constant(n, {m: XS_ONE})
+        return [SpinorPolynomial.constant(n, {m: 1})
                 for r in range(n + 1) for m in grade_masks(n, r)]
     if kind == "grade":
-        return [SpinorPolynomial.constant(n, {m: XS_ONE})
+        return [SpinorPolynomial.constant(n, {m: 1})
                 for m in grade_masks(n, value_space[1])]
     if kind == "cell":
         return cell_basis(p, value_space[1], value_space[2])

@@ -52,7 +52,6 @@ from fractions import Fraction
 from .linalg import axpy
 from .operators import DERIVS, apply_expression, shifts, term_image
 from .poly import SpinorPolynomial, require_int, require_label, space_basis
-from .scalars import XS_ONE
 
 __all__ = [
     "BracketRule", "RULES", "RULE_INDEX",
@@ -290,8 +289,8 @@ def verify_bracket(rule, a, b, cache, basis):
     F, from the cached single-term images of the two operands; the
     right-hand side is applied to F as a whole.
     """
-    s = XS_ONE if rule.kind == "acomm" else -XS_ONE
-    sides = ((rule.left, rule.right, XS_ONE), (rule.right, rule.left, s))
+    s = 1 if rule.kind == "acomm" else -1
+    sides = ((rule.left, rule.right, 1), (rule.right, rule.left, s))
     for F in basis:
         n, diff = F.n, {}
         for key, v in F.terms.items():
@@ -299,7 +298,7 @@ def verify_bracket(rule, a, b, cache, basis):
                 sv = sign * v
                 for k, c in term_image(inner, key, n, cache).items():
                     axpy(diff, term_image(outer, k, n, cache), c * sv)
-        axpy(diff, apply_expression(rule.rhs, F).terms, -XS_ONE)
+        axpy(diff, apply_expression(rule.rhs, F).terms, -1)
         if diff:
             return {"a": a, "b": b, "basis": str(F),
                     "difference": str(SpinorPolynomial(n, diff)),

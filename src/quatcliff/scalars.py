@@ -1,17 +1,24 @@
 """Exact scalar arithmetic in the field Q(i, sqrt2).
 
-Every coefficient in this package is an ExtendedScalar
+Where the engine makes an integer coefficient it is a plain Python int;
+any other coefficient is an ExtendedScalar.  The operator tables are
+integral in the Witt basis (dirac_I and dirac_K, which carry -2i, aside),
+so operator images, brackets and kernel constructions run on native int
+arithmetic until the first pivot other than +-1.  An ExtendedScalar
 
     (w + x*i + (y + z*i)*sqrt2) / d
 
-stored as five Python ints with d > 0 and gcd(w, x, y, z, d) = 1, so
-equal values are equal 5-tuples and hash alike.  The operators have
-integer coefficients in the Witt basis, so operator images and brackets
-stay at d = 1.  A division brings in d > 1.  Every result is reduced by
-one math.gcd, which does no gcd work when d = 1.  Plain Gaussian numbers
-(y = z = 0) cover almost everything: no code in the package forms a
-sqrt2 part, which only shows up in inputs that carry one and in the spin
-group elements of the test oracle (tests/oracles.py).
+is stored as five Python ints with d > 0 and gcd(w, x, y, z, d) = 1, so
+equal values are equal 5-tuples and hash alike.  It takes an int on
+either side of +, - and *, and an integral one equals and hashes like
+its int, so {k: 1} == {k: xs(1)}.  Its arithmetic always returns an
+ExtendedScalar, integral results included, so an ExtendedScalar input
+(decompose's) gives ExtendedScalar outputs.  `inverse` and `to_json`
+take either kind.  Every result is reduced by one math.gcd, which does
+no gcd work when d = 1.  Plain Gaussian numbers (y = z = 0) cover almost
+everything else: no code in the package forms a sqrt2 part, which only
+shows up in inputs that carry one and in the spin group elements of the
+test oracle (tests/oracles.py).
 
 The four rational components (ar + ai*i) + (br + bi*i)*sqrt2 are read
 through properties: a plain int when integral, a stdlib
@@ -102,6 +109,9 @@ class ExtendedScalar:
         return bool(self.w or self.x or self.y or self.z)
 
     def __add__(self, other):
+        if type(other) is int:
+            d = self.d
+            return _reduced(self.w + other * d, self.x, self.y, self.z, d)
         if not isinstance(other, ExtendedScalar):
             return NotImplemented
         d, e = self.d, other.d
@@ -109,13 +119,24 @@ class ExtendedScalar:
                         self.y * e + other.y * d, self.z * e + other.z * d,
                         d * e)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
+        if type(other) is int:
+            d = self.d
+            return _reduced(self.w - other * d, self.x, self.y, self.z, d)
         if not isinstance(other, ExtendedScalar):
             return NotImplemented
         d, e = self.d, other.d
         return _reduced(self.w * e - other.w * d, self.x * e - other.x * d,
                         self.y * e - other.y * d, self.z * e - other.z * d,
                         d * e)
+
+    def __rsub__(self, other):
+        if type(other) is not int:
+            return NotImplemented
+        d = self.d
+        return _reduced(other * d - self.w, -self.x, -self.y, -self.z, d)
 
     def __neg__(self):
         r = _new(ExtendedScalar)
@@ -127,6 +148,9 @@ class ExtendedScalar:
         return r
 
     def __mul__(self, other):
+        if type(other) is int:
+            return _reduced(self.w * other, self.x * other, self.y * other,
+                            self.z * other, self.d)
         if isinstance(other, ExtendedScalar):
             w, x, y, z = self.w, self.x, self.y, self.z
             a, b, c, e = other.w, other.x, other.y, other.z
@@ -139,7 +163,7 @@ class ExtendedScalar:
                             w * b + x * a + 2 * (y * e + z * c),
                             w * c - x * e + y * a - z * b,
                             w * e + x * c + y * b + z * a, d)
-        if type(other) is not int and not isinstance(other, Fraction):
+        if not isinstance(other, Fraction):
             return NotImplemented
         n, m = other.numerator, other.denominator
         return _reduced(self.w * n, self.x * n, self.y * n, self.z * n,
@@ -183,12 +207,17 @@ class ExtendedScalar:
         return r
 
     def __eq__(self, other):
+        if type(other) is int:
+            return (self.w == other and self.d == 1
+                    and not (self.x or self.y or self.z))
         if not isinstance(other, ExtendedScalar):
             return NotImplemented
         return (self.w == other.w and self.x == other.x and self.y == other.y
                 and self.z == other.z and self.d == other.d)
 
     def __hash__(self):
+        if self.d == 1 and not (self.x or self.y or self.z):
+            return hash(self.w)   # equal to the int w, so hashed alike
         return hash((self.w, self.x, self.y, self.z, self.d))
 
     def __str__(self):
@@ -220,10 +249,25 @@ class ExtendedScalar:
                    to_rat(obj["b_re"]), to_rat(obj["b_im"]))
 
 
-XS_ZERO = ExtendedScalar()
-XS_ONE = ExtendedScalar(1)
-
-
 def xs(ar=0, ai=0, br=0, bi=0):
     """Shorthand constructor; accepts ints, Fractions and 'n/d' strings."""
     return ExtendedScalar(ar, ai, br, bi)
+
+
+def inverse(c):
+    """1 / c for a coefficient c, an int or an ExtendedScalar: 1 and -1
+    are their own int inverses, any other nonzero value gives an
+    ExtendedScalar; ZeroDivisionError for zero."""
+    if type(c) is not int:
+        return c.inverse()
+    if c == 1 or c == -1:
+        return c
+    if not c:
+        raise ZeroDivisionError("inverse of zero")
+    return _reduced(-1 if c < 0 else 1, 0, 0, 0, abs(c))
+
+
+def to_json(c):
+    """The JSON object of a coefficient, an int or an ExtendedScalar; an
+    int is written as xs(c)."""
+    return (xs(c) if type(c) is int else c).to_json()

@@ -10,7 +10,7 @@ from functools import cache
 
 from quatcliff.operators import apply, apply_expression
 from quatcliff.poly import SpinorPolynomial, space_basis
-from quatcliff.scalars import ExtendedScalar, XS_ONE, XS_ZERO, xs
+from quatcliff.scalars import ExtendedScalar, xs
 
 
 # --------------------------------------------------- the Clifford algebra
@@ -63,10 +63,10 @@ class CliffordElement:
         """e_alpha, 1-based."""
         if not 1 <= alpha <= n_gens:
             raise ValueError(f"generator index {alpha} out of range 1..{n_gens}")
-        return cls(n_gens, {1 << (alpha - 1): XS_ONE})
+        return cls(n_gens, {1 << (alpha - 1): xs(1)})
 
     @classmethod
-    def blade(cls, n_gens, indices, coeff=XS_ONE):
+    def blade(cls, n_gens, indices, coeff=xs(1)):
         mask = 0
         for a in indices:
             bit = 1 << (a - 1)
@@ -144,7 +144,7 @@ class CliffordElement:
         return CliffordElement(self.n_gens, out)
 
     def scalar_part(self):
-        return self.terms.get(0, XS_ZERO)
+        return self.terms.get(0, xs())
 
     def is_zero(self):
         return not self.terms
@@ -180,7 +180,7 @@ def inner_product(x, y):
     against the literal [x^dagger y]_0 computed with full products.
     """
     x._check(y)
-    total = XS_ZERO
+    total = xs()
     for mask, c in x.terms.items():
         d = y.terms.get(mask)
         if d is not None:

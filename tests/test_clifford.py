@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (CliffordElement, blade_conjugation_sign, blade_mul,
                      inner_product)
-from quatcliff.scalars import XS_ZERO, xs
+from quatcliff.scalars import xs
 
 N = 6  # generators used in the random tests
 
@@ -142,8 +142,8 @@ def test_norm_sq_is_real_and_definite(x):
     v = inner_product(x, x)
     assert v.ai == 0 and v.bi == 0
     if x.is_zero():
-        assert v == XS_ZERO
+        assert v == xs()
     else:
-        assert v != XS_ZERO
+        assert v != xs()
         assert float(Fraction(v.ar.numerator, v.ar.denominator)) \
             + float(Fraction(v.br.numerator, v.br.denominator)) * math.sqrt(2) > 0

@@ -20,7 +20,7 @@ from quatcliff import fischer as fi, linalg, operators, relations
 from quatcliff.operators import apply, apply_word
 from quatcliff.poly import (SpinorPolynomial, poly_dim, space_basis,
                             term_sort_key, value_basis)
-from quatcliff.scalars import XS_ONE, xs
+from quatcliff.scalars import ExtendedScalar, xs
 
 
 def rand_combo(vectors, rng, n):
@@ -80,7 +80,7 @@ def test_inside_rejects_a_vector_outside_the_space():
     H = fi.harmonic_space(1, 1, 1)
     # |z|^2 = z1 zbar1 + z2 zbar2 is not harmonic: one vector outside
     # the space rejects its whole piece, and only that piece
-    r2 = apply("mul_r2", SpinorPolynomial.constant(2, {0: XS_ONE}))
+    r2 = apply("mul_r2", SpinorPolynomial.constant(2, {0: xs(1)}))
     assert fi._inside([[r2], [H[0], r2], [H[0], H[2] - H[1]], []],
                       H) == [False, False, True, True]
     assert fi._inside([[H[0]]], ()) == [False]
@@ -748,6 +748,32 @@ def test_decompose_golden_p2(seed):
     assert hashlib.sha256(blob.encode()).hexdigest() == DECOMPOSE_GOLDEN_P2[seed]
 
 
+def test_decompose_keeps_extended_coefficients_at_the_edge(monkeypatch):
+    # the pieces hold plain ints, but on an ExtendedScalar input every
+    # output coefficient is an ExtendedScalar, real integers included, so
+    # callers can read its fields (ar, ai, br, bi)
+    rng = random.Random(3)
+    F = SpinorPolynomial.zero(4)
+    for a, b in [(0, 0), (1, 0), (0, 1), (1, 1)]:
+        for v in rng.sample(space_basis(2, a, b), 6):
+            F = F + v.scale(xs(rng.randint(1, 3), rng.choice([0, 0, 1])))
+    odd = SpinorPolynomial.monomial(4, (1, 0, 0, 0), (0, 0, 0, 0), 0, xs(2))
+    for G in (F, odd):
+        rep = fi.decompose_polynomial(G, 2)
+        assert rep.passed and rep.components
+        coeffs = [c for comp in rep.components
+                  for name in ("component", "source")
+                  for c in comp[name].terms.values()]
+        assert all(type(c) is ExtendedScalar for c in coeffs)
+    # a part no piece reaches is left in the residual as it came in
+    unsolved = type("Unsolved", (), {"solve": lambda self, target: None})
+    monkeypatch.setattr(fi, "_pieces_solver", lambda p, a, b: unsolved())
+    rep = fi.decompose_polynomial(F, 2)
+    assert not rep.passed and rep.residual == F
+    assert all(type(c) is ExtendedScalar
+               for c in rep.residual.terms.values())
+
+
 def test_decompose_cold_and_warm_cache_agree():
     fi.full_decomposition_pieces.cache_clear()
     fi._piece_power.cache_clear()
@@ -766,7 +792,7 @@ def test_decompose_outputs_do_not_alias_cached_pieces():
         for name in ("component", "source"):
             terms = comp[name].terms
             for key in list(terms):
-                terms[key] = terms[key] + XS_ONE
+                terms[key] = terms[key] + xs(1)
             terms.pop(next(iter(terms)))
     assert fi.decompose_polynomial(F, 2).to_json() == expected
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from quatcliff import linalg
-from quatcliff.scalars import XS_ONE, XS_ZERO, ExtendedScalar, xs
+from quatcliff.scalars import ExtendedScalar, xs
 
 small = st.integers(min_value=-4, max_value=4)
 
@@ -16,7 +16,7 @@ def vectors(n_keys=5, max_terms=4):
         for key, (ar, ai) in pairs:
             c = xs(ar, ai)
             if c:
-                linalg.axpy(out, {key: c}, XS_ONE)
+                linalg.axpy(out, {key: c}, xs(1))
         return out
     return st.builds(build, st.lists(
         st.tuples(st.integers(min_value=0, max_value=n_keys - 1),
@@ -41,7 +41,7 @@ def field_rows(draw):
         for key in draw(st.lists(st.integers(0, 4), max_size=4)):
             c = ExtendedScalar(*(draw(components) for _ in range(4)))
             if c:
-                linalg.axpy(row, {key: c}, XS_ONE)
+                linalg.axpy(row, {key: c}, xs(1))
         rows.append(row)
     for _ in range(draw(st.integers(0, 3))):
         combo = {}
@@ -62,7 +62,7 @@ def test_rref_canonical_simple():
     rows = [{0: xs(2), 1: xs(2)}, {0: xs(1), 1: xs(1), 2: xs(1)}]
     reduced, pivots = linalg.rref(rows)
     assert pivots == [0, 2]
-    assert reduced == [{0: XS_ONE, 1: XS_ONE}, {2: XS_ONE}]
+    assert reduced == [{0: xs(1), 1: xs(1)}, {2: xs(1)}]
 
 
 @given(vector_lists(), vector_lists())
@@ -107,7 +107,7 @@ def test_nullspace_is_reduced_echelon_in_index_order(images):
     leads = [min(vec) for vec in kernel]
     assert leads == sorted(set(leads))
     for vec, f in zip(kernel, leads):
-        assert vec[f] == XS_ONE
+        assert vec[f] == xs(1)
         assert sum(f in other for other in kernel) == 1
 
 
@@ -180,9 +180,9 @@ def reference_solve_many(basis, targets):
         if ti in bad:
             out.append(None)
             continue
-        x = [XS_ZERO] * n
+        x = [xs()] * n
         for j, _, pa in pivots:
-            x[j] = pa.get(ti, XS_ZERO)
+            x[j] = pa.get(ti, xs())
         out.append(x)
     return out
 
@@ -210,7 +210,7 @@ def systems(draw):
             continue
         tgt = combination()
         if kind == "off":
-            linalg.axpy(tgt, {draw(st.sampled_from([5, 6])): XS_ONE},
+            linalg.axpy(tgt, {draw(st.sampled_from([5, 6])): xs(1)},
                         xs(draw(st.integers(1, 3))))
         targets.append(tgt)
     return basis, targets
@@ -218,9 +218,9 @@ def systems(draw):
 
 @given(systems())
 @example(([], []))
-@example(([], [{}, {0: XS_ONE}]))
-@example(([{0: XS_ONE}, {0: xs(2)}], [{0: xs(3)}, {0: XS_ONE, 5: XS_ONE}]))
-@example(([{0: XS_ONE, 1: XS_ONE}], [{0: XS_ONE}, {1: xs(2), 0: xs(2)}]))
+@example(([], [{}, {0: xs(1)}]))
+@example(([{0: xs(1)}, {0: xs(2)}], [{0: xs(3)}, {0: xs(1), 5: xs(1)}]))
+@example(([{0: xs(1), 1: xs(1)}], [{0: xs(1)}, {1: xs(2), 0: xs(2)}]))
 @settings(max_examples=80)
 def test_solver_matches_reference(system):
     basis, targets = system
@@ -267,9 +267,9 @@ def test_rows_with_i_or_sqrt2_get_the_exact_rank():
     i, s2 = xs(0, 1), xs(0, 0, 1)
     assert linalg._mod_q(i) is None and linalg._mod_q(s2) is None
     # (1, i) and (i, -1) = i (1, i) are dependent, (1, i) and (i, 1) not
-    for rows, want in [([{0: XS_ONE, 1: i}, {0: i, 1: xs(-1)}], 1),
-                       ([{0: XS_ONE, 1: i}, {0: i, 1: XS_ONE}], 2),
-                       ([{0: s2, 1: xs(2)}, {0: XS_ONE, 1: s2}], 1)]:
+    for rows, want in [([{0: xs(1), 1: i}, {0: i, 1: xs(-1)}], 1),
+                       ([{0: xs(1), 1: i}, {0: i, 1: xs(1)}], 2),
+                       ([{0: s2, 1: xs(2)}, {0: xs(1), 1: s2}], 1)]:
         assert linalg._certified_rank(rows) is None
         assert linalg.rank(rows) == len(linalg.rref(rows)[0]) == want
 

@@ -19,7 +19,7 @@ from quatcliff.operators import (REGISTRY, apply, apply_cached,
                                  shifts, term_image, term_table)
 from quatcliff.poly import SpinorPolynomial, space_basis
 from quatcliff.relations import bidegrees_up_to
-from quatcliff.relations import RULES
+from quatcliff.relations import GENERATORS, RULES
 from quatcliff.scalars import ExtendedScalar, xs
 
 small = st.integers(min_value=-3, max_value=3)
@@ -220,6 +220,34 @@ def test_single_term_images_match_the_applier(name, p):
             total = total + F.scale(xs(i - 2, 1))
     assert apply_cached(name, total, cache) == apply(name, total)
     assert len(cache) == len(total.terms)
+
+
+def test_integer_tables_hold_plain_ints():
+    # every table coefficient that is an integer is stored as an int, so
+    # operator application runs on native int arithmetic; only the -2i of
+    # dirac_I and dirac_K is an ExtendedScalar
+    for n in (2, 4):
+        for name in REGISTRY:
+            for c, _ in term_table(name, n):
+                if name in ("dirac_I", "dirac_K"):
+                    assert type(c) is ExtendedScalar, (name, n, c)
+                else:
+                    assert type(c) is int, (name, n, c)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_generator_images_and_bases_are_integral(p):
+    n = 2 * p
+    for a, b in bidegrees_up_to(2):
+        basis = space_basis(p, a, b)
+        assert all(type(c) is int for F in basis for c in F.terms.values())
+        cache = {}
+        for name in GENERATORS:
+            for F in basis:
+                (key,) = F.terms
+                image = term_image(name, key, n, cache)
+                assert all(type(c) is int for c in image.values()), (
+                    name, key)
 
 
 def test_resolve_unknown_name():

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from quatcliff import fischer as fi
 from quatcliff.poly import (SpinorPolynomial, exponent_tuples, monomial_keys,
                             poly_dim, space_basis, term_sort_key, value_basis)
-from quatcliff.scalars import XS_ONE, xs
+from quatcliff.scalars import xs
 from quatcliff.witt import cell_dim, cell_labels
 
 small = st.integers(min_value=-3, max_value=3)
@@ -101,7 +101,7 @@ def test_space_basis_leading_terms_stand_alone(p):
             counts = Counter(t for F in basis for t in F.terms)
             for F in basis:
                 lead = min(F.terms, key=term_sort_key)
-                assert F.terms[lead] == XS_ONE and counts[lead] == 1
+                assert F.terms[lead] == xs(1) and counts[lead] == 1
 
 
 # sha256 of the canonical JSON of [[r, s, basis], ...] over every cell
@@ -170,7 +170,7 @@ def test_mul_then_diff_round_trip():
     F = SpinorPolynomial.monomial(2, (1, 0), (0, 1), 0b01)
     G = F.mul_z_var(1)
     assert G == SpinorPolynomial.monomial(2, (2, 0), (0, 1), 0b01,
-                                          XS_ONE)
+                                          xs(1))
     assert G.diff_z(1) == F.scale(xs(2))
     H = F.mul_zbar_var(2)
     assert H.diff_zbar(2) == F.scale(xs(2))

@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from quatcliff.scalars import (BACKEND_NAME, ExtendedScalar, XS_ONE, XS_ZERO,
-                               rat_str, to_rat, xs)
+from quatcliff.scalars import (BACKEND_NAME, ExtendedScalar, inverse,
+                               rat_str, to_json, to_rat, xs)
 
 small = st.integers(min_value=-6, max_value=6)
 
@@ -29,11 +29,11 @@ def test_backend_reports_a_name():
 
 
 def test_constants():
-    assert xs(0, 1) * xs(0, 1) == -XS_ONE
+    assert xs(0, 1) * xs(0, 1) == -xs(1)
     assert xs(0, 0, 1) * xs(0, 0, 1) == xs(2)
-    assert XS_ZERO + XS_ONE == XS_ONE
-    assert not XS_ZERO
-    assert XS_ONE
+    assert xs() + xs(1) == xs(1)
+    assert not xs()
+    assert xs(1)
 
 
 def test_string_coercion():
@@ -50,11 +50,11 @@ def test_inexact_and_non_numbers_are_rejected(bad):
     with pytest.raises(TypeError, match=type(bad).__name__):
         xs(bad)
     with pytest.raises(TypeError):
-        XS_ONE * bad
+        xs(1) * bad
     with pytest.raises(TypeError):
-        bad * XS_ONE
+        bad * xs(1)
     with pytest.raises(TypeError):
-        XS_ONE / bad
+        xs(1) / bad
 
 
 @given(scalars(), scalars(), scalars())
@@ -64,9 +64,9 @@ def test_ring_axioms(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-    assert a + XS_ZERO == a
-    assert a * XS_ONE == a
-    assert a - a == XS_ZERO
+    assert a + xs() == a
+    assert a * xs(1) == a
+    assert a - a == xs()
 
 
 @given(scalars())
@@ -75,8 +75,8 @@ def test_inverse(a):
         with pytest.raises(ZeroDivisionError):
             a.inverse()
     else:
-        assert a * a.inverse() == XS_ONE
-        assert XS_ONE / a == a.inverse()
+        assert a * a.inverse() == xs(1)
+        assert xs(1) / a == a.inverse()
 
 
 @given(scalars(), scalars())
@@ -100,7 +100,7 @@ def test_known_inverse():
     # (i + sqrt2)(i - sqrt2) = -1 - 2 = -3 wait: i^2 - 2 = -3, so inverse of
     # (i + sqrt2) is (i - sqrt2)/(-3) -- checked by multiplication instead
     b = xs(0, 1, 1, 0)
-    assert b * b.inverse() == XS_ONE
+    assert b * b.inverse() == xs(1)
 
 
 @given(scalars())
@@ -110,7 +110,7 @@ def test_json_round_trip(a):
 
 
 def test_str_smoke():
-    assert str(XS_ZERO) == "0"
+    assert str(xs()) == "0"
     s = str(xs(1, -1, Fraction(1, 2), 0))
     assert "i" in s and "s2" in s
 
@@ -253,18 +253,18 @@ def test_layout_examples():
 
 
 def test_zero_layout():
-    assert layout(XS_ZERO) == (0, 0, 0, 0, 1)
+    assert layout(xs()) == (0, 0, 0, 0, 1)
     a = xs(Fraction(1, 3), 2, Fraction(-5, 6), 1)
-    for zero in (a - a, a * 0, a * XS_ZERO, a + (-a), xs(Fraction(0, 7))):
+    for zero in (a - a, a * 0, a * xs(), a + (-a), xs(Fraction(0, 7))):
         assert layout(zero) == (0, 0, 0, 0, 1)
-        assert zero == XS_ZERO and hash(zero) == hash(XS_ZERO)
+        assert zero == xs() and hash(zero) == hash(xs())
 
 
 @given(parts, parts)
 def test_values_equal_under_the_oracle_have_equal_fields(u, v):
     x, y = xs(*u), xs(*v)
     fu, fv = tuple(map(Fraction, u)), tuple(map(Fraction, v))
-    routes = [x, (x + y) - y, x * XS_ONE, -(-x), x.conjugate().conjugate(),
+    routes = [x, (x + y) - y, x * xs(1), -(-x), x.conjugate().conjugate(),
               x * 6 / 6, xs(*fu)]
     if not y.is_zero():
         routes += [(x * y) / y, (x / y) * y]
@@ -272,3 +272,85 @@ def test_values_equal_under_the_oracle_have_equal_fields(u, v):
         assert layout(r) == layout(x) and hash(r) == hash(x)
     assert (layout(x) == layout(y)) == (fu == fv)
     assert (x == y) == (fu == fv)
+
+
+# ------------------------------------------- ints as coefficients
+
+ints = st.integers(min_value=-50, max_value=50)
+
+
+@given(parts, ints)
+def test_mixed_int_arithmetic_is_the_all_extended_result(u, k):
+    """An int operand on either side of +, - and * gives the result the
+    same operation gives on xs(k), as an ExtendedScalar."""
+    x, y = xs(*u), xs(k)
+    for got, want in ((x + k, x + y), (k + x, y + x), (x - k, x - y),
+                      (k - x, y - x), (x * k, x * y), (k * x, y * x)):
+        assert type(got) is ExtendedScalar
+        assert layout(got) == layout(want)
+
+
+@given(parts, parts)
+def test_extended_arithmetic_never_returns_an_int(u, v):
+    x, y = xs(*u), xs(*v)
+    results = [x + y, x - y, -x, x * y, x.conjugate(), x * 2, x / 2]
+    if not y.is_zero():
+        results += [y.inverse(), x / y, inverse(y)]
+    assert all(type(r) is ExtendedScalar for r in results)
+    # integral results too
+    assert all(type(r) is ExtendedScalar
+               for r in (xs(2) * xs(3), xs(1) + xs(1), xs(1).inverse(),
+                         xs(0, 1) * xs(0, 1), xs(Fraction(1, 2)) * 2))
+
+
+@given(ints)
+def test_an_integral_scalar_equals_and_hashes_like_its_int(k):
+    assert xs(k) == k and k == xs(k)
+    assert not (xs(k) != k)
+    assert hash(xs(k)) == hash(k)
+    assert {"t": k} == {"t": xs(k)} and {"t": xs(k)} == {"t": k}
+    assert {k: 1} == {k: xs(1)}
+    assert xs(k, 1) != k and k != xs(k, 1)
+    assert xs(Fraction(2 * k + 1, 2)) != k
+    assert xs(k) != k + 1
+
+
+@given(ints)
+def test_inverse_of_an_int(k):
+    if not k:
+        with pytest.raises(ZeroDivisionError):
+            inverse(k)
+        return
+    inv = inverse(k)
+    if k in (1, -1):
+        assert inv == k and type(inv) is int
+    else:
+        assert type(inv) is ExtendedScalar and inv == xs(k).inverse()
+    assert inv * k == 1 and k * inv == 1
+
+
+@given(parts)
+def test_inverse_of_a_scalar_is_its_method(u):
+    x = xs(*u)
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            inverse(x)
+    else:
+        assert layout(inverse(x)) == layout(x.inverse())
+
+
+@given(ints, parts)
+def test_to_json_writes_an_int_as_its_scalar(k, u):
+    assert to_json(k) == xs(k).to_json()
+    assert to_json(xs(*u)) == xs(*u).to_json()
+
+
+def test_bool_is_not_an_int_coefficient():
+    one = xs(1)
+    for op in (lambda a, b: a + b, lambda a, b: a - b,
+               lambda a, b: a * b):
+        with pytest.raises(TypeError):
+            op(one, True)
+        with pytest.raises(TypeError):
+            op(True, one)
+    assert one != True  # noqa: E712

@@ -19,7 +19,7 @@ from oracles import (CliffordElement, _frame as frame, conjugation_action,
                      detect_spin_convention, inner_product, rotation_I,
                      rotation_J, rotation_K, spin_elements, witt_J_images)
 from quatcliff.poly import SpinorPolynomial
-from quatcliff.scalars import XS_ONE, XS_ZERO, xs
+from quatcliff.scalars import xs
 from quatcliff import linalg, witt
 from quatcliff.operators import apply, cell_basis
 from quatcliff.witt import (cell_dim, cell_labels, grade_masks, pq_scalars,
@@ -132,11 +132,11 @@ def test_blades_are_orthogonal_under_clifford_pairing(p):
     for A in range(1 << fr.n):
         for B in range(1 << fr.n):
             got = inner_product(fr.spinor_blade(A), fr.spinor_blade(B))
-            assert got == (norm if A == B else XS_ZERO), (A, B)
+            assert got == (norm if A == B else xs()), (A, B)
 
 
 def test_beta_on_blades():
-    s = SpinorPolynomial.constant(4, {0b0011: XS_ONE, 0b0100: xs(2)})
+    s = SpinorPolynomial.constant(4, {0b0011: xs(1), 0b0100: xs(2)})
     assert apply("beta", s) == SpinorPolynomial.constant(
         4, {0b0011: xs(2), 0b0100: xs(2)})
 
@@ -255,7 +255,7 @@ def test_ladder_injectivity_by_grade(p):
     n = 2 * p
     for r in range(n + 1):
         masks = grade_masks(n, r)
-        blades = [SpinorPolynomial.constant(n, {m: XS_ONE}) for m in masks]
+        blades = [SpinorPolynomial.constant(n, {m: xs(1)}) for m in masks]
         p_images = [apply("P", v).terms for v in blades]
         q_images = [apply("Q", v).terms for v in blades]
         ker_p = linalg.nullspace(p_images)
