@@ -33,11 +33,11 @@ from functools import cache
 from math import comb
 
 from . import linalg
-from .operators import DERIVS, apply, apply_word, joint_kernel, shifts
+from .operators import (DERIVS, apply, apply_word, joint_kernel, key_image,
+                        shifts)
 from .poly import (SpinorPolynomial, poly_dim, require_int, require_label,
                    space_basis, term_sort_key, value_basis)
 from .relations import BRACKETS, RULE_INDEX, verify_bracket
-from .scalars import xs
 from .witt import cell_dim, cell_labels, pq_scalars, valid_cell
 
 __all__ = [
@@ -334,8 +334,7 @@ def _eigenvalue(h, T):
     (z-degree, zbar-degree, spinor grade); ValueError unless it is one."""
     keys = {(sum(al), sum(be), m.bit_count()): (al, be, m)
             for al, be, m in T.terms}
-    mus = {apply(h, SpinorPolynomial(T.n, {k: 1})).terms.get(k, 0)
-           for k in keys.values()}
+    mus = {key_image(h, k, T.n).get(k, 0) for k in keys.values()}
     if len(mus) != 1:
         raise ValueError(f"input is not an eigenvector of {h}: "
                          f"eigenvalues {sorted(mus)}")
@@ -371,7 +370,7 @@ def project_ker(lower, T):
             raise ValueError(f"projection onto Ker {lower} undefined at "
                              f"{h} = {mu}")
         coeff /= -d
-        out = out + apply_word((raiser,) * k, L).scale(xs(coeff))
+        out = out + apply_word((raiser,) * k, L).scale(coeff)
         L = apply(lower, L)
     return out
 
@@ -742,9 +741,9 @@ def example_decomposition():
     r = c4["r"]
     c = Fraction(1, p - r + 2)
     A = -c / (1 - c)
-    S0 = c4["source"].scale(xs(1 - c))
+    S0 = c4["source"].scale(1 - c)
     rebuilt = (apply("mul_zJ", S0)
-               + apply_word(("mul_z", "Q"), S0).scale(xs(A)))
+               + apply_word(("mul_z", "Q"), S0).scale(A))
     out.update(S0=S0.to_json(), S1=c0["source"].to_json(),
                S2=c1["source"].to_json(), A=str(A),
                rewrite_exact=not (rebuilt - c4["component"]).terms)
@@ -903,9 +902,9 @@ def cells_check(p):
                 checks["kernels"] = False
             if (lab.r == 2 * p - lab.s) != (not qv.terms):
                 checks["kernels"] = False
-            if (apply("P", qv) - v.scale(xs(pq))).terms:
+            if (apply("P", qv) - v.scale(pq)).terms:
                 checks["pq_scalars"] = False
-            if (apply("Q", pv) - v.scale(xs(qp))).terms:
+            if (apply("Q", pv) - v.scale(qp)).terms:
                 checks["pq_scalars"] = False
     # column r is the direct sum of its cells: their bases together are
     # C(n, r) independent vectors

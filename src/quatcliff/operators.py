@@ -2,19 +2,19 @@
 
 Every operator is one term table, a list of (coefficient, word); a word
 is a tuple of moves (a name of witt.KEY_MOVES, argument) applied
-rightmost first, and apply_terms sums coefficient * word(F).  REGISTRY
-states each operator once: a base operator as the function of n that
-writes its table, a composite as an expression ((c0, c1, name), ...)
-meaning sum (c0 + c1*p) * name, the format of the relation right-hand
-sides (c0 may be a Gaussian scalar), compiled once per n into one table;
-so apply and apply_expression both make one pass of apply_terms.  The
-bracket checks of relations work term by term instead: term_image walks
-one key through a table and memoises its image in a caller's dict, and
-apply_cached is the sum of those images.  The grading is read off the
-words by `shifts`: the changes (da, db, dr) of z-degree, zbar-degree and
-spinor grade, parity dr mod 2.  The scalar move and the value move of a
-word commute; each word applies its scalar move first.  Conventions
-(k runs 1..n = 2p, j runs 1..p):
+rightmost first, and apply_terms sums coefficient * word(F).  An
+operator is a name or an expression: a REGISTRY name, or a tuple
+((c0, c1, name), ...) meaning sum (c0 + c1*p) * name (c0 may be a
+Gaussian scalar), the form of the relation right-hand sides and of the
+composites of REGISTRY, whose base operators are functions of n writing
+their tables.  term_table compiles either kind once per n, so apply
+makes one pass of apply_terms over a polynomial.  key_image is the one
+single-key walk; term_image memoises it in a caller's dict for the
+bracket checks of relations, and apply_cached sums those images.  The
+grading is read off the words by `shifts`: the changes (da, db, dr) of
+z-degree, zbar-degree and spinor grade, parity dr mod 2.  The scalar
+move and the value move of a word commute; each word applies its scalar
+move first.  Conventions (k runs 1..n = 2p, j runs 1..p):
 
   dz        = sum_k d/dz_k fdag_k            dz_dag    = sum_k d/dzbar_k f_k
   dzJ       = sum_j ( d/dz_{2j} f_{2j-1} - d/dz_{2j-1} f_{2j} )
@@ -103,16 +103,32 @@ REGISTRY = {
 
 
 @cache
-def term_table(name, n):
-    """The (coefficient, word) terms of any operator over n variables: a
-    base operator's own table or a composite's compiled expression."""
-    try:
-        entry = REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown operator name {name!r}") from None
-    if isinstance(entry, tuple):
-        return _compiled(entry, n)
-    return tuple(entry(n))
+def term_table(op, n):
+    """The (coefficient, word) terms of an operator over n variables: a
+    base operator's own table, or an expression's, compiled at p = n/2:
+    each part's terms times (c0 + c1*p), equal words summed, zero sums
+    left out.  A sum equal to an int is stored as that int, so only a
+    table with a non-integral coefficient (the -2i of dirac_I and
+    dirac_K) holds ExtendedScalars."""
+    if isinstance(op, str):
+        try:
+            op = REGISTRY[op]
+        except KeyError:
+            raise KeyError(f"unknown operator name {op!r}") from None
+        if not isinstance(op, tuple):
+            return tuple(op(n))
+    sums = {}
+    for c0, c1, name in op:
+        c = Fraction(c1) * (n // 2)
+        if isinstance(c0, ExtendedScalar):
+            c = c0 + xs(c)
+        else:
+            c = xs(Fraction(c0) + c)
+        for t, word in term_table(name, n):
+            cur = sums.get(word)
+            sums[word] = c * t if cur is None else cur + c * t
+    return tuple((c.ar if c == c.ar else c, word)
+                 for word, c in sums.items() if c)
 
 
 # (da, db, dr) of each key move: its change of z-degree, zbar-degree and
@@ -142,27 +158,6 @@ def shifts(name):
     if len({dr % 2 for _, _, dr in out}) > 1:
         raise ValueError(f"operator {name!r} mixes odd and even words")
     return out
-
-
-@cache
-def _compiled(expr, n):
-    """The term table of an expression at p = n/2: each part's terms times
-    (c0 + c1*p), equal words summed, zero sums left out; `expr` is a tuple
-    of (c0, c1, name).  A sum equal to an int is stored as that int, so
-    only a table with a non-integral coefficient (the -2i of dirac_I and
-    dirac_K) holds ExtendedScalars."""
-    sums = {}
-    for c0, c1, name in expr:
-        c = Fraction(c1) * (n // 2)
-        if isinstance(c0, ExtendedScalar):
-            c = c0 + xs(c)
-        else:
-            c = xs(Fraction(c0) + c)
-        for t, word in term_table(name, n):
-            cur = sums.get(word)
-            sums[word] = c * t if cur is None else cur + c * t
-    return tuple((c.ar if c == c.ar else c, word)
-                 for word, c in sums.items() if c)
 
 
 def apply_terms(terms, x):
@@ -208,46 +203,51 @@ def apply_word(word, F):
 
 
 def apply_expression(expr, F):
-    """Apply sum((c0 + c1*p) * op) given as [(c0, c1, name), ...]."""
-    return apply_terms(_compiled(tuple(expr), F.n), F)
+    """apply(tuple(expr), F): sum((c0 + c1*p) * op) given as a list."""
+    return apply_terms(term_table(tuple(expr), F.n), F)
 
 
-def term_image(op, key, n, cache):
+def key_image(op, key, n):
     """The image of the single term `key` (coefficient 1) under `op` over
-    n variables, as a dict {key: nonzero coefficient}, memoised in `cache`
-    (any dict) under (op, key).  The image is shared: do not change it.
+    n variables, as a fresh dict {key: nonzero coefficient}.
 
     The key walks through each word of term_table(op, n), rightmost move
     first, and c times the product of the moves' factors is summed per
     landing key; zero sums are dropped.  This loop deliberately repeats
     the walk of `apply_terms` instead of calling it on a one-term
     polynomial or serving as its building block: apply_terms' per-word
-    move list and factor memo pay off only over many terms, and
-    rebuilding apply_terms on per-key images made the kernel
-    constructions slower.
+    move list and factor memo pay off only over many terms.  Summing
+    apply_terms from per-key images made graded_tiling_check(2, 4) 14%
+    slower, and walking a key through apply_terms on a one-term
+    polynomial made verify_table(2, 2) 35% slower.
     """
-    ck = (op, key)
-    img = cache.get(ck)
+    sums = {}
+    for c, word in term_table(op, n):
+        k, f = key, 1
+        for move, arg in reversed(word):
+            hit = KEY_MOVES[move](k, arg)
+            if hit is None:
+                break
+            k, g = hit
+            f *= g
+        else:
+            cur = sums.get(k)
+            sums[k] = c * f if cur is None else cur + c * f
+    return {k: v for k, v in sums.items() if v}
+
+
+def term_image(op, key, n, cache):
+    """key_image(op, key, n) memoised in `cache` (any dict) under
+    (op, key).  The image is shared: do not change it."""
+    img = cache.get((op, key))
     if img is None:
-        sums = {}
-        for c, word in term_table(op, n):
-            k, f = key, 1
-            for move, arg in reversed(word):
-                hit = KEY_MOVES[move](k, arg)
-                if hit is None:
-                    break
-                k, g = hit
-                f *= g
-            else:
-                cur = sums.get(k)
-                sums[k] = c * f if cur is None else cur + c * f
-        img = cache[ck] = {k: v for k, v in sums.items() if v}
+        img = cache[op, key] = key_image(op, key, n)
     return img
 
 
 def apply_cached(op, F, cache):
     """apply(op, F) as the sum of the memoised single-term images of
-    `term_image`; `cache` is any dict, keyed by (operator name, term key).
+    `term_image`; `cache` is any dict, keyed by (operator, term key).
     """
     term_table(op, F.n)  # an unknown name raises even on the zero polynomial
     out = {}

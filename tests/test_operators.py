@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import dirac_dictionary_check
 from quatcliff.operators import (REGISTRY, apply, apply_cached,
                                  apply_expression, apply_terms, apply_word,
-                                 shifts, term_image, term_table)
+                                 key_image, shifts, term_image, term_table)
 from quatcliff.poly import SpinorPolynomial, space_basis
 from quatcliff.relations import bidegrees_up_to
 from quatcliff.relations import GENERATORS, RULES
@@ -204,21 +204,31 @@ def test_one_pass_applier_drops_cancelled_terms():
     assert apply("Q", x).is_zero()
 
 
+# every distinct nonzero rule right-hand side, named by a rule that has it
+RULE_RHS = {rule.rhs: rule.rule_id for rule in RULES if rule.rhs}
+
+
 @pytest.mark.parametrize("p", [1, 2])
-@pytest.mark.parametrize("name", sorted(REGISTRY))
-def test_single_term_images_match_the_applier(name, p):
-    # term_image walks one key through the words by its own loop; it must
-    # agree with apply_terms on every key of degree a + b <= 2, and
+@pytest.mark.parametrize(
+    "op", sorted(REGISTRY) + list(RULE_RHS),
+    ids=lambda op: op if isinstance(op, str) else "rhs:" + RULE_RHS[op])
+def test_single_term_images_match_the_applier(op, p):
+    # key_image walks one key through the words of a name or an
+    # expression by its own loop; it and its memo term_image must agree
+    # with apply_terms on every key of degree a + b <= 2, and
     # apply_cached, the sum of those images, with apply
     n = 2 * p
+    applier = apply if isinstance(op, str) else apply_expression
     cache = {}
     total = SpinorPolynomial.zero(n)
     for i, (a, b) in enumerate(bidegrees_up_to(2)):
         for F in space_basis(p, a, b):
             (key,) = F.terms
-            assert term_image(name, key, n, {}) == apply(name, F).terms
+            image = applier(op, F).terms
+            assert key_image(op, key, n) == image
+            assert term_image(op, key, n, {}) == image
             total = total + F.scale(xs(i - 2, 1))
-    assert apply_cached(name, total, cache) == apply(name, total)
+    assert apply_cached(op, total, cache) == applier(op, total)
     assert len(cache) == len(total.terms)
 
 
@@ -256,6 +266,8 @@ def test_resolve_unknown_name():
     with pytest.raises(KeyError, match="unknown operator name 'nope'"):
         apply_expression([(1, 0, "E_z"), (1, 0, "nope")],
                          SpinorPolynomial.zero(2))
+    with pytest.raises(KeyError, match="unknown operator name 'nope'"):
+        term_table(((1, 0, "nope"),), 2)
 
 
 # -------------------------------------------- composites and expressions
@@ -272,8 +284,6 @@ def part_by_part(expr, F):
 
 COMPOSITES = sorted(name for name, entry in REGISTRY.items()
                     if isinstance(entry, tuple))
-RULE_RHS = {rule.rhs: rule.rule_id for rule in RULES if rule.rhs}
-
 
 @pytest.mark.parametrize("n", [2, 4])
 @pytest.mark.parametrize("name", COMPOSITES)

@@ -270,11 +270,14 @@ def test_witness_on_forced_failure():
 @pytest.mark.parametrize("rule", [
     doubled(RULE_INDEX["within-g0:h_diff,curlyE"]),
     relations.BracketRule("test/wrong", "acomm", "dz", "dz_dag",
-                          ((1, 0, "laplace"),))], ids=["comm", "acomm"])
+                          ((1, 0, "laplace"),)),
+    # a right-hand side with the p-dependent part (0, 2, "id")
+    doubled(RULE_INDEX["g1-g-1:dz_dag,mul_z_dag"])],
+    ids=["comm", "acomm", "p_dependent_rhs"])
 def test_witness_is_the_uncached_bracket_difference(rule):
-    # the one-dict accumulation over cached single-term images reports the
-    # first failing monomial and the same difference as applying each side
-    # to it in turn
+    # the one-dict accumulation over single-term images of both sides
+    # reports the first failing monomial and the same difference as
+    # applying each side to it in turn
     basis = space_basis(2, 1, 1)
     witness = verify_bracket(rule, 1, 1, {}, basis)
     first = next(F for F in basis if bracket_difference(rule, F))
