@@ -6,7 +6,9 @@ with a boolean "passed", and the library checks it calls return plain
 JSON too, so nothing converts a report object.  Check names are short
 stable tokens (they double as CLI flag values and report keys):
 
-* ``relations``   the full bracket rule table on polynomial spaces
+* ``relations``   the full bracket rule table, each rule proved in
+                  normal form and checked on the polynomial spaces
+                  only where the proof does not settle it
 * ``cells``       the spinor cell triangle and its ladder scalars
 * ``thm5``        tiling of scalar harmonics by twisted raising powers
 * ``prop8``       tiling of the q-monogenic cell spaces

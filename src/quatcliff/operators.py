@@ -219,7 +219,7 @@ def key_image(op, key, n):
     move list and factor memo pay off only over many terms.  Summing
     apply_terms from per-key images made graded_tiling_check(2, 4) 14%
     slower, and walking a key through apply_terms on a one-term
-    polynomial made verify_table(2, 2) 35% slower.
+    polynomial made the degree-wise bracket table at (2, 2) 35% slower.
     """
     sums = {}
     for c, word in term_table(op, n):

@@ -10,18 +10,24 @@ and RULES holds one (anti)commutation rule per pair of them, an even
 generator with itself aside: 144 rules by construction.  A rule's block
 names its operands' grades, which `_grade` reads off operators.shifts.
 Only the nonzero brackets are written down, in BRACKETS, the Cartan
-rows of WEIGHT_LABELS and SWAPS; every other pair brackets to zero.  A
-rule is checked as an exact matrix identity on a monomial basis of the
-bihomogeneous spinor-valued polynomials by `verify_bracket`, which
-returns the witness of the first offending basis monomial, or None.  It
-sums both sides of the rule on a monomial into one dict, term by term,
-from the single-term images of the operands (operators.term_image,
-memoised in a cache the rules of a bidegree share) and of the right-hand
-side (operators.key_image); no polynomial is built but the witness.  A
-bidegree block of the table is the list of its rules' witnesses, and a
-rule passes the table exactly when no block holds a witness for it.
-Each rule is reported as one JSON entry, built by `_rule_json` for the
-table and for the two smaller systems alike.
+rows of WEIGHT_LABELS and SWAPS; every other pair brackets to zero.
+
+Each rule is proved in normal form first; the degree-wise check is the
+fallback and the test oracle.  `residue` is the normal form (weyl) of
+L R -+ R L - rhs at n = 2p, and an empty one proves the rule on every
+bidegree at once, so `verify_table` reports it as passed with no
+witness.  A rule with a nonempty residue is checked as an exact matrix
+identity on a monomial basis of each bihomogeneous space of the grid by
+`verify_bracket`, which returns the witness of the first offending
+basis monomial, or None.  It sums both sides of the rule on a monomial
+into one dict, term by term, from the single-term images of the
+operands (operators.term_image, memoised in a cache the rules of a
+bidegree share) and of the right-hand side (operators.key_image); no
+polynomial is built but the witness.  A bidegree block of the table is
+the list of those rules' witnesses, and a rule passes the table exactly
+when no block holds a witness for it.  Each rule is reported as one
+JSON entry, built by `_rule_json` for the table and for the two smaller
+systems alike.
 
 A right-hand side is an operator expression ((c0, c1, name), ...), the
 sum of (c0 + c1*p) * name, so one rule set serves every p.  A rule's
@@ -33,7 +39,7 @@ other rule set is a view of RULES.  The paper's three commuting sl(2)
 triples, their cross pairs and the Cartan weights of the eight odd
 generators are rows of RULES, checked by the table on every bidegree
 like any other row, so a wrong weight label fails its own row.  Two
-smaller systems are verified the same way: the Euclidean five-grading
+smaller systems are verified degree-wise: the Euclidean five-grading
 around (mul_X, dirac, laplace, mul_r2) on R^(4p), and the hermitian
 system around (mul_z, mul_z_dag, dz, dz_dag) with the spin counter beta.
 They list the identities they share with RULES as its entries and
@@ -41,12 +47,12 @@ define only their own rules.  For the hermitian Cartan element there are
 two sign variants in circulation; the rules assert the one that gives
 the odd generators weight +-1 (the other gives them +-3).
 
-Every check here is an operator identity on the monomial basis of a
-whole bihomogeneous space, so the module needs operators, polynomials
-and the sparse axpy only, no elimination; claims about kernel subspaces, such as the stability of the
+Every check here is an operator identity, on normal forms or on the
+monomial basis of a whole bihomogeneous space, so the module needs
+operators, their normal forms, polynomials and the sparse axpy only, no
+elimination; claims about kernel subspaces, such as the stability of the
 q-monogenics, are checked in fischer.
 """
-
 from collections import Counter
 from fractions import Fraction
 
@@ -57,7 +63,7 @@ from .poly import SpinorPolynomial, require_int, require_label, space_basis
 __all__ = [
     "BracketRule", "RULES", "RULE_INDEX",
     "EUCLIDEAN_RULES", "HERMITIAN_RULES", "WEIGHT_LABELS", "CARTAN_ORDER",
-    "verify_bracket", "verify_table", "verify_osp12_and_sl12",
+    "residue", "verify_bracket", "verify_table", "verify_osp12_and_sl12",
     "bidegrees_up_to",
 ]
 
@@ -279,6 +285,19 @@ HERMITIAN_RULES = [
 
 # ------------------------------------------------------------ verification
 
+def residue(rule, n):
+    """The normal form of L R - R L - rhs (L R + R L - rhs for an
+    anticommutator) over n variables, as a fresh dict; it is empty
+    exactly when the rule holds on every bidegree (weyl)."""
+    # imported on first use, so a run that checks no bracket does not
+    # compile weyl: with no bytecode cache that is 1.2 ms of start-up
+    from .weyl import compose, normal_form
+    left, right = normal_form(rule.left, n), normal_form(rule.right, n)
+    out = compose(left, right)
+    axpy(out, compose(right, left), 1 if rule.kind == "acomm" else -1)
+    return axpy(out, normal_form(rule.rhs, n), -1)
+
+
 def verify_bracket(rule, a, b, cache, basis):
     """Check one rule exactly on all of P_{a,b} tensor the full spinor
     space, given as `basis` (space_basis(p, a, b)); `cache` is the
@@ -288,7 +307,8 @@ def verify_bracket(rule, a, b, cache, basis):
     For each F, L(R F) - R(L F) - rhs(F) (+ R(L F) for an
     anticommutator) is summed into one dict, linearly over the terms of
     F, from single-term images, the operands' cached and the right-hand
-    side's not (caching them raised verify_table(2, 2)'s peak memory 10%).
+    side's not (caching them raised the peak memory of the degree-wise
+    table at (2, 2) by 10%).
     """
     s = 1 if rule.kind == "acomm" else -1
     sides = ((rule.left, rule.right, 1), (rule.right, rule.left, s))
@@ -328,26 +348,32 @@ def verify_table(p, max_total_degree):
 
     Returns one JSON entry per rule, in table order, each listing all
     bidegrees it was checked on and its first witness in grid order; a
-    rule passes exactly when it has none.  The bidegree blocks run one
-    after another in grid order, each with its own term-image cache,
-    which is dropped after the block: one cache shared by every block
-    raised the peak memory of verify_table(2, 2) from 42 to 56 MB.  p
+    rule passes exactly when it has none.  Each rule is proved in normal
+    form first; the degree-wise check is the fallback and the test
+    oracle.  A rule whose `residue` at n = 2p is empty holds on every
+    bidegree and has no witness.  The others run through the bidegree
+    blocks one after another in grid order, each with its own
+    term-image cache, which is dropped after the block: one cache shared
+    by every block raised the peak memory of the whole table at (2, 2)
+    from 42 to 56 MB.  When every rule is proved, no block is built.  p
     must be a positive int and the degree a non-negative one (ValueError
     otherwise), so no grid is empty.
     """
     require_int("p", p, 1)
     require_int("max_total_degree", max_total_degree, 0)
     grid = bidegrees_up_to(max_total_degree)
+    pending = [rule for rule in RULES if residue(rule, 2 * p)]
     blocks = []
-    for a, b in grid:
+    for a, b in grid if pending else ():
         basis = space_basis(p, a, b)
         cache = {}
         blocks.append([verify_bracket(rule, a, b, cache, basis)
-                       for rule in RULES])
+                       for rule in pending])
 
-    # a rule's column holds its witnesses in grid order
-    return [_rule_json(rule, p, grid, next(filter(None, column), None))
-            for rule, column in zip(RULES, zip(*blocks))]
+    # a pending rule's column holds its witnesses in grid order
+    witnesses = {rule: next(filter(None, column), None)
+                 for rule, column in zip(pending, zip(*blocks))}
+    return [_rule_json(rule, p, grid, witnesses.get(rule)) for rule in RULES]
 
 
 # ------------------------------------------ Euclidean and hermitian systems

@@ -477,6 +477,33 @@ def test_subcommand_golden(command, tmp_path, monkeypatch, capsys):
     assert summary[-1] in ("overall: pass", "decompose: pass")
 
 
+# sha256 of the canonical report of verify-relations --p 2 --max-degree 2,
+# as SUBCOMMAND_GOLDEN digests it; the degree-wise table wrote it first
+RELATIONS_P2_GOLDEN = (
+    "837f18e8c2ce12ead149b8114e8bf5cae91103b231c59e464b669fe3530b3de1")
+
+
+@pytest.mark.parametrize("args,golden", [
+    SUBCOMMAND_GOLDEN["verify-relations"],
+    (["--p", "2", "--max-degree", "2"], RELATIONS_P2_GOLDEN)],
+    ids=["p1", "p2"])
+def test_relations_report_needs_no_degree_wise_check(args, golden, tmp_path,
+                                                     monkeypatch):
+    # every rule of the table is proved in normal form, so the report is
+    # written without checking one rule on one basis polynomial
+    def unreachable(*args, **kwargs):
+        raise AssertionError("degree-wise check reached")
+
+    monkeypatch.delenv("QUATCLIFF_DIM_CAP", raising=False)
+    monkeypatch.setattr(relations, "verify_bracket", unreachable)
+    monkeypatch.setattr(relations, "space_basis", unreachable)
+    out = tmp_path / "out.json"
+    assert cli.main(["verify-relations"] + args + ["--json", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    payload["config"].pop("output")
+    assert digest(payload) == golden
+
+
 # digest of the report of one check run alone by `run` (the default
 # dimension cap): every check but relations at (p, degree) = (1, 4) and
 # (2, 3), thm10 at p=2 up to degree 4, and prop8, prop9 and thm10 at p=3
