@@ -6,9 +6,8 @@ with a boolean "passed", and the library checks it calls return plain
 JSON too, so nothing converts a report object.  Check names are short
 stable tokens (they double as CLI flag values and report keys):
 
-* ``relations``   the full bracket rule table, each rule proved in
-                  normal form and checked on the polynomial spaces
-                  only where the proof does not settle it
+* ``relations``   the full bracket rule table, each rule proved or
+                  refuted in normal form on every degree at once
 * ``cells``       the spinor cell triangle and its ladder scalars
 * ``thm5``        tiling of scalar harmonics by twisted raising powers
 * ``prop8``       tiling of the q-monogenic cell spaces
@@ -21,9 +20,9 @@ stable tokens (they double as CLI flag values and report keys):
 
 The grid checks (thm5 to hermitian) share one label loop, `_walk`: a
 label whose space is over the dimension cap is reported as skipped with
-its needed dimension, and every other label is run.  relations caps its
-degree instead, and writes the same skip record when even degree 0 is
-over the cap; cells and example13 have no labels.
+its needed dimension, and every other label is run.  relations, cells
+and example13 have no labels and are never capped: relations reads no
+space unless a rule is refuted, and then none above degree 4.
 
 `run` returns the report dict; `emit_report` is the one JSON writer,
 for every subcommand's report.  `main` builds one RunConfig for each
@@ -171,24 +170,10 @@ def _report(rep):
 
 
 def _run_relations(config):
-    p, cap = config.p, config.dim_cap
-    spinor = 1 << (2 * p)
-    degree = config.max_total_degree
-    capped = False
-    while degree >= 0 and any(
-            poly_dim(p, a, b) * spinor > cap
-            for a, b in relations.bidegrees_up_to(degree)):
-        degree -= 1
-        capped = True
-    if degree < 0:
-        return {"p": p, "rules": [], "skipped": "cap", "needed_dim": spinor,
-                "dim_cap": cap, "passed": True}
+    p, degree = config.p, config.max_total_degree
     rules = relations.verify_table(p, degree)
-    out = {"p": p, "max_total_degree": degree, "rule_count": len(rules),
-           "rules": rules, "passed": all(r["passed"] for r in rules)}
-    if capped:
-        out["capped_at_degree"] = degree
-    return out
+    return {"p": p, "max_total_degree": degree, "rule_count": len(rules),
+            "rules": rules, "passed": all(r["passed"] for r in rules)}
 
 
 def _run_thm5(config):
@@ -329,8 +314,9 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     vr = sub.add_parser("verify-relations",
-                        help="check every bracket rule on the polynomial "
-                             "spaces up to a total degree")
+                        help="prove every bracket rule in normal form and "
+                             "report it on the bidegrees up to a total "
+                             "degree")
     vr.add_argument("--p", type=int, default=1)
     vr.add_argument("--max-degree", type=int, default=3)
     vr.add_argument("--json", dest="json_path", metavar="OUT")

@@ -37,7 +37,7 @@ from .operators import (DERIVS, apply, apply_word, joint_kernel, key_image,
                         shifts)
 from .poly import (SpinorPolynomial, poly_dim, require_int, require_label,
                    space_basis, term_sort_key, value_basis)
-from .relations import BRACKETS, RULE_INDEX, verify_bracket
+from .relations import BRACKETS, RULE_INDEX, first_witness
 from .witt import cell_dim, cell_labels, pq_scalars, valid_cell
 
 __all__ = [
@@ -872,9 +872,9 @@ def trivial_intersection_check(p, a, b):
 def cells_check(p):
     """Structure of the spinor cell triangle: dimension formulas, column
     tilings, the scalars PQ and QP take on each cell, the table row
-    [P, Q] = h_spin on the constant spinors, and the kernel facts that
-    the S and T spaces rest on: of all cells, P kills the bottom and Q
-    the top one of each column.  The triangle itself, one entry per cell
+    [P, Q] = h_spin in normal form, and the kernel facts that the S and
+    T spaces rest on: of all cells, P kills the bottom and Q the top one
+    of each column.  The triangle itself, one entry per cell
     with its dimension formula and ladder scalars, is reported under
     "triangle"."""
     require_label(p)
@@ -910,8 +910,8 @@ def cells_check(p):
     # C(n, r) independent vectors
     checks["column_tiling"] = all(
         _tiling(by_column.get(r, []), comb(n, r))[-1] for r in range(n + 1))
-    checks["pq_commutator"] = verify_bracket(
-        RULE_INDEX["within-g0:P,Q"], 0, 0, {}, space_basis(p, 0, 0)) is None
+    checks["pq_commutator"] = first_witness(
+        RULE_INDEX["within-g0:P,Q"], p) is None
 
     passed = all(checks.values())
     return {"p": p, "checks": checks, "cells": len(labels),

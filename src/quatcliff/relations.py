@@ -12,20 +12,18 @@ names its operands' grades, which `_grade` reads off operators.shifts.
 Only the nonzero brackets are written down, in BRACKETS, the Cartan
 rows of WEIGHT_LABELS and SWAPS; every other pair brackets to zero.
 
-Each rule is proved in normal form first; the degree-wise check is the
-fallback and the test oracle.  `residue` is the normal form (weyl) of
-L R -+ R L - rhs at n = 2p, and an empty one proves the rule on every
-bidegree at once, so `verify_table` reports it as passed with no
-witness.  A rule with a nonempty residue is checked as an exact matrix
-identity on a monomial basis of each bihomogeneous space of the grid by
-`verify_bracket`, which returns the witness of the first offending
-basis monomial, or None.  It sums both sides of the rule on a monomial
-into one dict, term by term, from the single-term images of the
-operands (operators.term_image, memoised in a cache the rules of a
-bidegree share) and of the right-hand side (operators.key_image); no
-polynomial is built but the witness.  A bidegree block of the table is
-the list of those rules' witnesses, and a rule passes the table exactly
-when no block holds a witness for it.  Each rule is reported as one
+Every verdict is a normal-form residue: `residue` is the normal form
+(weyl) of L R -+ R L - rhs at n = 2p, and a rule holds on every
+bidegree exactly when it is empty, so no verdict reads a polynomial
+space.  Only a refuted rule is checked on one, by `first_witness`, to
+name its witness: `verify_bracket` checks the rule as an exact matrix
+identity on the monomial basis of a bihomogeneous space and returns the
+witness of the first offending basis monomial, or None.  It sums both
+sides of the rule on a monomial into one dict, term by term, from the
+single-term images of the operands (operators.term_image, memoised in a
+cache the two sides share) and of the right-hand side
+(operators.key_image); no polynomial is built but the witness.  It is
+also the degree-wise oracle of the tests.  Each rule is reported as one
 JSON entry, built by `_rule_json` for the table and for the two smaller
 systems alike.
 
@@ -37,34 +35,34 @@ operators.shifts, the anticommutator exactly when both operands are odd.
 Those tables are the only place a bracket identity is written; every
 other rule set is a view of RULES.  The paper's three commuting sl(2)
 triples, their cross pairs and the Cartan weights of the eight odd
-generators are rows of RULES, checked by the table on every bidegree
-like any other row, so a wrong weight label fails its own row.  Two
-smaller systems are verified degree-wise: the Euclidean five-grading
-around (mul_X, dirac, laplace, mul_r2) on R^(4p), and the hermitian
-system around (mul_z, mul_z_dag, dz, dz_dag) with the spin counter beta.
-They list the identities they share with RULES as its entries and
-define only their own rules.  For the hermitian Cartan element there are
-two sign variants in circulation; the rules assert the one that gives
-the odd generators weight +-1 (the other gives them +-3).
+generators are rows of RULES, proved like any other row, so a wrong
+weight label fails its own row.  Two smaller systems are proved the
+same way: the Euclidean five-grading around (mul_X, dirac, laplace,
+mul_r2) on R^(4p), and the hermitian system around (mul_z, mul_z_dag,
+dz, dz_dag) with the spin counter beta.  They list the identities they
+share with RULES as its entries and define only their own rules.  For
+the hermitian Cartan element there are two sign variants in
+circulation; the rules assert the one that gives the odd generators
+weight +-1 (the other gives them +-3).
 
-Every check here is an operator identity, on normal forms or on the
-monomial basis of a whole bihomogeneous space, so the module needs
-operators, their normal forms, polynomials and the sparse axpy only, no
-elimination; claims about kernel subspaces, such as the stability of the
-q-monogenics, are checked in fischer.
+Every check here is an operator identity, on normal forms or, for a
+witness, on the monomial basis of a whole bihomogeneous space, so the
+module needs operators, their normal forms, polynomials and the sparse
+axpy only, no elimination; claims about kernel subspaces, such as the
+stability of the q-monogenics, are checked in fischer.
 """
 from collections import Counter
 from fractions import Fraction
 
 from .linalg import axpy
 from .operators import DERIVS, key_image, shifts, term_image
-from .poly import SpinorPolynomial, require_int, require_label, space_basis
+from .poly import SpinorPolynomial, require_int, space_basis
 
 __all__ = [
     "BracketRule", "RULES", "RULE_INDEX",
     "EUCLIDEAN_RULES", "HERMITIAN_RULES", "WEIGHT_LABELS", "CARTAN_ORDER",
-    "residue", "verify_bracket", "verify_table", "verify_osp12_and_sl12",
-    "bidegrees_up_to",
+    "residue", "first_witness", "verify_bracket", "verify_table",
+    "verify_osp12_and_sl12", "bidegrees_up_to",
 ]
 
 
@@ -327,14 +325,40 @@ def verify_bracket(rule, a, b, cache, basis):
     return None
 
 
-def _rule_json(rule, p, bidegrees, witness):
-    """The report entry of one rule checked on `bidegrees`, whose first
-    witness (None when it held everywhere) is `witness`."""
-    out = {"rule": rule.rule_id, "p": p,
-           "bidegrees": [list(ab) for ab in bidegrees],
-           "passed": witness is None}
-    if witness is not None:
-        out["witness"] = witness
+def first_witness(rule, p):
+    """None when the rule's `residue` at n = 2p is empty, so that it
+    holds on every bidegree; else its first `verify_bracket` witness in
+    grid order.
+
+    That witness lies at total degree d0, the least derivative order
+    sum(D) over the residue's keys: every residue term kills the
+    polynomials of lower degree, and on x^D tensor e_in only the terms
+    with that same D act, so nothing cancels there (faithfulness, weyl).
+    d0 <= 4 for a bracket of two generators, so no space above degree 4
+    is read.  Finding no witness at d0 raises RuntimeError naming the
+    rule; it never passes the rule.
+    """
+    left = residue(rule, 2 * p)
+    if not left:
+        return None
+    d0 = min(sum(D) for _, D, _, _ in left)
+    for a in range(d0, -1, -1):
+        found = verify_bracket(rule, a, d0 - a, {},
+                               space_basis(p, a, d0 - a))
+        if found is not None:
+            return found
+    raise RuntimeError(f"rule {rule.rule_id} has a nonempty residue at "
+                       f"n = {2 * p} but no witness in degree {d0}")
+
+
+def _rule_json(rule, p, **fields):
+    """The report entry of one rule at rank p, with `fields` added: it
+    passes exactly when `first_witness` finds none, else it carries the
+    witness."""
+    found = first_witness(rule, p)
+    out = {"rule": rule.rule_id, "p": p, **fields, "passed": found is None}
+    if found is not None:
+        out["witness"] = found
     return out
 
 
@@ -344,52 +368,35 @@ def bidegrees_up_to(max_total_degree):
 
 
 def verify_table(p, max_total_degree):
-    """Every rule on every bidegree with a+b <= max_total_degree.
+    """Every rule, reported on every bidegree with a+b <= max_total_degree.
 
-    Returns one JSON entry per rule, in table order, each listing all
-    bidegrees it was checked on and its first witness in grid order; a
-    rule passes exactly when it has none.  Each rule is proved in normal
-    form first; the degree-wise check is the fallback and the test
-    oracle.  A rule whose `residue` at n = 2p is empty holds on every
-    bidegree and has no witness.  The others run through the bidegree
-    blocks one after another in grid order, each with its own
-    term-image cache, which is dropped after the block: one cache shared
-    by every block raised the peak memory of the whole table at (2, 2)
-    from 42 to 56 MB.  When every rule is proved, no block is built.  p
-    must be a positive int and the degree a non-negative one (ValueError
-    otherwise), so no grid is empty.
+    Returns one JSON entry per rule, in table order, each listing the
+    bidegrees of the grid; a rule passes exactly when its `residue` is
+    empty, which proves it on every bidegree at once.  A refuted rule
+    carries its `first_witness`, the degree-wise oracle's first witness,
+    which may lie above the grid: a residue is nonzero in some degree,
+    so no grid is too small to refute it.  p must be a positive int and
+    the degree a non-negative one (ValueError otherwise), so no grid is
+    empty.
     """
     require_int("p", p, 1)
     require_int("max_total_degree", max_total_degree, 0)
     grid = bidegrees_up_to(max_total_degree)
-    pending = [rule for rule in RULES if residue(rule, 2 * p)]
-    blocks = []
-    for a, b in grid if pending else ():
-        basis = space_basis(p, a, b)
-        cache = {}
-        blocks.append([verify_bracket(rule, a, b, cache, basis)
-                       for rule in pending])
-
-    # a pending rule's column holds its witnesses in grid order
-    witnesses = {rule: next(filter(None, column), None)
-                 for rule, column in zip(pending, zip(*blocks))}
-    return [_rule_json(rule, p, grid, witnesses.get(rule)) for rule in RULES]
+    return [_rule_json(rule, p, bidegrees=[list(ab) for ab in grid])
+            for rule in RULES]
 
 
 # ------------------------------------------ Euclidean and hermitian systems
 
-def verify_osp12_and_sl12(p, a, b):
+def verify_osp12_and_sl12(p):
     """Grading relations of the Euclidean system (m = 4p) and the hermitian
-    system (n = 2p) on P_{a,b} x S."""
-    require_label(p, a=a, b=b)
-    basis = space_basis(p, a, b)
-    cache = {}
-    out = {"p": p, "a": a, "b": b}
+    system (n = 2p) on polynomials tensor S, each rule decided on every
+    bidegree at once by its `residue`."""
+    require_int("p", p, 1)
+    out = {"p": p}
     for name, rules in (("euclidean", EUCLIDEAN_RULES),
                         ("hermitian", HERMITIAN_RULES)):
-        out[name] = [_rule_json(r, p, [(a, b)],
-                                verify_bracket(r, a, b, cache, basis))
-                     for r in rules]
+        out[name] = [_rule_json(r, p) for r in rules]
     out["passed"] = all(e["passed"]
                         for e in out["euclidean"] + out["hermitian"])
     return out

@@ -34,7 +34,7 @@ CLI_CHECKS = {
     # checks run from the tests only so far, each to become a CLI check
     "trivial_intersection_check":
         lambda: fi.trivial_intersection_check(1, 2, 1),
-    "verify_osp12_and_sl12": lambda: relations.verify_osp12_and_sl12(1, 1, 1),
+    "verify_osp12_and_sl12": lambda: relations.verify_osp12_and_sl12(1),
     "verify_qmonogenic_stability":
         lambda: fi.verify_qmonogenic_stability(1, 1, 1),
     "verify_qmonogenic_equivalence":
@@ -53,8 +53,8 @@ def test_cli_check_returns_json(name):
 
 
 @pytest.mark.parametrize("check,args,name", [
-    (relations.verify_osp12_and_sl12, (0, 1, 0), "p"),
-    (relations.verify_osp12_and_sl12, (1, -1, 0), "a"),
+    (relations.verify_osp12_and_sl12, (0,), "p"),
+    (relations.verify_osp12_and_sl12, (True,), "p"),
     (fi.verify_qmonogenic_stability, (0, 1, 0), "p"),
     (fi.verify_qmonogenic_equivalence, (0, 1, 0), "p"),
     (fi.sl2_module_checks, (0, 1, 0), "p"),

@@ -483,14 +483,17 @@ RELATIONS_P2_GOLDEN = (
     "837f18e8c2ce12ead149b8114e8bf5cae91103b231c59e464b669fe3530b3de1")
 
 
-@pytest.mark.parametrize("args,golden", [
-    SUBCOMMAND_GOLDEN["verify-relations"],
-    (["--p", "2", "--max-degree", "2"], RELATIONS_P2_GOLDEN)],
-    ids=["p1", "p2"])
-def test_relations_report_needs_no_degree_wise_check(args, golden, tmp_path,
-                                                     monkeypatch):
-    # every rule of the table is proved in normal form, so the report is
-    # written without checking one rule on one basis polynomial
+@pytest.mark.parametrize("command,args,golden", [
+    ("verify-relations", *SUBCOMMAND_GOLDEN["verify-relations"]),
+    ("verify-relations", ["--p", "2", "--max-degree", "2"],
+     RELATIONS_P2_GOLDEN),
+    ("cells", *SUBCOMMAND_GOLDEN["cells"])],
+    ids=["p1", "p2", "cells-p2"])
+def test_relations_report_needs_no_degree_wise_check(command, args, golden,
+                                                     tmp_path, monkeypatch):
+    # every rule of the table, the cell row [P, Q] = h_spin and the
+    # Euclidean and hermitian systems are proved in normal form, so no
+    # verdict checks one rule on one basis polynomial
     def unreachable(*args, **kwargs):
         raise AssertionError("degree-wise check reached")
 
@@ -498,10 +501,11 @@ def test_relations_report_needs_no_degree_wise_check(args, golden, tmp_path,
     monkeypatch.setattr(relations, "verify_bracket", unreachable)
     monkeypatch.setattr(relations, "space_basis", unreachable)
     out = tmp_path / "out.json"
-    assert cli.main(["verify-relations"] + args + ["--json", str(out)]) == 0
+    assert cli.main([command] + args + ["--json", str(out)]) == 0
     payload = json.loads(out.read_text())
     payload["config"].pop("output")
     assert digest(payload) == golden
+    assert relations.verify_osp12_and_sl12(int(args[1]))["passed"]
 
 
 # digest of the report of one check run alone by `run` (the default
@@ -691,24 +695,15 @@ def test_grid_check_skip_records(name):
     assert skipped[0] == dict(first, skipped="cap", dim_cap=cap)
 
 
-def test_relations_cap_truncates_degree():
-    cfg = cli.RunConfig(p=1, checks=("relations",), max_total_degree=3,
-                        dim_cap=15)
-    payload = cli.run(cfg)
-    assert payload["passed"]
-    hits = walk(payload["checks"], [], "capped_at_degree")
-    assert hits and hits[0]["capped_at_degree"] == 1
-
-
-def test_relations_over_cap_at_degree_0_is_skipped(monkeypatch):
-    # p=1: even degree 0 spans 4 dimensions, over a cap of 2
-    monkeypatch.setattr(relations, "verify_table", None)
-    payload = cli.run(cli.RunConfig(p=1, checks=("relations",),
-                                    max_total_degree=3, dim_cap=2))
-    assert payload["passed"]
-    assert payload["checks"]["relations"] == {
-        "p": 1, "rules": [], "skipped": "cap", "needed_dim": 4,
-        "dim_cap": 2, "passed": True}
+def test_relations_report_ignores_the_cap(monkeypatch):
+    # the proof reads no space, so even a cap below the spinor space of
+    # degree 0 leaves the report as it is
+    monkeypatch.delenv("QUATCLIFF_DIM_CAP", raising=False)
+    reports = [cli.run(cli.RunConfig(p=1, max_total_degree=3,
+                                     checks=("relations",), dim_cap=cap))
+               ["checks"]["relations"] for cap in (2, None)]
+    assert reports[0] == reports[1]
+    assert reports[0]["max_total_degree"] == 3
 
 
 def test_bundle_json_shape(tmp_path):

@@ -229,9 +229,9 @@ def test_alternate_hermitian_cartan_weights(gen, weight):
         assert bracket == gF.scale(weight), str(F)
 
 
-@pytest.mark.parametrize("p,a,b", [(1, 1, 1), (1, 2, 1)])
-def test_osp12_and_sl12(p, a, b):
-    out = verify_osp12_and_sl12(p, a, b)
+@pytest.mark.parametrize("p", [1, 2])
+def test_osp12_and_sl12(p):
+    out = verify_osp12_and_sl12(p)
     assert out["passed"], out
 
 

@@ -4,7 +4,9 @@ A normal form is checked against the operator it stands for by acting
 with it on every basis key of low degree.  The proof of the rule table
 is checked against the degree-wise oracle, `verify_bracket` on every
 rule and bidegree: the reports must be equal, with and without a
-mutated rule, and five mutants must each leave a nonempty residue.  The
+mutated rule, five mutants must each leave a nonempty residue, and a
+rule refuted only above the grid still fails with the oracle's witness.
+A doubled rule fails `cells_check` and the Euclidean system.  The
 Euclidean and hermitian systems and the Fischer adjoint pairs of
 tests/test_operators.py are proved in normal form for p = 1, 2, 3.
 """
@@ -14,12 +16,13 @@ from fractions import Fraction
 
 import pytest
 
-from quatcliff import relations
+from quatcliff import fischer, relations
 from quatcliff.operators import REGISTRY, apply
 from quatcliff.poly import space_basis
 from quatcliff.relations import (EUCLIDEAN_RULES, HERMITIAN_RULES, RULE_INDEX,
-                                 RULES, BracketRule, bidegrees_up_to, residue,
-                                 verify_bracket, verify_table)
+                                 RULES, BracketRule, bidegrees_up_to,
+                                 first_witness, residue, verify_bracket,
+                                 verify_osp12_and_sl12, verify_table)
 from quatcliff.weyl import compose, normal_form
 
 
@@ -133,6 +136,61 @@ def test_a_mutant_fails_the_proof_and_keeps_its_witness(monkeypatch, name,
     assert [entry["rule"] for entry in failed] == [mutant.rule_id]
     assert failed == degree_wise([mutant], p, 2)
     assert failed[0]["witness"]["difference"]
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_a_mutant_fails_above_the_grid(monkeypatch, p):
+    # {dz, dz_dag} = laplace/2 holds in degrees 0 and 1, so the degree-wise
+    # table at degree 1 passes it; its residue still fails it, with the
+    # oracle's first witness, at (1, 1)
+    mutant = MUTANTS["half_laplace"]
+    assert degree_wise([mutant], p, 1)[0]["passed"]
+    monkeypatch.setattr(relations, "RULES", [
+        mutant if rule.rule_id == mutant.rule_id else rule for rule in RULES])
+    failed = [entry for entry in verify_table(p, 1) if not entry["passed"]]
+    assert [entry["rule"] for entry in failed] == [mutant.rule_id]
+    witness = failed[0]["witness"]
+    assert witness == degree_wise([mutant], p, 2)[0]["witness"]
+    assert (witness["a"], witness["b"]) == (1, 1)
+
+
+def test_a_residue_with_no_witness_raises(monkeypatch):
+    # a refuted rule is never passed: an oracle that finds no witness in
+    # degree d0 contradicts faithfulness, and the error names the rule
+    monkeypatch.setattr(relations, "verify_bracket", lambda *args: None)
+    mutant = MUTANTS["half_laplace"]
+    with pytest.raises(RuntimeError, match=mutant.rule_id):
+        first_witness(mutant, 1)
+    assert first_witness(RULE_INDEX[mutant.rule_id], 1) is None
+
+
+def doubled(rule):
+    """The rule with every coefficient of its right-hand side doubled."""
+    return BracketRule(rule.rule_id, rule.kind, rule.left, rule.right,
+                       [(2 * c0, 2 * c1, name) for c0, c1, name in rule.rhs])
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_a_doubled_rule_fails_cells_and_the_euclidean_system(monkeypatch,
+                                                             p):
+    pq = RULE_INDEX["within-g0:P,Q"]
+    monkeypatch.setitem(relations.RULE_INDEX, pq.rule_id, doubled(pq))
+    report = fischer.cells_check(p)
+    assert report["checks"]["pq_commutator"] is False
+    assert not report["passed"]
+
+    # {dirac, dirac} = -4 laplace leaves the residue 2 laplace, first
+    # nonzero in degree 2
+    (rule,) = [r for r in EUCLIDEAN_RULES if r.rule_id == "osp12:dirac,dirac"]
+    mutant = doubled(rule)
+    monkeypatch.setattr(relations, "EUCLIDEAN_RULES", [
+        mutant if r is rule else r for r in EUCLIDEAN_RULES])
+    out = verify_osp12_and_sl12(p)
+    failed = [e for e in out["euclidean"] + out["hermitian"]
+              if not e["passed"]]
+    assert [e["rule"] for e in failed] == [mutant.rule_id]
+    assert failed[0]["witness"] == degree_wise([mutant], p, 2)[0]["witness"]
+    assert not out["passed"]
 
 
 def star(form):
